@@ -23,8 +23,8 @@ from repro.numeric.dense import (
     dense_lu_nopivot,
     solve_lower_dense,
     solve_upper_dense,
-    tsolve_lower_inplace,
-    tsolve_upper_inplace,
+    tsolve_lower,
+    tsolve_upper,
 )
 from repro.numeric.cache import AnalysisCache, analysis_cache
 from repro.numeric.cholesky import CholeskyFactor, multifrontal_cholesky
@@ -46,8 +46,8 @@ __all__ = [
     "dense_lu_nopivot",
     "solve_lower_dense",
     "solve_upper_dense",
-    "tsolve_lower_inplace",
-    "tsolve_upper_inplace",
+    "tsolve_lower",
+    "tsolve_upper",
     "AnalysisCache",
     "analysis_cache",
     "CholeskyFactor",

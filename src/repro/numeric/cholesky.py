@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.numeric.dense import partial_cholesky
+from repro.numeric.dense import partial_cholesky, zero_strict_triangle
 from repro.numeric.engine import (
     export_factor_metrics,
     numeric_context,
@@ -94,10 +94,8 @@ class CholeskyFactor:
     def nnz(self) -> int:
         """Stored nonzeros of L (matches the symbolic prediction)."""
         return sum(
-            sum(len(rows) - local for local in range(sn.n_cols))
-            for sn, (rows, _) in zip(
-                self.symbolic.tree.supernodes, self.columns
-            )
+            sn.n_cols * sn.front_size - sn.n_cols * (sn.n_cols - 1) // 2
+            for sn in self.symbolic.tree.supernodes
         )
 
 
@@ -115,9 +113,11 @@ class CholeskyJob(SupernodeJob):
             [None] * self.n_supernodes
 
     def _factor(self, i: int, sn, values: np.ndarray) -> None:
-        partial_cholesky(values, sn.n_cols, block=self.block)
-        self.columns[i] = (sn.rows.copy(),
-                           np.tril(values[:, : sn.n_cols]))
+        k = sn.n_cols
+        partial_cholesky(values, k, block=self.block)
+        block = values[:, :k].copy()
+        zero_strict_triangle(block[:k], upper=True)
+        self.columns[i] = (sn.rows.copy(), block)
 
     def output_shapes(self, i: int) -> list[tuple[int, ...]]:
         sn = self.supernodes[i]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.numeric.cholesky import _supernode_triangle
-from repro.numeric.dense import partial_lu
+from repro.numeric.dense import partial_lu, zero_strict_triangle
 from repro.numeric.engine import (
     export_factor_metrics,
     numeric_context,
@@ -112,9 +112,11 @@ class LUJob(SupernodeJob):
         before = np.abs(np.diag(values)[:k])
         self.perturbed[i] = int(np.sum(before < self.perturb))
         partial_lu(values, k, perturb=self.perturb, block=self.block)
-        self.fronts[i] = (sn.rows.copy(),
-                          np.tril(values[:, :k]),
-                          np.triu(values[:k, :]))
+        l_block = values[:, :k].copy()
+        zero_strict_triangle(l_block[:k], upper=True)
+        u_block = values[:k].copy()
+        zero_strict_triangle(u_block[:, :k], upper=False)
+        self.fronts[i] = (sn.rows.copy(), l_block, u_block)
 
     def output_shapes(self, i: int) -> list[tuple[int, ...]]:
         sn = self.supernodes[i]

@@ -223,17 +223,22 @@ class SupernodeJob:
             sn = self.supernodes[i]
             size = sn.front_size
             values = np.zeros((size, size))
-            values.flat[self.ctx.flat_pos[i]] = \
+            flat = values.reshape(-1)
+            flat[self.ctx.flat_pos[i]] = \
                 self.permuted_data[self.ctx.data_idx[i]]
             # Extend-add children in fixed (ascending) order so the
             # result does not depend on which worker computed each child.
+            # The same additions as values[pos[:, None], pos] += update,
+            # as one scatter-add over flat indices: several times faster
+            # than the 2-D fancy index and no gathered temporary.
             for child in sn.children:
                 pos = self.child_maps[child]
                 if pos is None:
                     continue
                 child_update = self.updates[child]
                 self.updates[child] = None
-                values[pos[:, None], pos] += child_update
+                np.add.at(flat, (pos[:, None] * size + pos).reshape(-1),
+                          child_update.reshape(-1))
             self._factor(i, sn, values)
             if sn.parent >= 0 and sn.n_update_rows > 0:
                 self.updates[i] = values[sn.n_cols:, sn.n_cols:].copy()

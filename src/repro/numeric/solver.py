@@ -77,14 +77,14 @@ class SparseSolver:
         rhs_pad: batch-invariant solve width.  When > 1, every ``solve``
             with k <= rhs_pad right-hand sides runs as one zero-padded
             (n, rhs_pad) panel and the real columns are sliced out.
-            Every dense kernel then sees batch-size-independent shapes,
-            so each response is *bit-identical* no matter how requests
-            were batched — the guarantee the coalescing serve layer
-            (:mod:`repro.serve`) is built on.  The panel sweep amortizes
-            its Python overhead across the width, so padding costs
-            little wall-clock even for a single RHS (see
-            docs/SERVING.md).  Default 1 (off: solve at the natural
-            width).
+            Every dense kernel (per-supernode ``dtrsm`` and ``@`` panel
+            updates) then sees batch-size-independent shapes and BLAS
+            treats each column alike wherever it sits, so each response
+            is *bit-identical* no matter how requests were batched — the
+            guarantee the coalescing serve layer (:mod:`repro.serve`) is
+            built on.  A 32-wide padded solve costs about twice a single
+            right-hand side, not 32 times (docs/PERFORMANCE.md).
+            Default 1 (off: solve at the natural width).
         use_cache: share the symbolic analysis through the process-global
             :func:`~repro.numeric.cache.analysis_cache` so repeated solver
             construction over one pattern skips ordering and symbolic
@@ -175,19 +175,25 @@ class SparseSolver:
 
     def factorize(self) -> None:
         """(Re)run the numeric factorization for the current values."""
+        self._factorize(self._matrix)
+
+    def _factorize(self, matrix: CSCMatrix) -> None:
+        """Factor ``matrix``, then commit it together with its factor: a
+        rejected matrix (non-SPD, zero pivot) leaves the previous matrix,
+        factor and CSC mirrors in place."""
+        factor_fn = (multifrontal_cholesky if self.kind == "cholesky"
+                     else multifrontal_lu)
         with span("numeric.factorize"):
+            factor = factor_fn(
+                matrix, self.symbolic,
+                workers=self.workers, block_size=self.block_size,
+                scheduler=self.scheduler,
+            )
+            self._matrix = matrix
             if self.kind == "cholesky":
-                self._chol = multifrontal_cholesky(
-                    self._matrix, self.symbolic,
-                    workers=self.workers, block_size=self.block_size,
-                    scheduler=self.scheduler,
-                )
+                self._chol = factor
             else:
-                self._lu = multifrontal_lu(
-                    self._matrix, self.symbolic,
-                    workers=self.workers, block_size=self.block_size,
-                    scheduler=self.scheduler,
-                )
+                self._lu = factor
             # CSC mirrors are materialized lazily (only the "csc" solve
             # method and factor_nnz need them).
             self._lower = None
@@ -198,7 +204,8 @@ class SparseSolver:
     def refactorize(self, matrix: CSCMatrix) -> None:
         """Refactor with new values on the same nonzero pattern.
 
-        Raises ValueError if the pattern differs from the analyzed one.
+        Raises ValueError if the pattern differs from the analyzed one or
+        the values cannot be factored; the solver then keeps the old ones.
         """
         if not (
             np.array_equal(matrix.indptr, self._src_indptr)
@@ -211,14 +218,12 @@ class SparseSolver:
             # Re-apply the *existing* row permutation: the pattern is
             # fixed, so the original matching stays structurally valid and
             # the permutation is a single precomputed gather.
-            self._matrix = CSCMatrix(
+            matrix = CSCMatrix(
                 matrix.n_rows, matrix.n_cols,
                 self._matrix.indptr, self._matrix.indices,
                 matrix.data[self._row_data_map],
             )
-        else:
-            self._matrix = matrix
-        self.factorize()
+        self._factorize(matrix)
 
     def _ensure_csc(self) -> None:
         if self._lower is not None:

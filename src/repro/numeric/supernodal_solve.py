@@ -15,9 +15,13 @@ which is where multi-RHS throughput comes from — the panel updates are
 matrix-matrix products instead of k repeated matrix-vector products.
 
 Forward solve (L y = b), per supernode in postorder:
-    y_sn   = L11^-1 b_sn                 (dense triangular panel solve)
+    y_sn   = L11^-1 b_sn                 (one dtrsm, in place)
     b_rest -= L21 @ y_sn                 (panel update, scattered by rows)
 Backward solve (L^T x = y) runs the supernodes in reverse.
+
+A supernode's pivot rows are the contiguous slice
+``first_col:last_col + 1`` of the working panel, so the triangular solve
+runs in the panel's own memory; only the update rows need a gather.
 """
 
 from __future__ import annotations
@@ -51,9 +55,8 @@ def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     # Forward: L Y = B, supernodes in postorder.
     for sn, (rows, block) in zip(supernodes, factor.columns):
         k = sn.n_cols
-        y_sn = y[rows[:k]]
+        y_sn = y[sn.first_col:sn.last_col + 1]
         _solve_lower_inplace(block[:k, :], y_sn, False)
-        y[rows[:k]] = y_sn
         if len(rows) > k:
             y[rows[k:]] -= block[k:, :] @ y_sn
     # Backward: L^T X = Y, supernodes in reverse.
@@ -61,11 +64,10 @@ def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     for sn, (rows, block) in zip(reversed(supernodes),
                                  reversed(factor.columns)):
         k = sn.n_cols
-        rhs = x[rows[:k]]
+        rhs = x[sn.first_col:sn.last_col + 1]
         if len(rows) > k:
             rhs -= block[k:, :].T @ x[rows[k:]]
         _solve_upper_inplace(block[:k, :].T, rhs, False)
-        x[rows[:k]] = rhs
     return x[:, 0] if was_vector else x
 
 
@@ -81,9 +83,8 @@ def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
     # pivots and is never read by the unit solve).
     for sn, (rows, l_block, _u_block) in zip(supernodes, factors.fronts):
         k = sn.n_cols
-        y_sn = y[rows[:k]]
+        y_sn = y[sn.first_col:sn.last_col + 1]
         _solve_lower_inplace(l_block[:k, :], y_sn, True)
-        y[rows[:k]] = y_sn
         if len(rows) > k:
             y[rows[k:]] -= l_block[k:, :] @ y_sn
     # Backward: U X = Y.
@@ -91,9 +92,8 @@ def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
     for sn, (rows, _l_block, u_block) in zip(reversed(supernodes),
                                              reversed(factors.fronts)):
         k = sn.n_cols
-        rhs = x[rows[:k]]
+        rhs = x[sn.first_col:sn.last_col + 1]
         if len(rows) > k:
             rhs -= u_block[:, k:] @ x[rows[k:]]
         _solve_upper_inplace(u_block[:k, :k], rhs, False)
-        x[rows[:k]] = rhs
     return x[:, 0] if was_vector else x

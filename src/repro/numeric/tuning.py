@@ -1,7 +1,7 @@
 """Tuning knobs for the numeric engine (block sizes, worker counts).
 
-The blocked dense kernels (:mod:`repro.numeric.dense`) and the
-level-scheduled multifrontal factorizations
+The blocked, LAPACK/BLAS-routed dense kernels (:mod:`repro.numeric.dense`)
+and the level-scheduled multifrontal factorizations
 (:mod:`repro.numeric.cholesky` / :mod:`repro.numeric.lu`) read their
 defaults from a process-global :class:`NumericTuning`.  Every knob can be
 overridden per call (``block_size=`` / ``workers=`` arguments), set
@@ -13,11 +13,13 @@ manager::
 
 Knobs:
 
-* ``block_size`` — panel width of the right-looking blocked kernels.  The
-  kernels spend their time in matrix-matrix products on panels of this
-  width; 32–128 is the useful range on typical BLAS builds.  ``1``
-  degenerates to the textbook per-pivot algorithm (useful as a reference
-  in benchmarks).
+* ``block_size`` — panel width of the right-looking blocked kernels: how
+  many pivots one ``dpotrf``/``dtrsm`` pair (Cholesky) or one per-pivot
+  diagonal-block loop plus two ``dtrsm`` (LU) factors at once, and the
+  rank of each trailing matrix-matrix update.  32–128 is the useful range
+  on typical BLAS builds.  ``1`` is the textbook per-pivot algorithm in
+  plain NumPy, with no LAPACK call — the reference path the tests hold
+  the LAPACK-routed kernels against.
 * ``workers`` — thread count for level-scheduled multifrontal
   factorization.  NumPy's BLAS releases the GIL inside the dense kernels,
   so independent supernodes within an elimination-tree level run

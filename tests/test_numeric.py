@@ -10,8 +10,8 @@ from repro.numeric.dense import (
     dense_lu_nopivot,
     partial_cholesky,
     partial_lu,
-    tsolve_lower_inplace,
-    tsolve_upper_inplace,
+    tsolve_lower,
+    tsolve_upper,
 )
 from repro.numeric.lu import multifrontal_lu
 from repro.numeric.triangular import (
@@ -61,13 +61,13 @@ class TestDenseKernels:
     def test_tsolve_lower(self, rng):
         l11 = np.tril(rng.standard_normal((6, 6))) + 6 * np.eye(6)
         block = rng.standard_normal((4, 6))
-        x = tsolve_lower_inplace(block, l11)
+        x = tsolve_lower(block, l11)
         assert np.allclose(x @ l11.T, block)
 
     def test_tsolve_upper(self, rng):
         l11 = np.tril(rng.standard_normal((5, 5)), -1) + np.eye(5)
         block = rng.standard_normal((5, 7))
-        x = tsolve_upper_inplace(block, l11)
+        x = tsolve_upper(block, l11)
         assert np.allclose(l11 @ x, block)
 
     def test_partial_cholesky_schur(self, rng):

@@ -277,6 +277,28 @@ class TestSolveServer:
         x2 = client.solve(pattern, b)
         assert np.allclose(x2, x1 / 2.0, rtol=1e-12)
 
+    def test_failed_refactorize_keeps_serving_old_values(self, server):
+        # A rejected refactorize returns the error and leaves the warm
+        # solver on its previous values, bit for bit.
+        matrix = grid_laplacian_2d(6, seed=2)
+        client = InProcessClient(server)
+        pattern = client.factor(matrix)
+        b = _rhs(matrix, seed=3)
+        before = client.solve(pattern, b)
+        solver = server._workers[pattern].solver
+        held = (solver._matrix, solver._chol)
+        with pytest.raises(ValueError, match="non-SPD"):
+            client.refactorize(pattern, -matrix.data)
+        reply = server.handle({"op": "refactorize", "id": 7,
+                               "pattern": pattern,
+                               "data": (-matrix.data).tolist()})
+        assert reply["ok"] is False and "non-SPD" in reply["error"]
+        assert (solver._matrix, solver._chol) == held
+        assert np.array_equal(client.solve(pattern, b), before)
+        client.refactorize(pattern, matrix.data * 2.0)
+        assert np.allclose(client.solve(pattern, b), before / 2.0,
+                           rtol=1e-12)
+
     def test_warm_refactor_via_factor(self, server):
         matrix = grid_laplacian_2d(5, seed=4)
         first = server.factor(matrix)
