@@ -26,9 +26,6 @@ Commands:
 * ``serve``    — long-lived multi-tenant solve server on a unix socket
   (NDJSON protocol, request coalescing into blocked multi-RHS panels;
   see docs/SERVING.md);
-* ``serve-bench`` — load generator against an in-process solve server:
-  closed-/open-loop traffic over fuzz-suite families, coalesced vs
-  uncoalesced phases, bit-identity verification, ``serve.*`` gauges;
 * ``serve-stats`` — one-shot poll of a running server's ``health`` +
   ``stats`` ops (pretty table, raw JSON, or Prometheus text for
   external scrapers);
@@ -61,7 +58,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import multiprocessing
 import os
 import sys
 import time
@@ -100,11 +96,6 @@ from repro.obs import (
 from repro.obs.profile import PROFILE_MODES
 from repro.ordering.autotune import BUDGETS
 from repro.ordering.registry import available_orderings
-from repro.serve.metrics import (
-    REQUEST_PHASE,
-    LatencyRecorder,
-    export_serve_gauges,
-)
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.io import read_matrix_market
 from repro.sparse.suite import cholesky_suite, get_matrix, get_spec, lu_suite
@@ -283,95 +274,6 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _solve_load_worker(payload: tuple) -> dict:
-    """One load-generator process: a solver serving warm requests.
-
-    Module-level so it pickles under spawn.  When the parent started a
-    telemetry run, the pool initializer (``telemetry.init_worker``) has
-    already joined it, so the solver's ``numeric.factorize`` /
-    ``numeric.solve`` tracer spans stream into this process's own JSONL
-    sink and each request is wrapped in a ``solve.request`` task span.
-    """
-    (spec, kind, ordering_override, tune_store, workers, block_size,
-     scheduler, rhs_pad, requests, seed) = payload
-    matrix, default_kind, ordering = load_matrix(spec)
-    solver = SparseSolver(matrix, kind=kind or default_kind,
-                          ordering=ordering_override or ordering,
-                          tune_store=tune_store, workers=workers,
-                          block_size=block_size, scheduler=scheduler,
-                          rhs_pad=rhs_pad)
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal(matrix.n_rows)
-    x = solver.solve(b)
-    start = time.perf_counter()
-    latencies = []
-    for _ in range(requests):
-        t_req = time.perf_counter()
-        with telemetry.task_span("solve.request", spec=spec):
-            solver.refactorize(matrix)
-            x = solver.solve(b)
-        latencies.append(time.perf_counter() - t_req)
-    seconds = time.perf_counter() - start
-    return {
-        "pid": os.getpid(),
-        "requests": requests,
-        "seconds": seconds,
-        "latencies": latencies,
-        "residual": float(solver.residual_norm(matrix, x, b)),
-    }
-
-
-def _run_solve_load(args, kind: str) -> None:
-    """``solve --procs P``: P solver processes, each serving ``--repeat``
-    warm refactorize+solve requests over the same matrix — the
-    circuit-simulation serving regime (many repeated solves on one
-    pattern).  Each process is its own telemetry stream, so the merged
-    timeline shows true per-process worker lanes."""
-    requests = max(1, args.repeat)
-    payloads = [
-        (args.matrix, kind, args.ordering, args.tune_store, args.workers,
-         args.block_size, args.scheduler, args.rhs_pad, requests,
-         args.seed + i)
-        for i in range(args.procs)
-    ]
-    pool = multiprocessing.Pool(args.procs,
-                                initializer=telemetry.init_worker)
-    try:
-        results = pool.map(_solve_load_worker, payloads)
-        pool.close()
-    except Exception:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    for r in results:
-        print(f"  pid {r['pid']}: {r['requests']} requests in "
-              f"{r['seconds']:.3f}s "
-              f"({r['requests'] / max(r['seconds'], 1e-9):.1f} req/s)")
-    total = sum(r["requests"] for r in results)
-    wall = max(r["seconds"] for r in results)
-    worst = max(r["residual"] for r in results)
-    print(f"{args.procs} process(es) x {requests} warm requests: "
-          f"{total} total in {wall:.3f}s wall "
-          f"({total / max(wall, 1e-9):.1f} req/s aggregate), "
-          f"worst residual {worst:.3e}")
-    # This warm loop is the process-parallel flavour of the serving
-    # workload, so it reports under the same serve.* gauge names as the
-    # solve server and serve-bench (one comparable series per harness in
-    # the history trend gate).
-    recorder = LatencyRecorder()
-    for r in results:
-        for seconds in r["latencies"]:
-            recorder.observe(REQUEST_PHASE, seconds)
-    recorder.export()
-    export_serve_gauges(throughput_rps=total / max(wall, 1e-9))
-    stats = recorder.summary().get(REQUEST_PHASE)
-    if stats:
-        print(f"  request latency p50 {stats['p50_ms']:.3f}ms  "
-              f"p95 {stats['p95_ms']:.3f}ms  p99 {stats['p99_ms']:.3f}ms "
-              f"(exported as serve.latency.request.*)")
-
-
 def cmd_solve(args) -> int:
     session = ObsSession(args, "solve")
     tracer = None
@@ -384,108 +286,74 @@ def cmd_solve(args) -> int:
             matrix, kind, ordering = load_matrix(args.matrix)
         kind = args.kind or kind
         ordering = args.ordering or ordering
-        if args.procs > 1:
-            _run_solve_load(args, kind)
+        solver = SparseSolver(matrix, kind=kind, ordering=ordering,
+                              tune_store=args.tune_store,
+                              workers=args.workers,
+                              block_size=args.block_size,
+                              scheduler=args.scheduler,
+                              rhs_pad=args.rhs_pad)
+        if ordering == "auto":
+            print(f"ordering auto -> {solver.ordering}")
+        ordering = solver.ordering
+        rng = np.random.default_rng(args.seed)
+        if args.refine:
+            shape = (matrix.n_rows, args.rhs) if args.rhs > 1 \
+                else matrix.n_rows
+            b = rng.standard_normal(shape)
+            result = solver.solve_refined(matrix, b)
+            label = f" over {args.rhs} right-hand sides" \
+                if args.rhs > 1 else ""
+            print(f"residual {result.residual_norm:.3e}{label} after "
+                  f"{result.iterations} refinement sweep(s)")
+        elif args.rhs > 1:
+            b = rng.standard_normal((matrix.n_rows, args.rhs))
+            x = solver.solve(b)
+            worst = max(
+                solver.residual_norm(matrix, x[:, j], b[:, j])
+                for j in range(args.rhs)
+            )
+            print(f"worst residual over {args.rhs} right-hand sides "
+                  f"{worst:.3e}")
         else:
-            solver = SparseSolver(matrix, kind=kind, ordering=ordering,
-                                  tune_store=args.tune_store,
-                                  workers=args.workers,
-                                  block_size=args.block_size,
-                                  scheduler=args.scheduler,
-                                  rhs_pad=args.rhs_pad)
-            if ordering == "auto":
-                print(f"ordering auto -> {solver.ordering}")
-            ordering = solver.ordering
-            rng = np.random.default_rng(args.seed)
-            if args.refine:
-                shape = (matrix.n_rows, args.rhs) if args.rhs > 1 \
-                    else matrix.n_rows
-                b = rng.standard_normal(shape)
-                result = solver.solve_refined(matrix, b)
-                label = f" over {args.rhs} right-hand sides" \
-                    if args.rhs > 1 else ""
-                print(f"residual {result.residual_norm:.3e}{label} after "
-                      f"{result.iterations} refinement sweep(s)")
-            elif args.rhs > 1:
-                b = rng.standard_normal((matrix.n_rows, args.rhs))
-                x = solver.solve(b)
-                worst = max(
-                    solver.residual_norm(matrix, x[:, j], b[:, j])
-                    for j in range(args.rhs)
-                )
-                print(f"worst residual over {args.rhs} right-hand sides "
-                      f"{worst:.3e}")
-            else:
-                b = rng.standard_normal(matrix.n_rows)
-                x = solver.solve(b)
-                print(f"residual {solver.residual_norm(matrix, x, b):.3e}")
-            if args.repeat > 1:
-                # Warm requests over the already-analyzed pattern: each
-                # iteration adds one numeric.factorize and one
-                # numeric.solve sample to the wall-clock latency
-                # percentiles — and the whole loop reports under the
-                # same serve.* gauges as the solve server, so the trend
-                # gate sees one warm-serving series across harnesses.
-                recorder = LatencyRecorder()
-                t_rep = time.perf_counter()
-                for _ in range(args.repeat - 1):
-                    t_req = time.perf_counter()
-                    solver.refactorize(matrix)
-                    solver.solve(b)
-                    recorder.observe(REQUEST_PHASE,
-                                     time.perf_counter() - t_req)
-                dt = max(time.perf_counter() - t_rep, 1e-9)
-                recorder.export()
-                export_serve_gauges(
-                    throughput_rps=(args.repeat - 1) / dt)
-                stats = recorder.summary()[REQUEST_PHASE]
-                print(f"{args.repeat - 1} warm refactorize+solve "
-                      f"request(s) in {dt:.3f}s "
-                      f"({(args.repeat - 1) / dt:.1f} req/s, "
-                      f"p50 {stats['p50_ms']:.3f}ms "
-                      f"p95 {stats['p95_ms']:.3f}ms)")
-            print(f"factor nnz {solver.factor_nnz}")
+            b = rng.standard_normal(matrix.n_rows)
+            x = solver.solve(b)
+            print(f"residual {solver.residual_norm(matrix, x, b):.3e}")
+        if args.repeat > 1:
+            # Warm requests over the already-analyzed pattern: each
+            # iteration adds one numeric.factorize and one
+            # numeric.solve sample to the wall-clock latency
+            # percentiles (latency.numeric.*).
+            t_rep = time.perf_counter()
+            for _ in range(args.repeat - 1):
+                solver.refactorize(matrix)
+                solver.solve(b)
+            dt = max(time.perf_counter() - t_rep, 1e-9)
+            print(f"{args.repeat - 1} warm refactorize+solve "
+                  f"request(s) in {dt:.3f}s "
+                  f"({(args.repeat - 1) / dt:.1f} req/s)")
+        print(f"factor nnz {solver.factor_nnz}")
         session.finish()
         if args.metrics:
-            from repro.numeric.engine import last_factor_attribution
-
             tuning = get_tuning()
-            numeric_att = last_factor_attribution()
-            attribution: dict = {}
-            if numeric_att:
-                attribution["numeric"] = numeric_att
-            eff_workers = args.workers or tuning.workers
-            eff_block = args.block_size or tuning.block_size
-            if args.procs == 1:
-                # Record the knobs the solver actually ran with (an
-                # auto-resolved ordering may have tuned them) and the
-                # ordering's structural quality score.
-                eff_workers = solver.workers or tuning.workers
-                eff_block = solver.block_size or tuning.block_size
-                if solver.symbolic.quality is not None:
-                    attribution["ordering_quality"] = \
-                        solver.symbolic.quality.to_dict()
-            if session.timeline is not None:
-                # Worker processes publish their attribution through the
-                # telemetry sink (never the parent's module global); the
-                # merged cross-process view comes from the collector.
-                merged = session.timeline.merged_numeric_attribution()
-                if merged:
-                    attribution["numeric_processes"] = merged
+            attribution = {"numeric": solver.factor.attribution}
+            if solver.symbolic.quality is not None:
+                attribution["ordering_quality"] = \
+                    solver.symbolic.quality.to_dict()
             artifact = RunArtifact(
                 matrix=args.matrix, kind=kind, n=matrix.n_rows,
                 config={
                     "ordering": ordering,
-                    "workers": eff_workers,
-                    "block_size": eff_block,
+                    # the knobs the solver actually ran with (an
+                    # auto-resolved ordering may have tuned them)
+                    "workers": solver.workers or tuning.workers,
+                    "block_size": solver.block_size or tuning.block_size,
                     "scheduler": args.scheduler or tuning.scheduler,
                     "rhs": args.rhs, "repeat": args.repeat,
-                    "procs": args.procs,
                 },
                 report={},
                 metrics=global_registry().snapshot(),
                 spans=[s.to_dict() for s in tracer.spans],
-                attribution=attribution or None,
+                attribution=attribution,
                 telemetry=session.telemetry_dict(),
                 profile=session.profile_dict(),
                 created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -884,104 +752,6 @@ def cmd_serve_top(args) -> int:
                    clear=not args.no_clear)
 
 
-def cmd_serve_bench(args) -> int:
-    from repro.serve.bench import BenchConfig, run_bench
-
-    session = ObsSession(args, "serve-bench")
-    tracer = None
-    if args.metrics or session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
-        config = BenchConfig(
-            family=args.family,
-            patterns=args.patterns,
-            clients=args.clients,
-            requests=args.requests,
-            mode=args.mode,
-            rate=args.rate,
-            seed=args.seed,
-            max_n=args.max_n,
-            min_n=args.min_n,
-            coalesce_window_s=args.window / 1e3,
-            max_batch=args.max_batch,
-            verify=not args.no_verify,
-            baseline=not args.no_baseline,
-        )
-        with span("serve.bench"):
-            result = run_bench(config)
-
-        sizes = result["config"]["sizes"]
-        print(f"workload: {args.patterns} x {args.family} "
-              f"(n = {sizes}), {args.requests} requests, "
-              f"{args.mode} loop"
-              + (f" @ {args.rate:g} req/s" if args.mode == "open" else
-                 f" x {args.clients} clients"))
-        for label in ("coalesced", "baseline"):
-            phase = result.get(label)
-            if phase is None:
-                continue
-            lat = phase["latency_ms"]
-            print(f"  {label:<10} {phase['throughput_rps']:>9.1f} req/s  "
-                  f"batch {phase['coalesce']['batch_mean']:>5.2f}  "
-                  f"p50 {lat.get('p50_ms', 0.0):>7.3f}ms  "
-                  f"p95 {lat.get('p95_ms', 0.0):>7.3f}ms  "
-                  f"p99 {lat.get('p99_ms', 0.0):>7.3f}ms"
-                  + (f"  ({len(phase['errors'])} error(s))"
-                     if phase["errors"] else ""))
-        if "speedup_coalesce" in result:
-            print(f"  coalescing speedup: "
-                  f"{result['speedup_coalesce']:.2f}x "
-                  f"(serve.speedup.coalesce)")
-        if "verify" in result:
-            v = result["verify"]
-            status = "bit-identical" if v["bit_identical"] else \
-                f"{v['mismatches']} MISMATCH(ES)"
-            print(f"  verification: {v['checked']} response(s) vs direct "
-                  f"solves: {status}")
-        session.finish()
-        if args.metrics:
-            artifact = RunArtifact(
-                matrix=f"fuzz:{args.family}", kind="serve",
-                n=max(sizes),
-                config=result["config"],
-                report={
-                    "throughput_rps":
-                        result["coalesced"]["throughput_rps"],
-                    "speedup_coalesce":
-                        result.get("speedup_coalesce"),
-                    "latency_ms": result["coalesced"]["latency_ms"],
-                    "baseline_rps":
-                        (result.get("baseline") or {})
-                        .get("throughput_rps"),
-                    "bit_identical":
-                        (result.get("verify") or {})
-                        .get("bit_identical"),
-                },
-                metrics=global_registry().snapshot(),
-                spans=[s.to_dict() for s in tracer.spans],
-                telemetry=session.telemetry_dict(),
-                profile=session.profile_dict(),
-                created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-            )
-            artifact.save(args.metrics)
-            print(f"wrote run artifact to {args.metrics} "
-                  f"({len(artifact.metrics)} metrics)")
-            if args.history:
-                store = HistoryStore(args.history)
-                entry = store.add(artifact)
-                print(f"recorded in history as {entry.path} "
-                      f"(key {entry.key})")
-        if "verify" in result and not result["verify"]["bit_identical"]:
-            return 1
-        return 0
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
-
-
 def cmd_autotune(args) -> int:
     from repro.ordering.api import fill_reducing_ordering
     from repro.ordering.autotune import autotune
@@ -1111,11 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="warm refactorize+solve requests per solver "
                               "(adds wall-clock latency samples for the "
                               "p50/p95/p99 phase percentiles; default 1)")
-    p_solve.add_argument("--procs", type=int, default=1,
-                         help="process-parallel load generators, each "
-                              "serving --repeat warm requests from its "
-                              "own solver and telemetry stream "
-                              "(default 1)")
     p_solve.add_argument("--metrics", metavar="FILE", default=None,
                          help="write a run-artifact JSON (numeric-engine "
                               "metrics + pipeline spans)")
@@ -1308,51 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="append frames instead of clearing the "
                            "screen (logs, tests, dumb terminals)")
 
-    p_sb = sub.add_parser(
-        "serve-bench", help="load generator against an in-process solve "
-                            "server: coalesced vs uncoalesced phases, "
-                            "bit-identity verification, serve.* gauges"
-    )
-    p_sb.add_argument("--family", default="spd_random",
-                      help="fuzz-suite matrix family "
-                           "(default: spd_random)")
-    p_sb.add_argument("--mode", choices=["closed", "open"],
-                      default="closed",
-                      help="closed loop (fixed concurrency) or open "
-                           "loop (fixed arrival rate; default closed)")
-    p_sb.add_argument("--patterns", type=int, default=2,
-                      help="distinct tenants / matrices (default 2)")
-    p_sb.add_argument("--clients", type=int, default=16,
-                      help="closed-loop client threads (default 16)")
-    p_sb.add_argument("--requests", type=int, default=400,
-                      help="solve requests per phase (default 400)")
-    p_sb.add_argument("--rate", type=float, default=500.0,
-                      help="open-loop arrival rate in req/s "
-                           "(default 500)")
-    p_sb.add_argument("--seed", type=int, default=0)
-    p_sb.add_argument("--max-n", type=int, default=96,
-                      help="generator size cap (default 96)")
-    p_sb.add_argument("--min-n", type=int, default=24,
-                      help="skip generated cases smaller than this "
-                           "(default 24)")
-    p_sb.add_argument("--window", type=float, default=2.0,
-                      help="coalescing window in ms (default 2)")
-    p_sb.add_argument("--max-batch", type=int, default=16,
-                      help="largest coalesced panel (default 16)")
-    p_sb.add_argument("--no-verify", action="store_true",
-                      help="skip the bit-identity check against direct "
-                           "solves")
-    p_sb.add_argument("--no-baseline", action="store_true",
-                      help="skip the uncoalesced baseline phase (no "
-                           "speedup reported)")
-    p_sb.add_argument("--metrics", metavar="FILE", default=None,
-                      help="write a run-artifact JSON (serve.* gauges + "
-                           "phase report)")
-    p_sb.add_argument("--history", metavar="DIR", default=None,
-                      help="with --metrics, append the artifact to this "
-                           "history store (trend gate input)")
-    add_obs_args(p_sb)
-
     p_tune = sub.add_parser(
         "autotune", help="sweep ordering x block size x workers for one "
                          "matrix, record trials into the history store "
@@ -1405,7 +1125,6 @@ _COMMANDS = {
     "verify": cmd_verify,
     "telemetry": cmd_telemetry,
     "serve": cmd_serve,
-    "serve-bench": cmd_serve_bench,
     "serve-stats": cmd_serve_stats,
     "serve-top": cmd_serve_top,
     "autotune": cmd_autotune,

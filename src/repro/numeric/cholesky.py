@@ -17,23 +17,13 @@ sequential leaves-to-root order for every scheduler and worker count.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.numeric.dense import partial_cholesky, zero_strict_triangle
-from repro.numeric.engine import (
-    export_factor_metrics,
-    numeric_context,
-)
-from repro.numeric.schedule import SupernodeJob, run_scheduled
-from repro.numeric.tuning import (
-    get_tuning,
-    resolve_block_size,
-    resolve_scheduler,
-    resolve_workers,
-)
+from repro.numeric.engine import run_factor_job
+from repro.numeric.schedule import SupernodeJob
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
@@ -60,10 +50,16 @@ class CholeskyFactor:
         columns: per-supernode (rows, block) pairs, where ``block`` is the
             front's first n_cols columns holding final L values at global
             row coordinates ``rows``.
+        attribution: where the factorization's time went — level widths,
+            scheduler evidence (``attribution["schedule"]``), worker
+            occupancy, wall/busy seconds (see
+            :func:`repro.numeric.engine.export_factor_metrics`).
     """
 
     symbolic: SymbolicFactorization
     columns: list[tuple[np.ndarray, np.ndarray]]
+    attribution: dict | None = field(default=None, repr=False,
+                                     compare=False)
 
     def to_csc(self) -> CSCMatrix:
         """Materialize L (of the *permuted* matrix) as CSC.
@@ -152,20 +148,7 @@ def multifrontal_cholesky(
     """
     if symbolic.kind != "cholesky":
         raise ValueError("symbolic analysis is not for Cholesky")
-    workers = resolve_workers(workers)
-    block = resolve_block_size(block_size)
-    scheduler = resolve_scheduler(scheduler)
-    t_start = time.perf_counter()
-
-    ctx = numeric_context(symbolic, matrix)
-    job = CholeskyJob(ctx, ctx.permuted_data(matrix), block)
-    stats = run_scheduled(
-        job, scheduler, workers,
-        parallel_threshold=get_tuning().parallel_threshold,
-    )
-    job.check_consumed()
-    export_factor_metrics(
-        symbolic, time.perf_counter() - t_start, block,
-        ctx.levels, job.timer.total(), stats,
-    )
-    return CholeskyFactor(symbolic=symbolic, columns=job.columns)
+    job, attribution = run_factor_job(
+        matrix, symbolic, CholeskyJob, workers, block_size, scheduler)
+    return CholeskyFactor(symbolic=symbolic, columns=job.columns,
+                          attribution=attribution)

@@ -17,27 +17,38 @@ This module is the machinery shared by :func:`multifrontal_cholesky` and
   barrier-free DAG dispatch, and subtree-parallel worker processes — all
   bit-identical for every worker count.  ``run_level_scheduled`` and
   ``TaskTimer`` are re-exported here for backward compatibility.
+  :func:`run_factor_job` is the one driver both factorizations share.
 
 * **Metrics export** (:func:`export_factor_metrics`): kernel FLOP rates,
   level widths, scheduler evidence (ready-queue depth, dispatch latency,
   per-worker busy/idle), and worker occupancy land in the process-global
   :func:`repro.obs.global_registry` so run artifacts (and
-  ``repro report --diff``) make numeric-engine regressions visible.
+  ``repro report --diff``) make numeric-engine regressions visible;
+  the same evidence is returned as the attribution dict each factor
+  carries.
 """
 
 from __future__ import annotations
 
-import threading
+import time
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.numeric.schedule.base import (
+from repro.numeric.schedule import (
     SCHEDULER_NAMES,
     ScheduleStats,
+    SupernodeJob,
     TaskTimer,
+    run_level_scheduled,
+    run_scheduled,
 )
-from repro.numeric.schedule.level import run_level_scheduled
-from repro.obs import telemetry
+from repro.numeric.tuning import (
+    get_tuning,
+    resolve_block_size,
+    resolve_scheduler,
+    resolve_workers,
+)
 from repro.obs.metrics import global_registry
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
@@ -48,9 +59,9 @@ __all__ = [
     "NumericContext",
     "TaskTimer",
     "export_factor_metrics",
-    "last_factor_attribution",
     "numeric_context",
     "row_permutation_data_map",
+    "run_factor_job",
     "run_level_scheduled",
 ]
 
@@ -243,32 +254,6 @@ def numeric_context(symbolic: SymbolicFactorization,
 # -- attribution and metrics export --------------------------------------------
 
 
-# Attribution view of the most recent factorization (see
-# last_factor_attribution); written by export_factor_metrics under
-# _attribution_lock.  Worker-role processes (procs scheduler subtree
-# workers, solve --procs load generators) never write it — they publish
-# through the telemetry sink instead, so a forked worker cannot clobber
-# the parent's view (each process has its own copy of this global, but
-# keeping worker copies empty makes the ownership unambiguous and the
-# merged view comes from the collector).
-_last_attribution: dict | None = None
-_attribution_lock = threading.Lock()
-
-
-def last_factor_attribution() -> dict | None:
-    """The numeric-engine attribution view of the most recent
-    factorization in this process: the level-width series (available
-    parallelism over the elimination-tree schedule), scheduler evidence
-    (ready-queue depth, dispatch latency, per-worker busy/idle lanes),
-    worker occupancy, and wall/busy seconds.  Embedded into solve run
-    artifacts as the ``attribution.numeric`` section — the
-    software-engine analogue of the simulator's cycle accounting.
-    ``None`` before any factorization (and always in worker-role
-    processes, which publish via the telemetry sink instead)."""
-    with _attribution_lock:
-        return _last_attribution
-
-
 def export_factor_metrics(
     symbolic: SymbolicFactorization,
     seconds: float,
@@ -276,10 +261,15 @@ def export_factor_metrics(
     levels: list[np.ndarray],
     busy_seconds: float,
     stats: ScheduleStats,
-) -> None:
+) -> dict:
     """Report one numeric factorization into the global metrics registry
-    and the per-process attribution channel."""
-    global _last_attribution
+    and return its attribution view: the level-width series (available
+    parallelism over the elimination-tree schedule), scheduler evidence
+    (ready-queue depth, dispatch latency, per-worker busy/idle lanes),
+    worker occupancy, and wall/busy seconds — the software-engine
+    analogue of the simulator's cycle accounting, carried by the factor
+    it describes (``CholeskyFactor.attribution`` /
+    ``LUFactors.attribution``)."""
     workers = stats.workers
     parallel_tasks = stats.dispatched
     widths = [len(level) for level in levels]
@@ -300,15 +290,6 @@ def export_factor_metrics(
         ),
         "schedule": stats.summary(),
     }
-    context = telemetry.current_context()
-    in_worker = context is not None and context.role == "worker"
-    if not in_worker:
-        with _attribution_lock:
-            _last_attribution = attribution
-    sink = telemetry.current_sink()
-    if sink is not None:
-        sink.attribution(attribution)
-
     reg = global_registry()
     reg.counter("numeric.factor.count").inc()
     reg.counter("numeric.factor.seconds").inc(seconds)
@@ -354,3 +335,36 @@ def export_factor_metrics(
     )
     if stats.n_subtrees:
         reg.gauge("numeric.sched.subtrees").set(stats.n_subtrees)
+    return attribution
+
+
+def run_factor_job(
+    matrix: CSCMatrix,
+    symbolic: SymbolicFactorization,
+    make_job: Callable[[NumericContext, np.ndarray, int], SupernodeJob],
+    workers: int | None,
+    block_size: int | None,
+    scheduler: str | None,
+) -> tuple[SupernodeJob, dict]:
+    """The numeric driver shared by Cholesky and LU: resolve the tuning
+    knobs, build the job over the pattern-cached context
+    (``make_job(ctx, permuted_data, block)``), run it under the chosen
+    scheduler, check every update matrix was consumed, and export the
+    metrics.  Returns the finished job and its attribution view."""
+    workers = resolve_workers(workers)
+    block = resolve_block_size(block_size)
+    scheduler = resolve_scheduler(scheduler)
+    t_start = time.perf_counter()
+
+    ctx = numeric_context(symbolic, matrix)
+    job = make_job(ctx, ctx.permuted_data(matrix), block)
+    stats = run_scheduled(
+        job, scheduler, workers,
+        parallel_threshold=get_tuning().parallel_threshold,
+    )
+    job.check_consumed()
+    attribution = export_factor_metrics(
+        symbolic, time.perf_counter() - t_start, block,
+        ctx.levels, job.timer.total(), stats,
+    )
+    return job, attribution

@@ -16,24 +16,14 @@ bit-identical results.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.numeric.cholesky import _supernode_triangle
 from repro.numeric.dense import partial_lu, zero_strict_triangle
-from repro.numeric.engine import (
-    export_factor_metrics,
-    numeric_context,
-)
-from repro.numeric.schedule import SupernodeJob, run_scheduled
-from repro.numeric.tuning import (
-    get_tuning,
-    resolve_block_size,
-    resolve_scheduler,
-    resolve_workers,
-)
+from repro.numeric.engine import run_factor_job
+from repro.numeric.schedule import SupernodeJob
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
@@ -52,11 +42,15 @@ class LUFactors:
         perturbed_pivots: number of pivots bumped by the static-pivoting
             perturbation (0 for well-conditioned diagonally dominant
             inputs).
+        attribution: where the factorization's time went (same view as
+            ``CholeskyFactor.attribution``).
     """
 
     symbolic: SymbolicFactorization
     fronts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     perturbed_pivots: int = 0
+    attribution: dict | None = field(default=None, repr=False,
+                                     compare=False)
 
     def to_csc(self) -> tuple[CSCMatrix, CSCMatrix]:
         """Materialize (L, U) of the permuted matrix as CSC.
@@ -160,25 +154,14 @@ def multifrontal_lu(
     """
     if symbolic.kind != "lu":
         raise ValueError("symbolic analysis is not for LU")
-    workers = resolve_workers(workers)
-    block = resolve_block_size(block_size)
-    scheduler = resolve_scheduler(scheduler)
-    t_start = time.perf_counter()
-
-    ctx = numeric_context(symbolic, matrix)
     if perturb is None:
         amax = float(np.abs(matrix.data).max()) if matrix.nnz else 1.0
         perturb = np.sqrt(np.finfo(np.float64).eps) * amax
 
-    job = LUJob(ctx, ctx.permuted_data(matrix), block, perturb)
-    stats = run_scheduled(
-        job, scheduler, workers,
-        parallel_threshold=get_tuning().parallel_threshold,
-    )
-    job.check_consumed()
-    export_factor_metrics(
-        symbolic, time.perf_counter() - t_start, block,
-        ctx.levels, job.timer.total(), stats,
-    )
+    job, attribution = run_factor_job(
+        matrix, symbolic,
+        lambda ctx, data, block: LUJob(ctx, data, block, perturb),
+        workers, block_size, scheduler)
     return LUFactors(symbolic=symbolic, fronts=job.fronts,
-                     perturbed_pivots=int(job.perturbed.sum()))
+                     perturbed_pivots=int(job.perturbed.sum()),
+                     attribution=attribution)

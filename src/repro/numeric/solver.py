@@ -312,6 +312,12 @@ class SparseSolver:
                                     max_iterations=max_iterations,
                                     tolerance=tolerance)
 
+    @property
+    def factor(self) -> CholeskyFactor | LUFactors:
+        """The current numeric factor; its ``attribution`` says where
+        the factorization that produced it spent its time."""
+        return self._chol if self.kind == "cholesky" else self._lu
+
     def factor_csc(self) -> tuple[CSCMatrix, CSCMatrix | None]:
         """The numeric factor of the permuted matrix as CSC.
 

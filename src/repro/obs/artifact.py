@@ -58,30 +58,24 @@ WATCHED_METRICS: dict[str, str] = {
     "numeric.sched.dispatch_latency_ms.mean": "lower",
     "numeric.sched.ready_depth.mean": "higher",
     "numeric.sched.worker_tasks.imbalance": "lower",
-    # scheduler sweep speedups vs the level baseline
-    # (benchmarks/perf_smoke.py --scheduler)
-    "numeric.speedup.dag": "higher",
-    "numeric.speedup.procs": "higher",
     # differential verification (repro.verify)
     "verify.mismatches": "lower",
     "verify.checks": "higher",
     # wall-clock phase latency percentiles (repro.obs.telemetry): the
     # trend gate covers real time, not just simulated cycles.  Exported
-    # by `solve --telemetry-dir/--repeat` runs as latency.<phase>.* gauges.
+    # by `solve --telemetry-dir [--repeat N]` runs as latency.<phase>.* gauges.
     "latency.numeric.factorize.p95_ms": "lower",
     "latency.numeric.solve.p50_ms": "lower",
     "latency.numeric.solve.p95_ms": "lower",
     "latency.numeric.solve.p99_ms": "lower",
-    # warm-serving layer (repro.serve): the same gauge names are
-    # exported by the solve server, `serve-bench`, and the
-    # `solve --repeat/--procs` warm loop, so the gate sees one
-    # comparable series per metric (see repro.serve.metrics).
+    # warm-serving layer (repro.serve): exported only by
+    # SolveServer.stats(export=True) / shutdown, so each name is one
+    # series measured one way (see repro.serve.metrics).
     "serve.latency.request.p50_ms": "lower",
     "serve.latency.request.p95_ms": "lower",
     "serve.latency.request.p99_ms": "lower",
     "serve.throughput.rps": "higher",
     "serve.coalesce.batch_mean": "higher",
-    "serve.speedup.coalesce": "higher",
     # live rolling-window SLO view of the serving layer (repro.obs.live
     # + repro.serve.metrics.LatencyRecorder.window_summary): the same
     # request phase restricted to the trailing window, so the gate

@@ -42,10 +42,33 @@ import numpy as np
 __all__ = [
     "RollingWindow",
     "ExemplarRing",
+    "SUMMARY_STATS",
+    "summarize",
     "sparkline",
     "flatten_stats",
     "prometheus_text",
 ]
+
+
+#: The statistics every sample summary carries beside ``count``.
+SUMMARY_STATS = ("mean", "p50", "p95", "p99", "max")
+
+
+def summarize(values, suffix: str = "") -> dict:
+    """The repo's one percentile routine: ``count`` plus
+    ``mean``/``p50``/``p95``/``p99``/``max`` (each key with ``suffix``
+    appended, e.g. ``"_ms"``) of a sample array, in the samples' own
+    unit, from a single ``np.percentile`` call.  Empty input yields
+    zeros, never NaNs, so pollers can always render it."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        stats = (0.0,) * len(SUMMARY_STATS)
+    else:
+        p50, p95, p99 = np.percentile(v, (50, 95, 99))
+        stats = (v.mean(), p50, p95, p99, v.max())
+    return {"count": int(v.size),
+            **{f"{name}{suffix}": float(x)
+               for name, x in zip(SUMMARY_STATS, stats)}}
 
 
 class RollingWindow:
@@ -128,21 +151,10 @@ class RollingWindow:
         v = self.values(window_s=window_s, now=now)
         with self._lock:
             total = self.total_count
-        if v.size == 0:
-            return {"count": 0, "rate_per_s": 0.0, "mean": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0,
-                    "total_count": total}
+        stats = summarize(v)
         rate = (v.size / float(window_s)) if window_s else 0.0
-        return {
-            "count": int(v.size),
-            "rate_per_s": float(rate),
-            "mean": float(v.mean()),
-            "p50": float(np.percentile(v, 50)),
-            "p95": float(np.percentile(v, 95)),
-            "p99": float(np.percentile(v, 99)),
-            "max": float(v.max()),
-            "total_count": total,
-        }
+        return {"count": stats.pop("count"), "rate_per_s": float(rate),
+                **stats, "total_count": total}
 
 
 class ExemplarRing:

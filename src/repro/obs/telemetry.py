@@ -52,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.obs.live import summarize
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, global_registry
 from repro.obs.spans import Span, enable_tracing, get_tracer
 
@@ -171,15 +172,6 @@ class TelemetrySink:
             "wall": record.created, "level": record.levelname,
             "logger": record.name, "msg": record.getMessage(),
         })
-
-    def attribution(self, attr: dict) -> None:
-        """Record a process-local attribution view (e.g. the numeric
-        engine's factorization summary).  Worker processes publish their
-        attribution through this channel instead of mutating their own
-        copy of the parent's module globals — the collector hands every
-        process's view back to the parent for merging."""
-        self.emit({"t": "attr", "run": self.context.run_id,
-                   "pid": self.pid, "wall": time.time(), "attr": attr})
 
     def heartbeat(self) -> None:
         event = {"t": "hb", "run": self.context.run_id, "pid": self.pid,
@@ -430,7 +422,6 @@ class ProcessStream:
     gauges: dict[str, float] = field(default_factory=dict)
     logs: list[dict] = field(default_factory=list)
     heartbeats: list[dict] = field(default_factory=list)
-    attributions: list[dict] = field(default_factory=list)
 
     @property
     def label(self) -> str:
@@ -504,41 +495,6 @@ class Timeline:
                 merged[name] = value
         return merged
 
-    def attributions(self) -> list[dict]:
-        """Every attribution view emitted in this run, tagged with the
-        emitting process's pid/role, main process first."""
-        out = []
-        for stream in self.streams:
-            for attr in stream.attributions:
-                out.append({"pid": stream.pid, "role": stream.role,
-                            **attr})
-        return out
-
-    def merged_numeric_attribution(self) -> dict | None:
-        """Cross-process merge of the numeric-engine attribution views.
-
-        Worker processes (the procs scheduler, ``solve --procs`` load
-        generators) publish their per-process view through the sink
-        rather than clobbering the parent's module global; this folds
-        them back together: seconds/busy-seconds/task totals summed,
-        per-process views kept for drill-down.  ``None`` when no process
-        emitted one.
-        """
-        views = self.attributions()
-        if not views:
-            return None
-        merged = {
-            "processes": views,
-            "n_processes": len({v["pid"] for v in views}),
-            "seconds": sum(v.get("seconds", 0.0) for v in views),
-            "busy_seconds": sum(v.get("busy_seconds", 0.0)
-                                for v in views),
-            "parallel_tasks": int(sum(v.get("parallel_tasks", 0)
-                                      for v in views)),
-            "factorizations": len(views),
-        }
-        return merged
-
     def logs(self) -> list[dict]:
         out = []
         for stream in self.streams:
@@ -570,20 +526,11 @@ class Timeline:
 def latency_percentiles(durations_by_name: dict[str, list[float]]
                         ) -> dict[str, dict[str, float]]:
     """Per-phase wall-clock latency summary in milliseconds."""
-    out: dict[str, dict[str, float]] = {}
-    for name, durations in sorted(durations_by_name.items()):
-        if not durations:
-            continue
-        ms = np.asarray(durations) * 1e3
-        out[name] = {
-            "count": int(ms.size),
-            "mean_ms": float(ms.mean()),
-            "p50_ms": float(np.percentile(ms, 50)),
-            "p95_ms": float(np.percentile(ms, 95)),
-            "p99_ms": float(np.percentile(ms, 99)),
-            "max_ms": float(ms.max()),
-        }
-    return out
+    return {
+        name: summarize(np.asarray(durations) * 1e3, "_ms")
+        for name, durations in sorted(durations_by_name.items())
+        if durations
+    }
 
 
 def export_latency_metrics(summary: dict[str, dict[str, float]],
@@ -662,8 +609,6 @@ def collect(telemetry_dir: str | Path,
                     stream.logs.append(event)
                 elif kind == "hb":
                     stream.heartbeats.append(event)
-                elif kind == "attr":
-                    stream.attributions.append(event.get("attr", {}))
         if stream is not None:
             timeline.streams.append(stream)
     if not timeline.streams:

@@ -2,9 +2,9 @@
 
 :class:`InProcessClient` talks numpy directly to a
 :class:`~repro.serve.server.SolveServer` in the same process — the path
-tests and the ``serve-bench`` load generator use, where wire encoding
-would only add noise to the measurement.  :class:`SocketClient` speaks
-the NDJSON protocol over the unix socket like an external tenant would.
+tests use, where wire encoding would only add noise.
+:class:`SocketClient` speaks the NDJSON protocol over the unix socket
+like an external tenant would.
 
 Both expose the same calls: ``factor`` (returns the pattern handle),
 ``solve`` (vector or panel in, array out), ``refactorize``, ``stats``

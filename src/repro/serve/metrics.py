@@ -1,35 +1,34 @@
-"""Canonical ``serve.*`` metrics shared by every serving harness.
+"""Canonical ``serve.*`` metrics of the solve server.
 
-Three harnesses measure warm-serving behaviour — the long-lived
-:class:`~repro.serve.server.SolveServer`, the ``repro serve-bench`` load
-generator, and the ``solve --repeat/--procs`` warm-loop — and all three
-export the *same* gauge names so the ``repro.obs.history`` trend gate
-sees one comparable series regardless of which harness produced a run:
+``serve.*`` has exactly one producer: the long-lived
+:class:`~repro.serve.server.SolveServer`, which exports these gauges
+from ``stats(export=True)`` and at shutdown, so the
+``repro.obs.history`` trend gate never mixes series measured by
+different programs under one name:
 
 * ``serve.latency.request.{p50,p95,p99}_ms`` — end-to-end request
   latency (enqueue to response, including queueing and coalescing wait);
-* ``serve.throughput.rps`` — completed requests per wall-clock second;
+* ``serve.throughput.rps`` — completed requests per wall-clock second
+  of server uptime;
 * ``serve.coalesce.batch_mean`` — mean blocked-panel width per solve
   (1.0 = nothing coalesced);
 * ``serve.queue.depth_max`` — high-water pending-request depth;
 * ``serve.queue.depth`` — *current* pending-request depth across
   pattern queues (a live level, where ``depth_max`` only ever rises);
-* ``serve.uptime_s`` — server uptime at export time;
-* ``serve.speedup.coalesce`` — bench-only: coalesced throughput over
-  the uncoalesced per-request baseline.
+* ``serve.uptime_s`` — server uptime at export time.
 
 The latency names are deliberately *one* logical phase ("request"), not
-per-op: the history gate compares like with like across harnesses that
-mix factor/refactorize/solve traffic differently.  The server
-additionally records per-phase sub-latencies (``queue_wait``,
-``coalesce_wait``, ``solve``) so a slow request decomposes.
+per-op: the history gate compares like with like across runs that mix
+factor/refactorize/solve traffic differently.  The server additionally
+records per-phase sub-latencies (``queue_wait``, ``coalesce_wait``,
+``solve``) so a slow request decomposes.
 
 Cumulative vs windowed
 ----------------------
 
-``summary()`` keeps the cumulative schema run artifacts and the bench
-rely on; :meth:`LatencyRecorder.window_summary` is the *live* view — the
-same percentile schema computed over only the samples of the trailing
+``summary()`` keeps the cumulative schema run artifacts rely on;
+:meth:`LatencyRecorder.window_summary` is the *live* view — the same
+percentile schema computed over only the samples of the trailing
 window, plus throughput.  Windowed values export under
 ``serve.window.*`` (``serve.window.latency.<phase>.pXX_ms``,
 ``serve.window.throughput.rps``), which are WATCHED_METRICS of their
@@ -38,9 +37,8 @@ own so the trend gate compares live-window behaviour across builds.
 Storage is bounded: each phase keeps at most ``ring`` samples in a
 :class:`repro.obs.live.RollingWindow` (lifetime count/mean/max stay
 exact as scalars).  While a run observes fewer samples than the ring
-capacity — every bench and test run, by construction — ``summary()`` is
-the exact cumulative distribution, so bench artifacts are bit-stable;
-a long-lived server's ``summary()`` gracefully degrades to "the last
+capacity ``summary()`` is the exact cumulative distribution; a
+long-lived server's ``summary()`` gracefully degrades to "the last
 ``ring`` requests" instead of growing without bound.
 """
 
@@ -48,10 +46,15 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.live import RollingWindow, flatten_stats, prometheus_text
+from repro.obs.live import (
+    SUMMARY_STATS,
+    RollingWindow,
+    flatten_stats,
+    prometheus_text,
+)
 from repro.obs.metrics import MetricsRegistry, global_registry
 
-#: The logical phase every serving harness reports request latency under.
+#: The logical phase end-to-end request latency is reported under.
 REQUEST_PHASE = "request"
 
 #: Per-request sub-phases the solve server records (docs/SERVING.md):
@@ -59,9 +62,9 @@ REQUEST_PHASE = "request"
 #: window to fill, and the blocked panel solve itself.
 SUB_PHASES = ("queue_wait", "coalesce_wait", "solve")
 
-#: Default per-phase sample-ring capacity.  Large enough that every
-#: bench/test run keeps exact cumulative percentiles; small enough that
-#: a week-long server holds a few hundred KiB per phase, total.
+#: Per-phase sample-ring capacity.  Large enough that every test run
+#: keeps exact cumulative percentiles; small enough that a week-long
+#: server holds a few hundred KiB per phase, total.
 DEFAULT_RING = 8192
 
 #: Gauge names the trend gate watches (see repro.obs.artifact).
@@ -74,7 +77,6 @@ BATCH_MEAN_GAUGE = "serve.coalesce.batch_mean"
 QUEUE_DEPTH_GAUGE = "serve.queue.depth_max"
 QUEUE_DEPTH_CURRENT_GAUGE = "serve.queue.depth"
 UPTIME_GAUGE = "serve.uptime_s"
-COALESCE_SPEEDUP_GAUGE = "serve.speedup.coalesce"
 #: Rolling-window SLO gauges (exported by export_window / stats
 #: collection points; watched by the trend gate).
 WINDOW_LATENCY_GAUGES = tuple(
@@ -92,8 +94,8 @@ class LatencyRecorder:
     """Thread-safe, *bounded* per-phase wall-clock latency samples.
 
     ``summary()`` reuses the telemetry percentile schema
-    (count/mean/p50/p95/p99/max in milliseconds) so server stats, bench
-    artifacts, and ``repro telemetry`` reports all read the same way;
+    (count/mean/p50/p95/p99/max in milliseconds) so server stats and
+    ``repro telemetry`` reports read the same way;
     ``window_summary()`` is the live windowed counterpart.  See the
     module docstring for the cumulative-vs-windowed contract.
     """
@@ -130,14 +132,9 @@ class LatencyRecorder:
 
     @staticmethod
     def _as_ms(snap: dict) -> dict[str, float]:
-        return {
-            "count": snap["count"],
-            "mean_ms": snap["mean"] * 1e3,
-            "p50_ms": snap["p50"] * 1e3,
-            "p95_ms": snap["p95"] * 1e3,
-            "p99_ms": snap["p99"] * 1e3,
-            "max_ms": snap["max"] * 1e3,
-        }
+        return {"count": snap["count"],
+                **{f"{stat}_ms": snap[stat] * 1e3
+                   for stat in SUMMARY_STATS}}
 
     def summary(self) -> dict[str, dict[str, float]]:
         """Cumulative per-phase percentiles (ms) over retained samples.
@@ -215,7 +212,6 @@ def export_serve_gauges(throughput_rps: float | None = None,
                         queue_depth_max: float | None = None,
                         queue_depth: float | None = None,
                         uptime_s: float | None = None,
-                        coalesce_speedup: float | None = None,
                         registry: MetricsRegistry | None = None) -> None:
     """Set the scalar serving gauges that are not latency percentiles."""
     registry = registry if registry is not None else global_registry()
@@ -229,8 +225,6 @@ def export_serve_gauges(throughput_rps: float | None = None,
         registry.gauge(QUEUE_DEPTH_CURRENT_GAUGE).set(float(queue_depth))
     if uptime_s is not None:
         registry.gauge(UPTIME_GAUGE).set(float(uptime_s))
-    if coalesce_speedup is not None:
-        registry.gauge(COALESCE_SPEEDUP_GAUGE).set(float(coalesce_speedup))
 
 
 def stats_to_prometheus(stats: dict, health: dict | None = None) -> str:

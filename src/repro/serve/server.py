@@ -61,7 +61,6 @@ from repro.obs.metrics import global_registry
 from repro.obs.spans import Span
 from repro.serve import protocol
 from repro.serve.metrics import (
-    DEFAULT_RING,
     REQUEST_PHASE,
     LatencyRecorder,
     export_serve_gauges,
@@ -81,8 +80,7 @@ class ServeConfig:
     #: whatever is already queued, never wait.
     coalesce_window_s: float = 0.002
     #: Largest blocked panel (columns) one solve sweep carries.
-    #: ``max_batch=1`` disables coalescing entirely (the per-request
-    #: baseline the bench compares against).
+    #: ``max_batch=1`` disables coalescing entirely.
     max_batch: int = 32
     #: Batch-invariant solve width passed to every per-pattern solver.
     #: ``None`` (default) tracks ``max_batch`` so responses are
@@ -105,9 +103,6 @@ class ServeConfig:
     #: Trailing window (seconds) of the live SLO view reported by
     #: ``stats`` and exported as the ``serve.window.*`` gauges.
     window_s: float = 60.0
-    #: Per-phase latency sample-ring capacity (bounded memory; see
-    #: repro.serve.metrics for the cumulative-vs-windowed contract).
-    latency_ring: int = DEFAULT_RING
     #: Slow-request exemplars retained (top-K by end-to-end latency).
     exemplars: int = 16
     #: Liveness heartbeat period (seconds); the ``health`` op reports
@@ -403,14 +398,14 @@ class PatternWorker(threading.Thread):
 class SolveServer:
     """Multi-tenant solve service over per-pattern workers.
 
-    In-process entry points (used by :class:`InProcessClient`, tests,
-    and the bench) take and return numpy arrays directly; the protocol
+    In-process entry points (used by :class:`InProcessClient` and
+    tests) take and return numpy arrays directly; the protocol
     entry point :meth:`handle` speaks the NDJSON dict format.
     """
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.latency = LatencyRecorder(ring=self.config.latency_ring)
+        self.latency = LatencyRecorder()
         self.exemplars = ExemplarRing(self.config.exemplars)
         self._workers: dict[str, PatternWorker] = {}
         self._table_lock = threading.Lock()
@@ -646,9 +641,9 @@ class SolveServer:
         occupancy, and the slow-request exemplars.
 
         Side-effect-free by default so concurrent wire pollers never
-        mutate shared gauges; explicit collection points (shutdown, the
-        bench, ``stats(export=True)``) pass ``export=True`` to publish
-        the ``serve.*`` gauges into the global registry.
+        mutate shared gauges; the explicit collection points (shutdown,
+        ``stats(export=True)``) are the only producers of the
+        ``serve.*`` gauges in the global registry.
         """
         window_s = float(window_s) if window_s else self.config.window_s
         with self._stats_lock:
@@ -698,7 +693,8 @@ class SolveServer:
         if export:
             self.latency.export()
             self.latency.export_window(window_s=window_s)
-            export_serve_gauges(batch_mean=batch_mean or None,
+            export_serve_gauges(throughput_rps=responses / max(uptime, 1e-9),
+                                batch_mean=batch_mean or None,
                                 queue_depth_max=queue_depth_max,
                                 queue_depth=queue_depth,
                                 uptime_s=uptime)

@@ -142,6 +142,9 @@ def _account(result: CaseResult, summary: VerifySummary,
     )
     reg.counter("verify.cases").inc()
     reg.counter("verify.checks").inc(result.checks)
+    # recorded even when zero, so the watched metric exists in a clean
+    # baseline for the trend gate to compare against
+    reg.counter("verify.mismatches").inc(len(result.mismatches))
     reg.counter(f"verify.family.{case.family}").inc()
     reg.histogram("verify.case_n").observe(case.matrix.n_rows)
     if result.outcome == "rejected":
@@ -149,7 +152,6 @@ def _account(result: CaseResult, summary: VerifySummary,
         reg.counter("verify.rejected").inc()
     if result.failed:
         summary.failures += 1
-        reg.counter("verify.mismatches").inc(len(result.mismatches))
         summary.mismatches.extend(
             m.to_dict() for m in result.mismatches
         )

@@ -412,3 +412,41 @@ class TestCLI:
 
     def test_verbose_flag_accepted(self, capsys):
         assert main(["-v", "info", "suite:bmwcra_1@0.3"]) == 0
+
+
+class TestWatchedMetricProducers:
+    def test_every_watched_metric_has_a_producer(self, tmp_path):
+        """Each WATCHED_METRICS name is recorded by a command or server
+        a user actually runs — a gate on a metric nothing produces is a
+        gate that can never fire."""
+        import numpy as np
+
+        from repro.obs import global_registry
+        from repro.obs.artifact import WATCHED_METRICS
+        from repro.serve import ServeConfig, SolveServer
+        from repro.sparse import grid_laplacian_2d
+
+        produced: set[str] = set()
+        for name, argv in [
+            ("solve", ["solve", "suite:bmwcra_1@0.3", "--workers", "2",
+                       "--repeat", "2",
+                       "--telemetry-dir", str(tmp_path / "telemetry")]),
+            ("simulate", ["simulate", "suite:bmwcra_1@0.3"]),
+            ("verify", ["verify", "--seed", "1", "--cases", "3",
+                        "--max-n", "24", "--out", str(tmp_path / "repros")]),
+        ]:
+            path = tmp_path / f"{name}.json"
+            assert main(argv + ["--metrics", str(path)]) == 0
+            produced |= set(RunArtifact.load(path).flat_metrics())
+
+        server = SolveServer(ServeConfig(max_batch=4))
+        try:
+            matrix = grid_laplacian_2d(5, seed=1)
+            pattern = server.factor(matrix)["pattern"]
+            server.solve(pattern, np.ones(matrix.n_rows))
+            server.stats(export=True)
+            produced |= set(global_registry().snapshot())
+        finally:
+            server.shutdown()
+
+        assert sorted(set(WATCHED_METRICS) - produced) == []

@@ -4,8 +4,8 @@ Covers the subtree partitioner and level-set edge cases (empty forest,
 chains, stars, multi-root forests), scheduler bit-identity across the
 verify fuzz-suite generator families at several worker counts, prompt
 exception propagation (the ``as_completed`` regression fix), DAG
-dependence ordering and error handling, process-safe attribution, and
-the ``numeric.sched.*`` metrics surface.
+dependence ordering and error handling, the per-factor attribution view,
+and the ``numeric.sched.*`` metrics surface.
 """
 
 import threading
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.numeric import SparseSolver, multifrontal_cholesky
-from repro.numeric.engine import last_factor_attribution
 from repro.numeric.schedule import (
     SCHEDULER_NAMES,
     partition_subtrees,
@@ -25,7 +24,6 @@ from repro.numeric.schedule import (
     subtree_work,
 )
 from repro.numeric.tuning import NumericTuning, resolve_scheduler
-from repro.obs import telemetry
 from repro.obs.metrics import global_registry
 from repro.symbolic.analyze import symbolic_factorize
 from repro.symbolic.etree import etree_level_sets
@@ -218,12 +216,6 @@ def test_bit_identity_procs_cholesky(spd_medium):
     for workers in (2, 4):
         got = _factor_bits(spd_medium, "cholesky", "procs", workers)
         _assert_same_bits(ref, got, f"procs/w{workers}")
-    att = last_factor_attribution()
-    assert att["schedule"]["scheduler"] == "procs"
-    # The 3-D grid is wide enough that this must be the real fork path,
-    # not the DAG fallback.
-    assert att["schedule"]["n_subtrees"] >= 2
-    assert att["schedule"]["top_tasks"] >= 1
 
 
 def test_bit_identity_procs_lu(unsym_small):
@@ -359,42 +351,32 @@ def test_run_scheduled_unknown_name():
         run_scheduled(job, "nope", workers=2)
 
 
-# -- process-safe attribution (satellite: _last_attribution) -------------------
+# -- per-factor attribution ----------------------------------------------------
 
 
-def test_worker_role_never_writes_attribution_global(
-        tmp_path, spd_small, monkeypatch):
-    """Worker-role processes publish attribution through the telemetry
-    sink only; the module-global last-factorization view stays untouched
-    and the collector merges the sink views back together."""
-    import repro.numeric.engine as engine
-
-    monkeypatch.setattr(engine, "_last_attribution", None)
-    telemetry.start(tmp_path, role="worker", heartbeat_s=None)
-    symbolic = symbolic_factorize(spd_small)
-    multifrontal_cholesky(spd_small, symbolic, workers=2, scheduler="dag")
-    assert last_factor_attribution() is None
-    telemetry.stop(dump_registry=False)
-
-    timeline = telemetry.collect(tmp_path)
-    views = timeline.attributions()
-    assert len(views) == 1
-    assert views[0]["role"] == "worker"
-    assert views[0]["schedule"]["scheduler"] == "dag"
-    merged = timeline.merged_numeric_attribution()
-    assert merged is not None
-    assert merged["n_processes"] == 1
-    assert merged["factorizations"] == 1
-    assert merged["seconds"] > 0.0
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_factor_attribution_names_its_scheduler(
+        scheduler, spd_medium, unsym_small):
+    """The attribution view rides on the factor it describes, for both
+    factorization kinds and every scheduler."""
+    for matrix, kind in ((spd_medium, "cholesky"), (unsym_small, "lu")):
+        solver = SparseSolver(matrix, kind=kind, workers=2,
+                              scheduler=scheduler)
+        sched = solver.factor.attribution["schedule"]
+        assert sched["scheduler"] == scheduler
+        assert sched["workers"] == 2
+        if scheduler == "procs" and matrix is spd_medium:
+            # The 3-D grid is wide enough that this must be the real
+            # fork path, not the DAG fallback.
+            assert sched["n_subtrees"] >= 2
+            assert sched["top_tasks"] >= 1
 
 
 def test_main_role_attribution_has_schedule_evidence(spd_medium):
     symbolic = symbolic_factorize(spd_medium)
-    multifrontal_cholesky(spd_medium, symbolic, workers=2,
-                          scheduler="dag")
-    att = last_factor_attribution()
-    assert att is not None
-    sched = att["schedule"]
+    factor = multifrontal_cholesky(spd_medium, symbolic, workers=2,
+                                   scheduler="dag")
+    sched = factor.attribution["schedule"]
     assert sched["scheduler"] == "dag"
     assert sched["workers"] == 2
     assert sched["dispatched"] > 0
@@ -433,7 +415,5 @@ def test_sched_metrics_watched():
         ("numeric.sched.dispatch_latency_ms.mean", "lower"),
         ("numeric.sched.ready_depth.mean", "higher"),
         ("numeric.sched.worker_tasks.imbalance", "lower"),
-        ("numeric.speedup.dag", "higher"),
-        ("numeric.speedup.procs", "higher"),
     ]:
         assert WATCHED_METRICS[name] == direction

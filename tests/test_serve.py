@@ -1,8 +1,7 @@
 """Tests for the serving layer (repro.serve) and its foundations:
 batch-invariant padded solves, the sharded analysis cache under
 concurrency, protocol round trips, coalescing bit-identity, the
-refactorize barrier, the socket front end, the load generator, and the
-CLI commands."""
+refactorize barrier, the socket front end, and the CLI commands."""
 
 import threading
 
@@ -21,10 +20,8 @@ from repro.serve import (
     run_unix_server,
 )
 from repro.serve import protocol
-from repro.serve.bench import BenchConfig, build_workload, run_bench
 from repro.serve.metrics import REQUEST_PHASE
 from repro.sparse import grid_laplacian_2d, random_spd, random_unsymmetric
-from repro.verify.generators import build_case
 
 
 def _rhs(matrix, seed=0, k=None):
@@ -487,54 +484,6 @@ class TestSocketServer:
         assert not thread.is_alive()
 
 
-# -- load generator -------------------------------------------------------
-
-
-class TestBench:
-    def test_workload_is_deterministic_and_filtered(self):
-        config = BenchConfig(patterns=2, min_n=10, max_n=48)
-        m1, p1 = build_workload(config)
-        m2, p2 = build_workload(config)
-        assert [m.n_rows for m in m1] == [m.n_rows for m in m2]
-        assert all(m.n_rows >= 10 for m in m1)
-        assert np.array_equal(p1[0][0], p2[0][0])
-
-    def test_closed_loop_bench_smoke(self):
-        config = BenchConfig(patterns=1, clients=4, requests=24,
-                             rhs_pool=4, min_n=10, max_n=48,
-                             max_batch=4, coalesce_window_s=0.001)
-        result = run_bench(config)
-        assert result["coalesced"]["completed"] == 24
-        assert not result["coalesced"]["errors"]
-        assert result["verify"]["bit_identical"]
-        assert result["speedup_coalesce"] > 0
-        snapshot = global_registry().snapshot()
-        assert "serve.speedup.coalesce" in snapshot
-        assert "serve.throughput.rps" in snapshot
-        assert "serve.latency.request.p95_ms" in snapshot
-
-    def test_open_loop_bench_smoke(self):
-        config = BenchConfig(patterns=1, requests=16, mode="open",
-                             rate=400.0, rhs_pool=4, min_n=10,
-                             max_n=48, max_batch=4, baseline=False)
-        result = run_bench(config)
-        assert result["coalesced"]["completed"] == 16
-        assert result["verify"]["bit_identical"]
-        assert "baseline" not in result
-
-    def test_bench_config_validation(self):
-        with pytest.raises(ValueError, match="family"):
-            run_bench(BenchConfig(family="not_a_family"))
-        with pytest.raises(ValueError, match="mode"):
-            run_bench(BenchConfig(mode="sideways"))
-
-    def test_fuzz_family_case_compatible(self):
-        # The bench builds on the fuzz generators; spot-check the
-        # contract it relies on (expect flag + solvable matrix).
-        case = build_case("spd_random", 0, max_n=48)
-        assert case.expect in ("ok", "singular")
-
-
 # -- serve metrics helpers ------------------------------------------------
 
 
@@ -555,8 +504,7 @@ class TestServeMetrics:
         from repro.obs.artifact import WATCHED_METRICS
         for name in ("serve.latency.request.p95_ms",
                      "serve.throughput.rps",
-                     "serve.coalesce.batch_mean",
-                     "serve.speedup.coalesce"):
+                     "serve.coalesce.batch_mean"):
             assert name in WATCHED_METRICS
 
 
@@ -564,24 +512,6 @@ class TestServeMetrics:
 
 
 class TestServeCli:
-    def test_serve_bench_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        metrics = tmp_path / "serve.json"
-        history = tmp_path / "history"
-        code = main([
-            "serve-bench", "--patterns", "1", "--clients", "4",
-            "--requests", "16", "--max-batch", "4", "--min-n", "10",
-            "--max-n", "48", "--window", "1",
-            "--metrics", str(metrics), "--history", str(history),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "bit-identical" in out
-        assert "coalescing speedup" in out
-        assert metrics.exists()
-        assert any(history.iterdir())
-
     def test_serve_command_clears_stale_socket(self, tmp_path, capsys):
         # A crashed run leaves its socket file behind; restarting must
         # unlink it and bind rather than die with EADDRINUSE.
@@ -613,18 +543,6 @@ class TestServeCli:
             client.close()
         thread.join(timeout=10.0)
         assert done.get("code") == 0
-
-    def test_solve_repeat_exports_serve_gauges(self, capsys):
-        from repro.cli import main
-
-        code = main(["solve", "suite:ASIC_680k@0.02", "--repeat", "3",
-                     "--rhs-pad", "4"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "p50" in out
-        snapshot = global_registry().snapshot()
-        assert "serve.latency.request.p50_ms" in snapshot
-        assert "serve.throughput.rps" in snapshot
 
 
 # -- environment knobs ----------------------------------------------------

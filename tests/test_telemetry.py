@@ -534,24 +534,6 @@ class TestCLITelemetry:
         assert (tel / f"{run_id}.report.html").exists()
         assert (tel / f"{run_id}.timeline.json").exists()
 
-    def test_solve_procs_produces_worker_streams(self, tmp_path, capsys):
-        tel = tmp_path / "telemetry"
-        assert main(["solve", "suite:bmwcra_1@0.3", "--procs", "2",
-                     "--repeat", "2", "--telemetry-dir", str(tel)]) == 0
-        out = capsys.readouterr().out
-        assert "2 process(es) x 2 warm requests" in out
-        timeline = collect(tel)
-        roles = [s.role for s in timeline.streams]
-        assert roles.count("worker") == 2
-        for stream in timeline.streams:
-            if stream.role != "worker":
-                continue
-            names = {s["name"] for s in stream.spans}
-            assert "solve.request" in names
-            assert "numeric.factorize" in names
-            assert all(s["run"] == timeline.run_id
-                       for s in stream.spans)
-
     def test_telemetry_collect_and_list_verbs(self, tmp_path, capsys):
         tel = tmp_path / "telemetry"
         assert main(["solve", "suite:bmwcra_1@0.3",
