@@ -149,81 +149,51 @@ class NumericContext:
                                   dtype=np.int64)
         self.levels = etree_level_sets(self.sn_parent)
 
-        lower_maps = self._build_column_maps(
-            analyzed.indptr, analyzed.indices
-        )
+        lower = self._front_maps(analyzed.indptr, analyzed.indices,
+                                 upper=False)
+        self.flat_pos = [flat for flat, _ in lower]
+        self.data_idx = [slot for _, slot in lower]
         if symbolic.kind == "lu":
-            upper_maps = self._build_row_maps(analyzed)
-            self.flat_pos = [
-                np.concatenate([lo[0], up[0]])
-                for lo, up in zip(lower_maps, upper_maps)
-            ]
-            self.data_idx = [
-                np.concatenate([lo[1], up[1]])
-                for lo, up in zip(lower_maps, upper_maps)
-            ]
-        else:
-            self.flat_pos = [m[0] for m in lower_maps]
-            self.data_idx = [m[1] for m in lower_maps]
+            # The U part: rows of the permuted matrix are the "columns"
+            # of its tagged transpose, whose data slots carry the
+            # permuted-data index.
+            entries = analyzed.to_coo()
+            t = _arange_csc(n, n, entries.cols, entries.rows)
+            t_src = _as_int_index(t.data)
+            for i, (flat, slot) in enumerate(
+                    self._front_maps(t.indptr, t.indices, upper=True)):
+                self.flat_pos[i] = np.concatenate([self.flat_pos[i], flat])
+                self.data_idx[i] = np.concatenate(
+                    [self.data_idx[i], t_src[slot]])
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_column_maps(self, indptr: np.ndarray, indices: np.ndarray
-                           ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-supernode (front flat position, permuted data index) pairs
-        for A's at-or-below-diagonal entries (the L part of every front)."""
-        maps = []
-        for sn in self.symbolic.tree.supernodes:
-            size = sn.front_size
-            flat: list[np.ndarray] = []
-            data: list[np.ndarray] = []
-            for local, j in enumerate(range(sn.first_col, sn.last_col + 1)):
-                lo, hi = int(indptr[j]), int(indptr[j + 1])
-                rows = indices[lo:hi]
-                # Rows are sorted; the lower-triangle part is a suffix.
-                start = int(np.searchsorted(rows, j))
-                rows = rows[start:]
-                pos = np.searchsorted(sn.rows, rows)
-                ok = (pos < size) & (sn.rows[np.minimum(pos, size - 1)]
-                                     == rows)
-                flat.append(pos[ok] * size + local)
-                data.append(lo + start + np.flatnonzero(ok))
-            maps.append((
-                np.concatenate(flat) if flat else np.empty(0, np.int64),
-                np.concatenate(data) if data else np.empty(0, np.int64),
-            ))
-        return maps
+    def _front_maps(self, indptr: np.ndarray, indices: np.ndarray,
+                    upper: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-supernode (front flat position, CSC slot) pairs for the
+        entries of the supernode's columns that fall inside its front:
+        one ``searchsorted`` per supernode over its contiguous CSC slice.
 
-    def _build_row_maps(self, analyzed: CSCMatrix
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-supernode maps for A's strictly-right-of-diagonal row
-        entries (the U part of LU fronts), via a tagged transpose."""
-        n = analyzed.n_rows
-        cols = np.repeat(np.arange(n, dtype=np.int64),
-                         np.diff(analyzed.indptr))
-        # "Columns" of the tagged transpose are rows of the permuted
-        # matrix; its data slots carry the permuted-data index.
-        t = _arange_csc(n, n, cols, analyzed.indices.copy())
-        t_src = _as_int_index(t.data)
+        ``upper=False`` takes A's at-or-below-diagonal entries (the L
+        part of every front, column ``local`` of the front);
+        ``upper=True`` takes a transposed CSC's strictly-beyond-diagonal
+        entries (the U part of LU fronts, row ``local``).
+        """
+        cols = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
+                         np.diff(indptr))
+        wanted = indices > cols if upper else indices >= cols
         maps = []
         for sn in self.symbolic.tree.supernodes:
             size = sn.front_size
-            flat: list[np.ndarray] = []
-            data: list[np.ndarray] = []
-            for local, j in enumerate(range(sn.first_col, sn.last_col + 1)):
-                lo, hi = int(t.indptr[j]), int(t.indptr[j + 1])
-                cidx = t.indices[lo:hi]
-                start = int(np.searchsorted(cidx, j + 1))  # strictly right
-                cidx = cidx[start:]
-                pos = np.searchsorted(sn.rows, cidx)
-                ok = (pos < size) & (sn.rows[np.minimum(pos, size - 1)]
-                                     == cidx)
-                flat.append(local * size + pos[ok])
-                data.append(t_src[lo + start + np.flatnonzero(ok)])
-            maps.append((
-                np.concatenate(flat) if flat else np.empty(0, np.int64),
-                np.concatenate(data) if data else np.empty(0, np.int64),
-            ))
+            lo, hi = indptr[sn.first_col], indptr[sn.last_col + 1]
+            slot = lo + np.flatnonzero(wanted[lo:hi])
+            rows = indices[slot]
+            pos = np.searchsorted(sn.rows, rows)
+            ok = (pos < size) & (sn.rows[np.minimum(pos, size - 1)] == rows)
+            pos, slot = pos[ok], slot[ok]
+            local = cols[slot] - sn.first_col
+            maps.append((local * size + pos if upper else pos * size + local,
+                         slot))
         return maps
 
     # -- queries -------------------------------------------------------------

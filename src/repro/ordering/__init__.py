@@ -26,7 +26,7 @@ All orderings return a permutation array ``perm`` mapping new index -> old
 index, usable directly with :meth:`repro.sparse.CSCMatrix.permuted`.
 """
 
-from repro.ordering.graph import adjacency_sets, pattern_graph
+from repro.ordering.graph import pattern_graph
 from repro.ordering.mindeg import minimum_degree
 from repro.ordering.rcm import rcm
 from repro.ordering.dissection import nested_dissection
@@ -59,7 +59,6 @@ from repro.ordering.autotune import (
 )
 
 __all__ = [
-    "adjacency_sets",
     "pattern_graph",
     "minimum_degree",
     "rcm",

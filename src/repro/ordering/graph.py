@@ -29,18 +29,8 @@ def pattern_graph(matrix: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
         keep = np.concatenate(([True], keys[1:] != keys[:-1]))
         rows, cols = rows[keep], cols[keep]
     indptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(rows, minlength=matrix.n_rows), out=indptr[1:])
     return indptr, cols
-
-
-def adjacency_sets(matrix: CSCMatrix) -> list[set[int]]:
-    """Neighbor sets of the symmetrized pattern graph (diagonal excluded)."""
-    indptr, indices = pattern_graph(matrix)
-    return [
-        set(indices[indptr[v]:indptr[v + 1]].tolist())
-        for v in range(matrix.n_rows)
-    ]
 
 
 def bfs_levels(
@@ -64,11 +54,13 @@ def bfs_levels(
     while len(frontier):
         last = int(frontier[-1])
         depth += 1
+        # Every frontier vertex's adjacency range, gathered in one pass.
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
         neighbors = indices[
-            np.concatenate(
-                [np.arange(indptr[v], indptr[v + 1]) for v in frontier]
-            )
-        ] if len(frontier) else np.empty(0, dtype=np.int64)
+            np.repeat(starts - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum())
+        ]
         fresh = neighbors[levels[neighbors] == -1]
         if mask is not None:
             fresh = fresh[mask[fresh]]

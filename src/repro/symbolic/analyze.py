@@ -118,24 +118,27 @@ def symbolic_factorize(
     if perm is None:
         perm = fill_reducing_ordering(matrix, ordering)
     perm = np.asarray(perm, dtype=np.int64)
-    permuted = matrix.permuted(perm)
-
-    def analysis_pattern(mat: CSCMatrix) -> CSCMatrix:
-        return mat if kind == "cholesky" else mat.pattern_symmetrized()
+    # The analysis reads only the pattern of A (Cholesky) or A + A^T
+    # (LU); symmetrizing commutes with permuting, so it is done once.
+    base = matrix if kind == "cholesky" else matrix.pattern_symmetrized()
 
     # Postorder the elimination tree and fold that (fill-equivalent)
     # permutation into the ordering: afterwards each supernode's columns
     # are contiguous and every parent immediately follows its last child,
     # which both the supernode detector and the amalgamation rely on.
+    # The postordered tree is the old one relabelled: no second pass.
     with span("symbolic.etree"):
-        parent = elimination_tree(analysis_pattern(permuted))
+        pattern = base.permuted(perm)
+        parent = elimination_tree(pattern)
         post = postorder(parent)
         if not np.array_equal(post, np.arange(len(post))):
             perm = perm[post]
-            permuted = matrix.permuted(perm)
-            parent = elimination_tree(analysis_pattern(permuted))
+            rank = np.argsort(post)
+            up = parent[post]
+            parent = np.where(up >= 0, rank[up], up)
+            pattern = base.permuted(perm)
+    permuted = pattern if base is matrix else matrix.permuted(perm)
     with span("symbolic.structure"):
-        pattern = analysis_pattern(permuted)
         structs = column_structures(pattern, parent)
         counts = np.array([len(s) for s in structs], dtype=np.int64)
     with span("symbolic.supernodes"):

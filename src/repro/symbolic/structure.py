@@ -10,15 +10,22 @@ The recurrence (processed in any topological order of the etree):
     struct(j) = rows(A lower, col j)  ∪  { union over children c of j of
                  struct(c) \\ {c} }
 
-Complexity is O(nnz(L)) unions of sorted arrays; memory is O(nnz(L)).
+Column *counts* need none of that: :func:`column_counts` is the
+Gilbert-Ng-Peyton skeleton algorithm, O(nnz(A) α(n)), no structures.
+:func:`column_structures` uses the counts to skip every union that would
+reproduce a child: ``struct(c) \\ {c}`` lies inside ``struct(j)``, so at
+equal size column j is a *view* of the child's array.  One ``np.unique``
+remains per column where subtrees meet (about a quarter of them on the
+ladder matrices); memory is one array per chain of nested columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.etree import etree_children
+from repro.symbolic.etree import NO_PARENT, etree_children, postorder
 
 
 def column_structures(
@@ -26,37 +33,88 @@ def column_structures(
 ) -> list[np.ndarray]:
     """Per-column sorted row-index structure of L (diagonal included).
 
+    Columns along a chain of nested structures share one array (each is
+    a view of its predecessor's tail), so the arrays are read-only.
+
     Args:
         matrix: square matrix with symmetric pattern (only the lower
             triangle is read).
         parent: elimination tree parent array for the same matrix.
     """
     n = matrix.n_cols
+    counts = column_counts(matrix, parent).tolist()
     children = etree_children(parent)
-    structs: list[np.ndarray | None] = [None] * n
+    # A's strict lower triangle plus every diagonal entry, stored or not.
+    diagonal = np.arange(n, dtype=np.int64)
+    strict = matrix.to_coo().lower_triangle(strict=True)
+    lower = CSCMatrix.from_coo(COOMatrix(
+        n, n, np.concatenate((strict.rows, diagonal)),
+        np.concatenate((strict.cols, diagonal)), np.zeros(strict.nnz + n)))
+    indptr, indices = lower.indptr.tolist(), lower.indices
+    structs: list[np.ndarray] = []
     # Columns in increasing order: children have smaller indices than
     # parents in an etree, so this is a valid topological order.
     for j in range(n):
-        rows = matrix.col_rows(j)
-        pieces = [rows[rows >= j]]
-        if not len(pieces[0]) or pieces[0][0] != j:
-            # Ensure the diagonal is present even if A(j, j) is absent.
-            pieces.insert(0, np.array([j], dtype=np.int64))
+        pieces = [indices[indptr[j]:indptr[j + 1]]]
         for c in children[j]:
-            child = structs[c]
-            pieces.append(child[child > c])
-        if len(pieces) == 1:
-            structs[j] = pieces[0].astype(np.int64, copy=True)
-        else:
-            structs[j] = np.unique(np.concatenate(pieces))
-    return structs  # type: ignore[return-value]
+            tail = structs[c][1:]
+            if len(tail) == counts[j]:
+                pieces = [tail]
+                break
+            pieces.append(tail)
+        structs.append(pieces[0] if len(pieces) == 1
+                       else np.unique(np.concatenate(pieces)))
+    for struct in structs:
+        struct.setflags(write=False)
+    return structs
 
 
 def column_counts(matrix: CSCMatrix, parent: np.ndarray) -> np.ndarray:
-    """nnz of each column of L (including the diagonal)."""
-    return np.array(
-        [len(s) for s in column_structures(matrix, parent)], dtype=np.int64
-    )
+    """nnz of each column of L (including the diagonal).
+
+    Gilbert-Ng-Peyton: A(i, j), i > j, adds row i to column j only when
+    j is a leaf of row i's subtree (a *skeleton* entry); where two such
+    leaves' paths meet — their least common ancestor, by union-find over
+    the postorder — the row was counted twice and is taken back.
+    Summing the deltas up the tree gives the counts.
+    """
+    n = matrix.n_cols
+    up = np.asarray(parent).tolist()
+    post = postorder(parent).tolist()
+    # first[j]: postorder rank of j's first descendant (unranked at its
+    # own turn = a leaf, which owns its diagonal).
+    first = [-1] * n
+    delta = [0] * n
+    for rank, j in enumerate(post):
+        if first[j] < 0:
+            delta[j] = 1
+        while j != NO_PARENT and first[j] < 0:
+            first[j] = rank
+            j = up[j]
+    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
+    max_first = [-1] * n
+    prev_leaf = [-1] * n
+    ancestor = list(range(n))
+    for j in post:
+        if up[j] != NO_PARENT:
+            delta[up[j]] -= 1  # j's own row is not a row of its parent
+        first_j = first[j]
+        for i in indices[indptr[j]:indptr[j + 1]]:
+            if i <= j or first_j <= max_first[i]:
+                continue  # not lower, or j is not a leaf of row i's subtree
+            max_first[i] = first_j
+            delta[j] += 1
+            q, prev_leaf[i] = prev_leaf[i], j
+            if q >= 0:
+                while q != ancestor[q]:
+                    ancestor[q] = q = ancestor[ancestor[q]]
+                delta[q] -= 1
+        if up[j] != NO_PARENT:
+            ancestor[j] = up[j]
+    for j in post:
+        if up[j] != NO_PARENT:
+            delta[up[j]] += delta[j]
+    return np.array(delta, dtype=np.int64)
 
 
 def factor_nnz(matrix: CSCMatrix, parent: np.ndarray) -> int:

@@ -12,6 +12,15 @@ a child supernode is merged into its parent when the extra (logically zero)
 entries this introduces are below a threshold.  This trades a little extra
 compute for much larger, better-structured fronts — and directly shapes the
 supernode-size distribution that Figure 6 studies.
+
+A child merges only when it is column-contiguous with its parent, so
+which siblings can fold depends on the postorder the ordering came in;
+``repro.ordering.mindeg`` relies on this and emits small subtrees last.
+
+Only column counts and parent pointers decide the partition, so detection
+and amalgamation run on integers — O(n) plus one pass over the surviving
+candidates per cascade round — and a row array is built once per
+*surviving* supernode.
 """
 
 from __future__ import annotations
@@ -57,15 +66,6 @@ class Supernode:
         return self.front_size - self.n_cols
 
 
-def _structures_nest(
-    prev_struct: np.ndarray, cur_struct: np.ndarray, prev_col: int
-) -> bool:
-    """True if cur_struct == prev_struct \\ {prev_col}."""
-    if len(cur_struct) != len(prev_struct) - 1:
-        return False
-    return bool(np.array_equal(cur_struct, prev_struct[1:]))
-
-
 def find_supernodes(
     parent: np.ndarray,
     structs: list[np.ndarray],
@@ -94,101 +94,78 @@ def find_supernodes(
     n = len(parent)
     if n == 0:
         return []
+    parent = np.asarray(parent, dtype=np.int64)
+    counts = np.fromiter(map(len, structs), dtype=np.int64, count=n)
 
-    # Step 1: fundamental supernodes — consecutive-column runs.
-    sn_of_col = np.empty(n, dtype=np.int64)
-    starts: list[int] = [0]
-    sn_of_col[0] = 0
-    for j in range(1, n):
-        fundamental = (
-            parent[j - 1] == j
-            and _structures_nest(structs[j - 1], structs[j], j - 1)
-        )
-        if not fundamental:
-            starts.append(j)
-        sn_of_col[j] = len(starts) - 1
+    # Step 1: fundamental supernodes — runs of columns where each is the
+    # etree parent of its predecessor with one row fewer (the parent's
+    # structure contains the child's minus the child, so equal size means
+    # perfectly nested).
+    head = np.ones(n, dtype=bool)
+    head[1:] = (parent[:-1] != np.arange(1, n)) | (counts[1:] != counts[:-1] - 1)
+    first = np.flatnonzero(head)
+    last = np.append(first[1:] - 1, n - 1)
 
-    n_sn = len(starts)
-    ends = [s - 1 for s in starts[1:]] + [n - 1]
+    # Step 2: supernode tree. The parent supernode owns the etree parent
+    # of this supernode's last column (its first structure row below).
+    def tree_links(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        owner = np.repeat(np.arange(len(first)), last - first + 1)
+        up = parent[last]
+        return np.where(up >= 0, owner[up], -1)
 
-    # Step 2: supernode tree. Parent supernode owns the first structure row
-    # past this supernode's own columns.
-    sn_parent = np.full(n_sn, -1, dtype=np.int64)
-    for k in range(n_sn):
-        last = ends[k]
-        below = structs[last][structs[last] > last]
-        if len(below):
-            sn_parent[k] = sn_of_col[int(below[0])]
+    sn_parent = tree_links(first, last).tolist()
 
-    # Step 3: relaxed amalgamation, processed leaves-to-root. A merge keeps
-    # column ranges contiguous only when the child is the supernode
-    # immediately preceding its parent's columns; fundamental supernode
-    # numbering guarantees child index < parent index but not contiguity,
-    # so check it.
-    merged = np.arange(n_sn)
+    # Step 3: relaxed amalgamation, leaves to root, on (first column,
+    # front size) per candidate. A child merges only when it immediately
+    # precedes its parent's columns (one CSQ needs a contiguous range);
+    # the merged front is then the child's columns stacked on the
+    # parent's front, because the child's update rows all lie in it.
+    lo, hi, size = first.tolist(), last.tolist(), counts[first].tolist()
+    merged = list(range(len(lo)))
 
     def find(k: int) -> int:
         while merged[k] != k:
-            merged[k] = merged[merged[k]]
-            k = int(merged[k])
+            merged[k] = k = merged[merged[k]]
         return k
-
-    sn_cols = {k: (starts[k], ends[k]) for k in range(n_sn)}
-    sn_rows = {k: structs[starts[k]].copy() for k in range(n_sn)}
 
     # Merges cascade (absorbing the last child makes the previous sibling
     # column-contiguous), so iterate to a fixpoint.
+    candidates = [k for k, p in enumerate(sn_parent) if p >= 0]
     changed = True
     while changed:
         changed = False
-        for k in range(n_sn):
-            root_k = find(k)
-            p = sn_parent[k]
-            if p < 0:
+        for k in candidates:
+            root = find(sn_parent[k])
+            if hi[k] + 1 != lo[root]:
                 continue
-            root_p = find(int(p))
-            if root_p == root_k:
+            width = hi[k] - lo[k] + 1
+            front = width + size[root]
+            forced = front <= force_small
+            if not forced and width > relax_small:
                 continue
-            c0, c1 = sn_cols[root_k]
-            p0, p1 = sn_cols[root_p]
-            if c1 + 1 != p0:
-                continue  # not column-contiguous; cannot merge into one CSQ
-            merged_rows = np.unique(np.concatenate([sn_rows[root_k],
-                                                    sn_rows[root_p]]))
-            forced = len(merged_rows) <= force_small
-            if not forced and c1 - c0 + 1 > relax_small:
-                continue
-            exact = (
-                _front_entries(len(sn_rows[root_k]))
-                + _front_entries(len(sn_rows[root_p]))
-            )
-            relaxed = _front_entries(len(merged_rows))
+            exact = _front_entries(size[k]) + _front_entries(size[root])
+            relaxed = _front_entries(front)
             if (not forced and relaxed > 0
                     and (relaxed - exact) / relaxed > relax_ratio):
                 continue
-            # Accept the merge: child absorbs into parent representative.
-            merged[root_k] = root_p
-            sn_cols[root_p] = (c0, p1)
-            sn_rows[root_p] = merged_rows
-            del sn_cols[root_k], sn_rows[root_k]
+            merged[k] = root
+            lo[root], size[root] = lo[k], front
             changed = True
+        candidates = [k for k in candidates if merged[k] == k]
 
-    # Step 4: renumber surviving supernodes in column order (still a valid
-    # postorder-compatible order because children columns precede parents'),
-    # and rebuild tree links.
-    survivors = sorted(sn_cols, key=lambda k: sn_cols[k][0])
-    supernodes: list[Supernode] = []
-    col_to_sn = np.empty(n, dtype=np.int64)
-    for new, old in enumerate(survivors):
-        c0, c1 = sn_cols[old]
-        col_to_sn[c0:c1 + 1] = new
-        supernodes.append(
-            Supernode(index=new, first_col=c0, last_col=c1, rows=sn_rows[old])
-        )
+    # Step 4: surviving supernodes in column order (a valid postorder:
+    # children's columns precede their parents'), their rows and links.
+    keep = [k for k in range(len(lo)) if merged[k] == k]
+    first, last = np.array(lo)[keep], last[keep]
+    supernodes = [
+        Supernode(index=k, first_col=c0, last_col=c1, parent=p,
+                  rows=np.concatenate((np.arange(c0, c1 + 1, dtype=np.int64),
+                                       structs[c1][1:])))
+        for k, (c0, c1, p) in enumerate(zip(
+            first.tolist(), last.tolist(), tree_links(first, last).tolist()))
+    ]
     for sn in supernodes:
-        below = sn.rows[sn.rows > sn.last_col]
-        if len(below):
-            sn.parent = int(col_to_sn[int(below[0])])
+        if sn.parent >= 0:
             supernodes[sn.parent].children.append(sn.index)
     return supernodes
 

@@ -187,7 +187,11 @@ def test_local_refine_beats_or_matches_amd_on_mesh_family():
     wins = 0
     improved = 0
     for seed in seeds:
-        matrix = build_case("spd_mesh", seed, max_n=36).matrix
+        # max_n was 36 until PR 21: the array-based AMD is already at a
+        # local optimum of these moves on every <= 36-vertex mesh (its
+        # fill is <= the old AMD's *refined* fill on all ten seeds), so
+        # the strict-improvement check below needs meshes with room left.
+        matrix = build_case("spd_mesh", seed, max_n=100).matrix
         amd_fill = fill_of(matrix, fill_reducing_ordering(matrix, "amd"))
         refined_fill = fill_of(matrix, local_refine(matrix, seed=seed,
                                                     budget=40))
