@@ -19,13 +19,14 @@ Entry point: :class:`repro.arch.sim.SpatulaSim` /
 
 from repro.arch.config import SpatulaConfig
 from repro.arch.stats import SimReport
-from repro.arch.sim import SpatulaSim, simulate
+from repro.arch.sim import SimulationStuck, SpatulaSim, simulate
 from repro.arch.solve import SolveReport, SolveSim, simulate_solve
 from repro.arch.energy import area_breakdown, power_breakdown
 
 __all__ = [
     "SpatulaConfig",
     "SimReport",
+    "SimulationStuck",
     "SpatulaSim",
     "simulate",
     "SolveReport",

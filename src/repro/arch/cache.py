@@ -67,11 +67,17 @@ class BankedCache:
         self.n_banks = config.cache_banks
         self.n_sets = config.cache_sets_per_bank
         self.ways = config.cache_ways
-        # sets[bank][set] maps address -> dirty flag, in LRU order
-        # (oldest first).
-        self._sets: list[list[OrderedDict[int, bool]]] = [
-            [OrderedDict() for _ in range(self.n_sets)]
-            for _ in range(self.n_banks)
+        # Derived config properties, read once (they are per-access costs).
+        self._n_channels = config.hbm_channels
+        self._tile_bytes = config.tile_bytes
+        self._bank_cycles = config.bank_transfer_cycles
+        self._hit_latency = config.cache_hit_latency
+        self._max_misses = config.max_outstanding_misses
+        # One LRU-ordered (oldest first) address -> dirty map per (set,
+        # bank); banks interleave by address, so the line set of ``addr``
+        # is ``_lines[addr % (n_banks * n_sets)]``.
+        self._lines: list[OrderedDict[int, bool]] = [
+            OrderedDict() for _ in range(self.n_banks * self.n_sets)
         ]
         self._bank_free = [0] * self.n_banks      # read port per bank
         self._bank_wfree = [0] * self.n_banks     # write port per bank
@@ -84,43 +90,27 @@ class BankedCache:
         # address -> "store_spill" | "store_result".  Installed by the sim.
         self.classify_store = lambda addr: "store_spill"
 
-    # -- address mapping -----------------------------------------------------
-
-    def bank_of(self, addr: int) -> int:
-        return addr % self.n_banks
-
-    def set_of(self, addr: int) -> int:
-        return (addr // self.n_banks) % self.n_sets
-
     def channel_of(self, addr: int) -> int:
-        return self.bank_of(addr) % self.config.hbm_channels
+        """HBM channel behind the bank (``addr % n_banks``) of ``addr``."""
+        return addr % self.n_banks % self._n_channels
 
     # -- internals ------------------------------------------------------------
 
-    def _reserve_bank(self, bank: int, cycle: int) -> int:
-        start = max(cycle, self._bank_free[bank])
-        self.stats.bank_wait_cycles += start - cycle
-        self._bank_free[bank] = start + self.config.bank_transfer_cycles
-        return start
+    def _reserve(self, ports: list[int], addr: int, cycle: int) -> int:
+        """Occupy the bank port of ``addr`` for one line; returns the start."""
+        bank = addr % self.n_banks
+        free_at = ports[bank]
+        if cycle < free_at:
+            self.stats.bank_wait_cycles += free_at - cycle
+            cycle = free_at
+        self.stats.bytes_accessed += self._tile_bytes
+        ports[bank] = cycle + self._bank_cycles
+        return cycle
 
-    def _reserve_bank_write(self, bank: int, cycle: int) -> int:
-        start = max(cycle, self._bank_wfree[bank])
-        self.stats.bank_wait_cycles += start - cycle
-        self._bank_wfree[bank] = start + self.config.bank_transfer_cycles
-        return start
-
-    def _touch(self, bank: int, set_idx: int, addr: int,
-               dirty: bool | None) -> None:
-        lines = self._sets[bank][set_idx]
-        was_dirty = lines.pop(addr, False)
-        lines[addr] = was_dirty if dirty is None else (dirty or was_dirty)
-
-    def _install(self, bank: int, set_idx: int, addr: int, dirty: bool,
-                 cycle: int) -> None:
-        lines = self._sets[bank][set_idx]
+    def _install(self, lines: OrderedDict[int, bool], addr: int,
+                 dirty: bool, cycle: int) -> None:
         if len(lines) >= self.ways:
-            victim, victim_dirty = next(iter(lines.items()))
-            del lines[victim]
+            victim, victim_dirty = lines.popitem(last=False)
             if victim_dirty:
                 kind = self.classify_store(victim)
                 self.hbm.write_line(self.channel_of(victim), cycle, kind)
@@ -131,52 +121,45 @@ class BankedCache:
 
     def load(self, addr: int, cycle: int, miss_kind: str) -> int:
         """Read a tile; returns the cycle its data leaves the bank."""
-        bank = self.bank_of(addr)
-        set_idx = self.set_of(addr)
-        lines = self._sets[bank][set_idx]
-        start = self._reserve_bank(bank, cycle)
-        self.stats.bytes_accessed += self.config.tile_bytes
+        start = self._reserve(self._bank_free, addr, cycle)
+        lines = self._lines[addr % len(self._lines)]
         if addr in lines:
             self.stats.hits += 1
-            self._touch(bank, set_idx, addr, None)
-            return start + self.config.cache_hit_latency \
-                + self.config.bank_transfer_cycles
+            lines.move_to_end(addr)
+            return start + self._hit_latency + self._bank_cycles
         if addr not in self._seen:
             # First touch: allocate zero-filled, no DRAM read.
             self._seen.add(addr)
             self.stats.allocations += 1
-            self._install(bank, set_idx, addr, dirty=False, cycle=start)
-            return start + self.config.cache_hit_latency \
-                + self.config.bank_transfer_cycles
+            self._install(lines, addr, dirty=False, cycle=start)
+            return start + self._hit_latency + self._bank_cycles
         # Genuine miss: fetch from the bank's HBM channel, subject to
         # MSHR availability (up to 256 concurrent misses, Table 2).
         self.stats.misses += 1
-        tag_done = start + self.config.cache_hit_latency
+        tag_done = start + self._hit_latency
         while self._inflight and self._inflight[0] <= tag_done:
             heapq.heappop(self._inflight)
-        if len(self._inflight) >= self.config.max_outstanding_misses:
+        if len(self._inflight) >= self._max_misses:
             wait_until = heapq.heappop(self._inflight)
             self.stats.mshr_stall_cycles += max(0, wait_until - tag_done)
             tag_done = max(tag_done, wait_until)
         fill = self.hbm.read_line(self.channel_of(addr), tag_done, miss_kind)
         heapq.heappush(self._inflight, fill)
-        self._install(bank, set_idx, addr, dirty=False, cycle=fill)
-        return fill + self.config.bank_transfer_cycles
+        self._install(lines, addr, dirty=False, cycle=fill)
+        return fill + self._bank_cycles
 
     def store(self, addr: int, cycle: int) -> int:
         """Write a tile back from a PE (write-allocate, write-back)."""
-        bank = self.bank_of(addr)
-        set_idx = self.set_of(addr)
-        lines = self._sets[bank][set_idx]
-        start = self._reserve_bank_write(bank, cycle)
+        start = self._reserve(self._bank_wfree, addr, cycle)
+        lines = self._lines[addr % len(self._lines)]
         self.stats.stores += 1
-        self.stats.bytes_accessed += self.config.tile_bytes
         self._seen.add(addr)
         if addr in lines:
-            self._touch(bank, set_idx, addr, dirty=True)
+            lines[addr] = True
+            lines.move_to_end(addr)
         else:
-            self._install(bank, set_idx, addr, dirty=True, cycle=start)
-        return start + self.config.bank_transfer_cycles
+            self._install(lines, addr, dirty=True, cycle=start)
+        return start + self._bank_cycles
 
     # -- end-of-run flush ------------------------------------------------------
 
@@ -188,14 +171,13 @@ class BankedCache:
         Returns the drain-completion cycle.
         """
         done = cycle
-        for bank in range(self.n_banks):
-            for set_idx in range(self.n_sets):
-                for addr, dirty in self._sets[bank][set_idx].items():
-                    if dirty and is_result(addr):
-                        done = max(
-                            done,
-                            self.hbm.write_line(
-                                self.channel_of(addr), cycle, "store_result"
-                            ),
-                        )
+        for lines in self._lines:
+            for addr, dirty in lines.items():
+                if dirty and is_result(addr):
+                    done = max(
+                        done,
+                        self.hbm.write_line(
+                            self.channel_of(addr), cycle, "store_result"
+                        ),
+                    )
         return done

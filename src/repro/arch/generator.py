@@ -40,23 +40,27 @@ class Generator:
     dependents: list[list[int]] = field(default_factory=list)
     dispatched: list[bool] = field(default_factory=list)
     pe_binding: int = -1  # for the "inter" policy: tasks go only here
+    n_tasks: int = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.graph.n_tasks
+        self.n_tasks = self.graph.n_tasks
         self.indegree = [len(d) for d in self.graph.deps]
-        self.dependents = [[] for _ in range(n)]
-        for t, deps in enumerate(self.graph.deps):
-            for d in deps:
-                self.dependents[d].append(t)
-        self.dispatched = [False] * n
-
-    @property
-    def n_tasks(self) -> int:
-        return self.graph.n_tasks
+        self.dependents = self.graph.dependents  # shared, read-only
+        self.dispatched = [False] * self.n_tasks
 
     @property
     def done(self) -> bool:
-        return self.n_done == self.graph.n_tasks
+        return self.n_done == self.n_tasks
+
+    def first_ready(self) -> int:
+        """``ready_tasks()[0]`` (or -1) — what the dispatcher takes next;
+        O(1) under strict in-order dispatch, where only the head counts."""
+        if self.window == 1:
+            head = self.head  # mark_dispatched keeps it on an undispatched task
+            return head if head < self.n_tasks and not self.indegree[head] \
+                else -1
+        ready = self.ready_tasks()
+        return ready[0] if ready else -1
 
     def ready_tasks(self) -> list[int]:
         """Dispatchable task indices under the in-order / windowed rule."""
@@ -94,9 +98,14 @@ class Generator:
             self.peak_outstanding = outstanding
         self._advance_head()
 
-    def on_complete(self, t: int) -> None:
+    def on_complete(self, t: int) -> bool:
+        """Retire task t; True if a dependent lost its last dependence."""
         self.n_done += 1
+        indegree = self.indegree
+        released = False
         for d in self.dependents[t]:
-            self.indegree[d] -= 1
-            if self.indegree[d] < 0:
+            indegree[d] -= 1
+            if indegree[d] < 0:
                 raise AssertionError("dependence counter underflow")
+            released |= not indegree[d]
+        return released

@@ -38,27 +38,27 @@ class HBMModel:
         self.channel_free = [0] * self.config.hbm_channels
         self.bytes_by_kind = {k: 0 for k in TRAFFIC_KINDS}
         self.bytes_by_channel = [0] * self.config.hbm_channels
+        # Derived config properties, read once (they are per-access costs).
+        self._line_cycles = self.config.hbm_line_cycles
+        self._latency = self.config.hbm_latency
+        self._line_bytes = self.config.tile_bytes
 
     def read_line(self, channel: int, cycle: int, kind: str) -> int:
         """Issue a line read; returns the cycle data is available."""
-        occupancy = self.config.hbm_line_cycles
-        start = max(cycle, self.channel_free[channel])
-        done = start + self.config.hbm_latency + occupancy
-        self.channel_free[channel] = start + occupancy
-        self.channel_wait_cycles += start - cycle
-        self.bytes_by_kind[kind] += self.config.tile_bytes
-        self.bytes_by_channel[channel] += self.config.tile_bytes
-        return done
+        return self._transfer(channel, cycle, kind) + self._latency
 
     def write_line(self, channel: int, cycle: int, kind: str) -> int:
         """Issue a line write-back; returns when the channel accepts it."""
-        occupancy = self.config.hbm_line_cycles
+        return self._transfer(channel, cycle, kind)
+
+    def _transfer(self, channel: int, cycle: int, kind: str) -> int:
+        """Occupy a channel for one line; returns the end of the transfer."""
         start = max(cycle, self.channel_free[channel])
-        self.channel_free[channel] = start + occupancy
+        self.channel_free[channel] = done = start + self._line_cycles
         self.channel_wait_cycles += start - cycle
-        self.bytes_by_kind[kind] += self.config.tile_bytes
-        self.bytes_by_channel[channel] += self.config.tile_bytes
-        return start + occupancy
+        self.bytes_by_kind[kind] += self._line_bytes
+        self.bytes_by_channel[channel] += self._line_bytes
+        return done
 
     def read_bulk(self, n_bytes: int, cycle: int, kind: str) -> int:
         """Stream a bulk read (the compulsory A-matrix input) across all

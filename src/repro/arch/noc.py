@@ -33,7 +33,6 @@ class CrossbarPort:
     free_at: int = 0
     busy_cycles: int = 0
     stall_cycles: int = 0
-    n_transfers: int = 0
 
     def reserve(self, cycle: int, n_bytes: int) -> int:
         """Occupy the port for a transfer; returns the completion cycle."""
@@ -42,12 +41,13 @@ class CrossbarPort:
 
     def reserve_cycles(self, cycle: int, cycles: int) -> int:
         """Occupy the port for a known number of cycles."""
-        start = max(cycle, self.free_at)
-        self.stall_cycles += start - cycle
+        free_at = self.free_at
+        if cycle < free_at:
+            self.stall_cycles += free_at - cycle
+            cycle = free_at
         self.busy_cycles += cycles
-        self.n_transfers += 1
-        self.free_at = start + cycles
-        return self.free_at
+        self.free_at = done = cycle + cycles
+        return done
 
 
 def aggregate_bandwidth_tbs(n_ports: int, bytes_per_cycle: int,

@@ -27,7 +27,7 @@ from repro.arch.noc import CrossbarPort
 from repro.tasks.task import TaskType
 
 
-@dataclass
+@dataclass(slots=True, eq=False)  # one per task: compared by identity
 class PendingTask:
     """A task resident in a PE slot, waiting for operands or the array."""
 
@@ -104,7 +104,7 @@ class PE:
         runnable (None if no tasks are pending)."""
         if not self.pending:
             return None
-        return min(item.op_ready for item in self.pending)
+        return min([item.op_ready for item in self.pending])
 
     def start_execution(self, item: PendingTask, now: int,
                         ttype: TaskType) -> int:

@@ -65,6 +65,11 @@ class SupernodeScheduler:
             return self.config.n_pes
         return self.config.n_generators
 
+    @property
+    def n_ready(self) -> int:
+        """Ready-queue depth (only the configured order's queue is used)."""
+        return len(self._ready) + len(self._ready_fifo)
+
     def has_ready(self) -> bool:
         return bool(self._ready) or bool(self._ready_fifo)
 
@@ -72,8 +77,7 @@ class SupernodeScheduler:
         """Yield the next supernode: smallest postorder key (default), or
         arrival order under the "fifo" ablation."""
         self.n_launched += 1
-        depth = len(self._ready_fifo) if self.config.sn_order == "fifo" \
-            else len(self._ready)
+        depth = self.n_ready
         self.queue_depth_samples.append(depth)
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth

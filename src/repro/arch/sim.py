@@ -13,12 +13,17 @@ at runtime: tasks dispatch only when their scoreboard dependences are
 resolved, generators dispatch in-order (unless the dataflow ablation
 widens the window), and supernodes launch only after all children are
 fully factored.
+
+Host cost per event does not grow with the machine: the dispatcher keeps
+incremental state instead of rescanning generators and PEs after every
+retired task (docs/SIMULATOR.md, "Host-side state").
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import math
 
 import numpy as np
 
@@ -30,14 +35,34 @@ from repro.arch.noc import CrossbarPort
 from repro.arch.pe import PE, PendingTask
 from repro.arch.scheduler import SupernodeScheduler
 from repro.arch.stats import SimReport
-from repro.arch.systolic import task_input_tiles, task_latency
+from repro.arch.systolic import task_latency
+from repro.arch.trace import TraceEvent
 from repro.obs import MetricsRegistry, span
+from repro.symbolic.tiling import front_tile_footprint_bytes
 from repro.tasks.plan import FactorizationPlan
 from repro.tasks.task import TaskType, TileRef
 
 logger = logging.getLogger(__name__)
 
 _A_ENTRY_BYTES = 12  # 8-byte value + 4-byte packed coordinate
+
+# Event kinds: indices into the handler tuple run() binds.
+_PE_TRY, _EXEC_DONE, _TASK_FINAL, _PUMP = range(4)
+
+# A PE's dispatch rank is slots_free * _RANK_SCALE - array_free: one
+# integer ordered like (slots_free, -array_free), as no cycle count
+# reaches the scale.
+_RANK_SCALE = 1 << 62
+
+
+class SimulationStuck(AssertionError):
+    """A simulation that cannot make progress, or ran past a ``run()``
+    limit.  ``report`` is the stuck scoreboard: what each live generator,
+    PE and the supernode scheduler were waiting on."""
+
+    def __init__(self, why: str, report: dict) -> None:
+        super().__init__(f"{why}: {report}")
+        self.report = report
 
 
 class SpatulaSim:
@@ -92,17 +117,28 @@ class SpatulaSim:
         self.snsched = SupernodeScheduler(
             tree=plan.symbolic.tree, config=cfg
         )
+        # Derived config quantities, read once instead of once per access.
+        self._tile_cycles = cfg.tile_transfer_cycles
+        self._max_in_flight = self.snsched.max_in_flight
 
-        # Tile address space.
+        # Tile address space, numbered (and classified result/spill) in
+        # first-touch order.
         self._addr_of: dict[TileRef, int] = {}
-        self._ref_of: list[TileRef] = []
+        self._addr_is_result: list[bool] = []
 
         # Active generators, keyed by supernode index.
         self.gens: dict[int, Generator] = {}
         self._free_pe_bindings = list(range(cfg.n_pes - 1, -1, -1))
 
+        # Incremental dispatch state: the generators that may have a
+        # dispatchable task (touched only where readiness can change),
+        # the machine-wide count of free task slots, one rank per PE.
+        self._ready: set[int] = set()
+        self._slots_free = cfg.n_pes * cfg.task_slots
+        self._pe_rank = [cfg.task_slots * _RANK_SCALE] * cfg.n_pes
+
         # Event queue.
-        self._events: list[tuple[int, int, str, object]] = []
+        self._events: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self._now = 0
         # Earliest outstanding pe_try wakeup per PE (dedupe guard).
@@ -132,57 +168,47 @@ class SpatulaSim:
 
     # -- setup helpers -----------------------------------------------------
 
-    def _compulsory_bytes(self) -> np.ndarray:
+    def _compulsory_bytes(self) -> list[int]:
         """Bytes of A read when assembling each supernode's front."""
         permuted = self.plan.symbolic.permuted
         col_nnz = np.diff(permuted.indptr)
         if self.plan.kind == "lu":
-            row_nnz = np.diff(permuted.transpose().indptr)
-            col_nnz = col_nnz + row_nnz
-        out = np.zeros(self.plan.n_supernodes, dtype=np.int64)
-        for sn in self.plan.symbolic.tree.supernodes:
-            out[sn.index] = _A_ENTRY_BYTES * int(
-                col_nnz[sn.first_col:sn.last_col + 1].sum()
-            )
-        return out
+            col_nnz = col_nnz + np.diff(permuted.transpose().indptr)
+        # Supernodes partition the columns in index order.
+        first_cols = [sn.first_col
+                      for sn in self.plan.symbolic.tree.supernodes]
+        return (_A_ENTRY_BYTES
+                * np.add.reduceat(col_nnz, first_cols)).tolist()
 
-    def _addr(self, ref: TileRef) -> int:
-        addr = self._addr_of.get(ref)
-        if addr is None:
-            addr = len(self._ref_of)
-            self._addr_of[ref] = addr
-            self._ref_of.append(ref)
+    def _new_addr(self, ref: TileRef) -> int:
+        """First touch of a tile: the next address, classified once."""
+        addr = self._addr_of[ref] = len(self._addr_is_result)
+        plan = self.plan.supernodes[ref.sn]
+        lead = ref.block_col if plan.symmetric \
+            else min(ref.block_row, ref.block_col)
+        self._addr_is_result.append(lead < plan.grid.n_pivot_blocks)
         return addr
 
     def _classify_store(self, addr: int) -> str:
-        ref = self._ref_of[addr]
-        plan = self.plan.supernodes[ref.sn]
-        p = plan.grid.n_pivot_blocks
-        if plan.symmetric:
-            is_result = ref.block_col < p
-        else:
-            is_result = min(ref.block_row, ref.block_col) < p
-        return "store_result" if is_result else "store_spill"
-
-    def _is_result_addr(self, addr: int) -> bool:
-        return self._classify_store(addr) == "store_result"
+        return "store_result" if self._addr_is_result[addr] \
+            else "store_spill"
 
     # -- event machinery -----------------------------------------------------
 
-    def _schedule(self, cycle: int, kind: str, payload: object) -> None:
+    def _schedule(self, cycle: int, kind: int, payload: object) -> None:
         self._seq += 1
-        heapq.heappush(self._events, (int(cycle), self._seq, kind, payload))
+        heapq.heappush(self._events, (cycle, self._seq, kind, payload))
 
     def _schedule_pe_try(self, pe_index: int, cycle: int) -> None:
         """Schedule a PE wakeup, keeping at most one live wakeup per PE
         (the earliest); redundant later wakeups are never enqueued and
         superseded ones are dropped when they fire."""
-        cycle = int(cycle)
         current = self._pe_wake[pe_index]
         if current is not None and current <= cycle:
             return
         self._pe_wake[pe_index] = cycle
-        self._schedule(cycle, "pe_try", pe_index)
+        self._seq += 1
+        heapq.heappush(self._events, (cycle, self._seq, _PE_TRY, pe_index))
 
     # -- supernode activation ---------------------------------------------------
 
@@ -194,6 +220,7 @@ class SpatulaSim:
         if self.config.policy == "inter":
             gen.pe_binding = self._free_pe_bindings.pop()
         self.gens[sn_index] = gen
+        self._ready.add(sn_index)
         self._n_tasks_total += graph.n_tasks
         self._sn_started[sn_index] = cycle
         self._live_front_bytes += self._front_bytes(sn_index)
@@ -201,16 +228,13 @@ class SpatulaSim:
         if self.executor is not None:
             self.executor.init_front(sn_index)
         # Compulsory read of A's entries for this front.
-        self.hbm.read_bulk(int(self._comp_bytes[sn_index]), cycle,
-                           "comp_load")
+        self.hbm.read_bulk(self._comp_bytes[sn_index], cycle, "comp_load")
         if graph.n_tasks == 0:
             # Degenerate empty supernode (cannot occur for n_cols >= 1, but
             # keep the engine total): complete immediately.
             self._finish_supernode(gen, cycle)
 
     def _front_bytes(self, sn_index: int) -> int:
-        from repro.symbolic.tiling import front_tile_footprint_bytes
-
         plan = self.plan.supernodes[sn_index]
         return front_tile_footprint_bytes(plan.grid, plan.symmetric)
 
@@ -236,7 +260,8 @@ class SpatulaSim:
             self._live_update_bytes -= self._update_bytes(child)
         self._track_peak_footprint()
         self._gen_peak_outstanding.append(gen.peak_outstanding)
-        del self.gens[gen.sn]
+        del self.gens[gen.sn]  # and with it the graph's per-task tables
+        self._ready.discard(gen.sn)
         if gen.pe_binding >= 0:
             self._free_pe_bindings.append(gen.pe_binding)
         self._sn_intervals.append((self._sn_started[gen.sn], cycle))
@@ -245,80 +270,79 @@ class SpatulaSim:
     # -- dispatch --------------------------------------------------------------
 
     def _pick_pe(self, gen: Generator) -> PE | None:
+        """The PE with the most free slots, then the earliest-free array,
+        then the lowest index (index() takes the first of equal ranks)."""
         if gen.pe_binding >= 0:
             pe = self.pes[gen.pe_binding]
-            return pe if pe.slots_free > 0 else None
-        best: PE | None = None
-        for pe in self.pes:
-            if pe.slots_free <= 0:
-                continue
-            if best is None or (pe.slots_free, -pe.array_free) > (
-                best.slots_free, -best.array_free
-            ):
-                best = pe
-        return best
+            return pe if len(pe.pending) < pe.n_slots else None
+        if not self._slots_free:
+            return None
+        return self.pes[self._pe_rank.index(max(self._pe_rank))]
 
     def _dispatch(self, gen: Generator, task_index: int, pe: PE,
                   now: int) -> None:
-        cfg = self.config
         t0 = max(now, self._dispatcher_free)
-        self._dispatcher_free = t0 + cfg.dispatch_interval
+        self._dispatcher_free = t0 + self.config.dispatch_interval
         task = gen.graph.tasks[task_index]
         gen.mark_dispatched(task_index)
 
         miss_kind = (
             "gather_load" if task.ttype is TaskType.GATHER else "factor_load"
         )
+        addr_of, load = self._addr_of, self.cache.load
+        reserve_port, tile_cycles = pe.port.reserve_cycles, self._tile_cycles
         done_times: list[int] = []
-        for ref in task_input_tiles(task):
-            ready = self.cache.load(self._addr(ref), t0, miss_kind)
+        for ref in gen.graph.fetch[task_index]:
+            addr = addr_of.get(ref)
+            if addr is None:
+                addr = self._new_addr(ref)
             done_times.append(
-                pe.reserve_port(ready, cfg.tile_transfer_cycles)
+                reserve_port(load(addr, t0, miss_kind), tile_cycles)
             )
         # Runnable once the destination tile and the first input pair have
-        # arrived; the remaining inputs stream through the FIFO.
-        lead = max(done_times[: min(3, len(done_times))])
-        item = PendingTask(
-            gen_sn=gen.sn,
-            task_index=task_index,
-            op_ready=lead,
-            stream_done=max(done_times),
-            latency=task_latency(task, cfg),
-            dispatched_at=t0,
-        )
-        pe.add_pending(item)
+        # arrived; the remaining inputs stream through the FIFO.  (The one
+        # PE port serializes the transfers, so done_times is increasing.)
+        lead = done_times[min(3, len(done_times)) - 1]
+        pe.add_pending(PendingTask(
+            gen.sn, task_index, op_ready=lead, stream_done=done_times[-1],
+            latency=task_latency(task, self.config), dispatched_at=t0,
+        ))
+        self._slots_free -= 1
+        self._pe_rank[pe.index] -= _RANK_SCALE
         self._schedule_pe_try(pe.index, max(lead, pe.array_free))
 
     def _pump(self, now: int) -> None:
-        cfg = self.config
         # Launch ready supernodes onto free generators.
         while (
-            len(self.gens) < self.snsched.max_in_flight
+            len(self.gens) < self._max_in_flight
             and self.snsched.has_ready()
         ):
             if now < self._next_activation:
-                self._schedule(self._next_activation, "pump", None)
+                self._schedule(self._next_activation, _PUMP, None)
                 break
             sn = self.snsched.pop_ready()
             self._activate(sn, now)
-            self._next_activation = now + cfg.activation_interval
+            self._next_activation = now + self.config.activation_interval
 
-        # Dispatch: biased toward older (smaller-index) supernodes.
-        while True:
-            dispatched = False
-            for sn in sorted(self.gens):
-                gen = self.gens[sn]
-                for task_index in gen.ready_tasks():
-                    pe = self._pick_pe(gen)
-                    if pe is None:
-                        break
-                    self._dispatch(gen, task_index, pe, now)
-                    dispatched = True
+        # Dispatch, biased toward older (smaller-index) supernodes: always
+        # the first ready task of the oldest generator with both a ready
+        # task and a PE to take it.  One ascending pass equals restarting
+        # from the oldest after each dispatch, because a dispatch never
+        # helps an older generator: it resolves no dependence (only a
+        # retire does, and every retire pumps) and only takes a slot away.
+        if not self._slots_free:
+            return
+        for sn in sorted(self._ready):
+            gen = self.gens[sn]
+            while True:
+                task_index = gen.first_ready()
+                if task_index < 0:
+                    self._ready.discard(sn)
                     break
-                if dispatched:
+                pe = self._pick_pe(gen)
+                if pe is None:
                     break
-            if not dispatched:
-                break
+                self._dispatch(gen, task_index, pe, now)
 
     # -- event handlers -----------------------------------------------------------
 
@@ -337,17 +361,19 @@ class SpatulaSim:
             if wake is not None and wake > now:
                 self._schedule_pe_try(pe_index, wake)
             return
-        task = self.gens[item.gen_sn].graph.tasks[item.task_index]
-        end = pe.start_execution(item, now, task.ttype)
+        ttype = self.gens[item.gen_sn].graph.tasks[item.task_index].ttype
+        end = pe.start_execution(item, now, ttype)
+        self._slots_free += 1
+        self._pe_rank[pe_index] = (
+            (pe.n_slots - len(pe.pending)) * _RANK_SCALE - end
+        )
         if self.trace is not None:
-            from repro.arch.trace import TraceEvent
-
             self.trace.append(TraceEvent(
-                pe=pe_index, start=now, end=end, ttype=task.ttype.value,
+                pe=pe_index, start=now, end=end, ttype=ttype.value,
                 sn=item.gen_sn, task_index=item.task_index,
                 dispatch=item.dispatched_at, op_ready=item.op_ready,
             ))
-        self._schedule(end, "exec_done",
+        self._schedule(end, _EXEC_DONE,
                        (pe_index, item.gen_sn, item.task_index))
         if pe.pending:
             self._schedule_pe_try(pe_index, max(end, pe.next_wakeup()))
@@ -355,15 +381,12 @@ class SpatulaSim:
     def _on_exec_done(self, payload: tuple, now: int) -> None:
         pe_index, gen_sn, task_index = payload
         pe = self.pes[pe_index]
-        gen = self.gens[gen_sn]
-        task = gen.graph.tasks[task_index]
-        # Write the destination tile back to the cache (write direction).
-        port_done = pe.reserve_write_port(
-            now, self.config.tile_transfer_cycles
-        )
-        wb_done = self.cache.store(self._addr(task.dest), port_done)
-        self._schedule(wb_done, "task_final",
-                       (pe_index, gen_sn, task_index))
+        dest = self.gens[gen_sn].graph.tasks[task_index].dest
+        # Write the destination tile (fetched, so addressed, at dispatch)
+        # back to the cache (write direction).
+        port_done = pe.reserve_write_port(now, self._tile_cycles)
+        wb_done = self.cache.store(self._addr_of[dest], port_done)
+        self._schedule(wb_done, _TASK_FINAL, payload)
         # The array is free: try the next runnable task.
         if pe.pending:
             self._schedule_pe_try(pe_index, now)
@@ -376,42 +399,62 @@ class SpatulaSim:
         self._n_tasks_done += 1
         if self.executor is not None:
             self.executor.execute(task)
-        gen.on_complete(task_index)
+        if gen.on_complete(task_index):
+            self._ready.add(gen_sn)
         if gen.done:
             self._finish_supernode(gen, now)
         self._pump(now)
 
     # -- main loop --------------------------------------------------------------
 
-    def run(self) -> SimReport:
-        """Execute the simulation and return the report."""
+    def _stuck(self, why: str) -> SimulationStuck:
+        sched = self.snsched
+        return SimulationStuck(why, {
+            "cycle": self._now,
+            "generators": [
+                {"sn": g.sn, "head": g.head, "done": f"{g.n_done}/{g.n_tasks}",
+                 "head_indegree":
+                     g.indegree[g.head] if g.head < g.n_tasks else None}
+                for g in self.gens.values()],
+            "pe_pending": [len(pe.pending) for pe in self.pes],
+            "supernodes": {"ready": sched.n_ready, "completed":
+                           f"{sched.n_completed}/{self.plan.n_supernodes}"},
+        })
+
+    def run(self, max_cycles: int | None = None,
+            max_events: int | None = None) -> SimReport:
+        """Execute the simulation and return the report.  Going past a
+        ``max_cycles`` / ``max_events`` watchdog limit (none by default),
+        like ending with supernodes unfinished, raises SimulationStuck."""
         logger.debug(
             "simulating %s: %d supernodes on %d PEs",
             self.matrix_name or "<unnamed>", self.plan.n_supernodes,
             self.config.n_pes,
         )
+        cycle_limit = math.inf if max_cycles is None else max_cycles
+        event_limit = math.inf if max_events is None else max_events
+        # Bound here, not in __init__: tests wrap handlers on the instance.
+        handlers = (self._on_pe_try, self._on_exec_done,
+                    self._on_task_final,
+                    lambda _payload, now: self._pump(now))
+        events = self._events
         with span("sim.run"):
             self._pump(0)
-            while self._events:
-                cycle, _seq, kind, payload = heapq.heappop(self._events)
-                self._now = max(self._now, cycle)
-                if kind == "pe_try":
-                    self._on_pe_try(payload, cycle)
-                elif kind == "exec_done":
-                    self._on_exec_done(payload, cycle)
-                elif kind == "task_final":
-                    self._on_task_final(payload, cycle)
-                elif kind == "pump":
-                    self._pump(cycle)
-                else:
-                    raise AssertionError(f"unknown event kind {kind}")
+            n_events = 0
+            while events:
+                cycle, _seq, kind, payload = heapq.heappop(events)
+                n_events += 1
+                if cycle > cycle_limit or n_events > event_limit:
+                    raise self._stuck(
+                        f"watchdog: event {n_events} at cycle {cycle} past "
+                        f"max_cycles={max_cycles} / max_events={max_events}")
+                if cycle > self._now:
+                    self._now = cycle
+                handlers[kind](payload, cycle)
             if not self.snsched.all_done:
-                raise AssertionError(
-                    "simulation ended with unfinished supernodes "
-                    f"({self.snsched.n_completed}/{self.plan.n_supernodes});"
-                    " scheduler deadlock"
-                )
-            end = self.cache.flush_results(self._now, self._is_result_addr)
+                raise self._stuck("events drained, supernodes unfinished")
+            end = self.cache.flush_results(
+                self._now, self._addr_is_result.__getitem__)
             end = max(end, self.hbm.drain_cycle(), self._now)
             self._last_cycle = int(end)
             report = self._report()

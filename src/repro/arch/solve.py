@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.arch.cache import BankedCache
 from repro.arch.config import SpatulaConfig
 from repro.arch.memory import HBMModel
+from repro.arch.sim import SimulationStuck
 from repro.obs import span
 from repro.tasks.plan import FactorizationPlan
 
@@ -75,19 +76,14 @@ class SolveSim:
         # The solve touches the pivot panel: diagonal blocks plus the
         # sub-diagonal blocks of the first P tile-columns.
         p = grid.n_pivot_blocks
-        b = grid.n_blocks
-        return sum(b - k for k in range(p))
+        return p * grid.n_blocks - p * (p - 1) // 2
 
     def _panel_exec_cycles(self, sn_index: int) -> int:
         """Array cycles: one tsolve per diagonal tile (2T), one GEMV per
         off-diagonal panel tile (T)."""
-        grid = self.plan.supernodes[sn_index].grid
-        t = self.config.tile
-        p = grid.n_pivot_blocks
-        b = grid.n_blocks
-        diag = p * 2 * t
-        offdiag = sum(b - k - 1 for k in range(p)) * t
-        return diag + offdiag
+        p = self.plan.supernodes[sn_index].grid.n_pivot_blocks
+        offdiag = self._panel_tiles(sn_index) - p
+        return (2 * p + offdiag) * self.config.tile
 
     # -- the sweep ---------------------------------------------------------------
 
@@ -108,7 +104,7 @@ class SolveSim:
         ready = [k for k in range(n_sn) if deps_left[k] == 0]
         heapq.heapify(ready)
 
-        pe_free = [0] * cfg.n_pes
+        pe_free = [(0, pe) for pe in range(cfg.n_pes)]  # heap: (free_at, pe)
         running: list[tuple[int, int, int]] = []  # (finish, sn, pe)
         now = 0
         makespan = 0
@@ -116,10 +112,11 @@ class SolveSim:
         done = 0
         while done < n_sn:
             while ready:
-                # Earliest-free PE executes the next ready supernode.
-                pe = min(range(cfg.n_pes), key=lambda i: pe_free[i])
+                # Earliest-free (then lowest-index) PE executes the next
+                # ready supernode.
+                free_at, pe = pe_free[0]
                 sn = heapq.heappop(ready)
-                start = max(now, pe_free[pe])
+                start = max(now, free_at)
                 # Stream the panel: cold reads issued back-to-back (the
                 # decoupled prefetcher pipelines them; DRAM latency
                 # overlaps, channel occupancy is the real cost).
@@ -133,10 +130,15 @@ class SolveSim:
                     next_addr += 1
                 exec_end = max(start + self._panel_exec_cycles(sn),
                                data_ready)
-                pe_free[pe] = exec_end
+                heapq.heapreplace(pe_free, (exec_end, pe))
                 heapq.heappush(running, (exec_end, sn, pe))
             if not running:
-                raise AssertionError("solve sweep deadlocked")
+                raise SimulationStuck("solve sweep deadlocked", {
+                    "topdown": topdown, "done": f"{done}/{n_sn}",
+                    "ready": list(ready),
+                    "deps_left": {k: d for k, d in enumerate(deps_left)
+                                  if d > 0},
+                })
             finish, sn, _pe = heapq.heappop(running)
             now = max(now, finish)
             makespan = max(makespan, now)

@@ -770,13 +770,18 @@ class SolveServer:
 # -- asyncio socket front end -------------------------------------------------
 
 
-async def serve_unix(server: SolveServer, path: str):
+async def serve_unix(server: SolveServer, path: str,
+                     inflight: set | None = None):
     """Start the NDJSON front end on a unix socket; returns the
     asyncio server object.  Each request line becomes its own task on a
     thread pool, so pipelined requests from one connection (and requests
-    from many connections) reach the coalescing queues concurrently."""
+    from many connections) reach the coalescing queues concurrently.
+    ``inflight`` (if given) holds the request tasks of every connection
+    that have not yet written their reply."""
     import asyncio
     from concurrent.futures import ThreadPoolExecutor
+
+    inflight = set() if inflight is None else inflight
 
     pool = ThreadPoolExecutor(max_workers=server.config.io_threads,
                               thread_name_prefix="serve-io")
@@ -804,8 +809,9 @@ async def serve_unix(server: SolveServer, path: str):
                 if not line:
                     break
                 task = asyncio.ensure_future(one(line))
-                pending.add(task)
-                task.add_done_callback(pending.discard)
+                for tasks in (pending, inflight):
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         finally:
@@ -827,7 +833,8 @@ def run_unix_server(server: SolveServer, path: str,
     import asyncio
 
     async def main() -> None:
-        sock_server = await serve_unix(server, path)
+        inflight: set = set()
+        sock_server = await serve_unix(server, path, inflight)
         if ready is not None:
             ready.set()
         logger.info("serving on %s", path)
@@ -836,6 +843,11 @@ def run_unix_server(server: SolveServer, path: str,
                 await asyncio.sleep(0.05)
         finally:
             sock_server.close()
+            # The shutdown request set the flag from inside its own
+            # handler: let it (and anything else in flight) write its
+            # reply before asyncio.run cancels the connection tasks.
+            if inflight:
+                await asyncio.wait(inflight, timeout=5.0)
             await sock_server.wait_closed()
 
     asyncio.run(main())

@@ -44,6 +44,10 @@ class SupernodeTaskGraph:
             at the supernode-scheduling level (Section 5.2), not here.
         final_task_of_tile: index of the task producing each tile's final
             value.
+        dependents: the reverse of ``deps``, in ascending task order.
+        fetch: per task, the distinct tiles it must fetch (destination
+            first), i.e. ``task_input_tiles`` computed once per graph
+            instead of once per dispatch.
     """
 
     sn: int
@@ -53,6 +57,8 @@ class SupernodeTaskGraph:
     final_task_of_tile: dict[tuple[int, int], int] = field(
         default_factory=dict
     )
+    dependents: list[list[int]] = field(default_factory=list)
+    fetch: list[list[TileRef]] = field(default_factory=list)
 
     @property
     def n_tasks(self) -> int:
@@ -86,18 +92,29 @@ class _Builder:
         self.graph = SupernodeTaskGraph(sn=sn, grid=grid)
         self.last_writer: dict[tuple[int, int], int] = {}
         self.gather_inputs = gather_inputs or {}
+        # What the loop nests re-read for every task, computed once: the
+        # tile names, each block's dimension and its pivot-column count.
+        blocks = range(grid.n_blocks)
+        self.tiles = [[TileRef(sn, i, j) for j in blocks] for i in blocks]
+        self.dims = [grid.block_dim(i) for i in blocks]
+        self.pivots = [grid.pivots_in_block(k) for k in blocks]
 
     def tile(self, i: int, j: int) -> TileRef:
-        return TileRef(self.sn, i, j)
+        return self.tiles[i][j]
 
     def emit(self, task: Task, deps: list[int]) -> int:
-        index = len(self.graph.tasks)
-        self.graph.tasks.append(task)
+        graph = self.graph
+        index = len(graph.tasks)
+        graph.tasks.append(task)
         # Deduplicate while preserving order.
-        seen: set[int] = set()
-        unique = [d for d in deps if not (d in seen or seen.add(d))]
-        self.graph.deps.append(unique)
-        self.last_writer[(task.dest.block_row, task.dest.block_col)] = index
+        unique = list(dict.fromkeys(deps))
+        graph.deps.append(unique)
+        graph.dependents.append([])
+        for d in unique:
+            graph.dependents[d].append(index)
+        dest = task.dest
+        graph.fetch.append(list(dict.fromkeys((dest, *task.inputs))))
+        self.last_writer[dest.block_row, dest.block_col] = index
         return index
 
     def dest_dep(self, i: int, j: int) -> list[int]:
@@ -113,14 +130,12 @@ class _Builder:
         """
         for (i, j) in sorted(self.gather_inputs):
             inputs = self.gather_inputs[(i, j)]
-            di = self.grid.block_dim(i)
-            dj = self.grid.block_dim(j)
             task = Task(
                 ttype=TaskType.GATHER,
-                dest=self.tile(i, j),
+                dest=self.tiles[i][j],
                 inputs=list(inputs),
-                flops=F.task_flops("gather_updates", di, dj,
-                                   [1] * len(inputs)),
+                flops=F.task_flops("gather_updates", self.dims[i],
+                                   self.dims[j], [1] * len(inputs)),
                 sn=self.sn,
             )
             self.emit(task, self.dest_dep(i, j))
@@ -137,29 +152,25 @@ class _Builder:
         if k_end <= 0:
             return
         s = self.grid.supertile
-        grid = self.grid
+        tiles = self.tiles
+        final_of = self.graph.final_task_of_tile.get
         for k_start in range(0, k_end, s):
             k_stop = min(k_start + s, k_end)
             pairs: list[TileRef] = []
-            k_dims: list[int] = []
             dep: list[int] = self.dest_dep(i, j)
             for k in range(k_start, k_stop):
-                a = self.tile(i, k)
-                b = self.tile(j, k) if transpose_b else self.tile(k, j)
-                pairs.extend((a, b))
-                k_dims.append(grid.pivots_in_block(k))
-                for ref in (a, b):
-                    key = (ref.block_row, ref.block_col)
-                    final = self.graph.final_task_of_tile.get(key)
+                for key in ((i, k), (j, k) if transpose_b else (k, j)):
+                    pairs.append(tiles[key[0]][key[1]])
+                    final = final_of(key)
                     if final is not None:
                         dep.append(final)
             task = Task(
                 ttype=TaskType.DGEMM,
-                dest=self.tile(i, j),
+                dest=tiles[i][j],
                 inputs=pairs,
                 n_pairs=k_stop - k_start,
                 flops=F.dgemm_task_flops(
-                    grid.block_dim(i), grid.block_dim(j), k_dims
+                    self.dims[i], self.dims[j], self.pivots[k_start:k_stop]
                 ),
                 sn=self.sn,
             )
@@ -181,7 +192,7 @@ def _build_cholesky(builder: _Builder, order: str) -> SupernodeTaskGraph:
         # then the dchol, then every tsolve.  Interleaving dgemm/tsolve per
         # tile instead would head-of-line-block the generator on each
         # dgemm's completion and serialize the column.
-        piv = grid.pivots_in_block(k)
+        piv = builder.pivots[k]
         for i in range(k, b):
             builder.dgemm_splits(i, k, k, transpose_b=True)
         diag = builder.emit(
@@ -200,7 +211,7 @@ def _build_cholesky(builder: _Builder, order: str) -> SupernodeTaskGraph:
                     ttype=TaskType.TSOLVE,
                     dest=builder.tile(i, k),
                     inputs=[builder.tile(k, k)],
-                    flops=F.tsolve_task_flops(grid.block_dim(i), piv),
+                    flops=F.tsolve_task_flops(builder.dims[i], piv),
                     sn=builder.sn,
                 ),
                 builder.dest_dep(i, k) + [diag],
@@ -223,7 +234,7 @@ def _build_cholesky(builder: _Builder, order: str) -> SupernodeTaskGraph:
         # right. Same tasks and deps, much worse head-of-line behaviour.
         for i in range(b):
             for j in range(min(i, p - 1) + 1):
-                piv = grid.pivots_in_block(j)
+                piv = builder.pivots[j]
                 builder.dgemm_splits(i, j, j, transpose_b=True)
                 if i == j:
                     builder.emit(
@@ -236,7 +247,7 @@ def _build_cholesky(builder: _Builder, order: str) -> SupernodeTaskGraph:
                     builder.emit(
                         Task(ttype=TaskType.TSOLVE, dest=builder.tile(i, j),
                              inputs=[builder.tile(j, j)],
-                             flops=F.tsolve_task_flops(grid.block_dim(i),
+                             flops=F.tsolve_task_flops(builder.dims[i],
                                                        piv),
                              sn=builder.sn),
                         builder.dest_dep(i, j) + [diag],
@@ -257,7 +268,7 @@ def _build_lu(builder: _Builder, order: str) -> SupernodeTaskGraph:
     def factor_step(k: int) -> None:
         # Breadth-first within the step (see the Cholesky builder): all
         # dgemm wavefront tasks first, then the dlu, then every tsolve.
-        piv = grid.pivots_in_block(k)
+        piv = builder.pivots[k]
         builder.dgemm_splits(k, k, k, transpose_b=False)
         for i in range(k + 1, b):
             builder.dgemm_splits(i, k, k, transpose_b=False)
@@ -274,7 +285,7 @@ def _build_lu(builder: _Builder, order: str) -> SupernodeTaskGraph:
             builder.emit(
                 Task(ttype=TaskType.TSOLVE, dest=builder.tile(i, k),
                      inputs=[builder.tile(k, k)],
-                     flops=F.tsolve_task_flops(grid.block_dim(i), piv),
+                     flops=F.tsolve_task_flops(builder.dims[i], piv),
                      sn=builder.sn, tag="L"),
                 builder.dest_dep(i, k) + [diag],
             )
@@ -284,7 +295,7 @@ def _build_lu(builder: _Builder, order: str) -> SupernodeTaskGraph:
             builder.emit(
                 Task(ttype=TaskType.TSOLVE, dest=builder.tile(k, j),
                      inputs=[builder.tile(k, k)],
-                     flops=F.tsolve_task_flops(grid.block_dim(j), piv),
+                     flops=F.tsolve_task_flops(builder.dims[j], piv),
                      sn=builder.sn, tag="U"),
                 builder.dest_dep(k, j) + [diag],
             )
@@ -310,7 +321,7 @@ def _build_lu(builder: _Builder, order: str) -> SupernodeTaskGraph:
                 s = min(i, j, p)
                 builder.dgemm_splits(i, j, s, transpose_b=False)
                 if min(i, j) < p:
-                    piv = grid.pivots_in_block(min(i, j))
+                    piv = builder.pivots[min(i, j)]
                     if i == j:
                         builder.emit(
                             Task(ttype=TaskType.DLU, dest=builder.tile(i, i),
@@ -321,7 +332,7 @@ def _build_lu(builder: _Builder, order: str) -> SupernodeTaskGraph:
                         diag = builder.graph.final_task_of_tile[
                             (min(i, j), min(i, j))
                         ]
-                        dim = grid.block_dim(i if j < i else j)
+                        dim = builder.dims[i if j < i else j]
                         builder.emit(
                             Task(ttype=TaskType.TSOLVE,
                                  dest=builder.tile(i, j),

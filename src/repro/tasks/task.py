@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class TaskType(enum.Enum):
@@ -16,9 +17,9 @@ class TaskType(enum.Enum):
     GATHER = "gather_updates"
 
 
-@dataclass(frozen=True)
-class TileRef:
-    """Globally unique name of one T-by-T tile.
+class TileRef(NamedTuple):
+    """Globally unique name of one T-by-T tile (a tuple: the simulator
+    keys its address map on it once per operand access).
 
     Attributes:
         sn: owning supernode index.

@@ -4,6 +4,7 @@ concurrency, protocol round trips, coalescing bit-identity, the
 refactorize barrier, the socket front end, and the CLI commands."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -807,6 +808,34 @@ class TestObservabilityProtocol:
             assert stats["window_s"] == 10.0
             client.shutdown()
         thread.join(timeout=10.0)
+
+
+def test_shutdown_reply_is_never_lost(tmp_path):
+    """`shutdown` sets the stop flag from inside its own request; the
+    front end must still write that request's reply before it leaves
+    (it used to be cancelled mid-write about once in twenty runs).
+    Every tenth server is slow to finish `shutdown()` after setting the
+    flag, which is the losing side of that race made certain."""
+    for i in range(30):
+        path = str(tmp_path / f"serve{i}.sock")
+        srv = SolveServer(ServeConfig(max_batch=4))
+        if i % 10 == 0:
+            final_stats = srv.stats
+
+            def slow_stats(*args, _stats=final_stats, **kwargs):
+                time.sleep(0.2)  # four polls of run_unix_server's loop
+                return _stats(*args, **kwargs)
+
+            srv.stats = slow_stats
+        ready = threading.Event()
+        thread = threading.Thread(target=run_unix_server,
+                                  args=(srv, path, ready), daemon=True)
+        thread.start()
+        assert ready.wait(10.0)
+        with SocketClient(path) as client:
+            client.shutdown()  # ConnectionError if the reply was dropped
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
 
 class TestObservabilityCli:
