@@ -23,7 +23,7 @@ def _run(plan, config):
     return SpatulaSim(plan, config).run()
 
 
-def test_ablations(benchmark, settings):
+def test_ablations(settings):
     base = settings.config
     names = ["bone010", "G3_circuit"]
 
@@ -41,7 +41,7 @@ def test_ablations(benchmark, settings):
             }
         return results
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = run_all()
     print("\nAblations (cycles; lower is better)")
     header = f"{'Matrix':<14}{'base':>10}{'rowmajor':>10}{'dataflow':>10}" \
              f"{'fifo':>10}{'1 slot':>10}"

@@ -3,10 +3,9 @@
 from repro.eval import figure14
 
 
-def test_figure14_scheduling_policies(benchmark, settings):
+def test_figure14_scheduling_policies(settings):
     names = ["Emilia_923", "boneS10", "bmwcra_1", "G3_circuit"]
-    rows = benchmark.pedantic(figure14, args=(settings, names),
-                              rounds=1, iterations=1)
+    rows = figure14(settings, names)
     print("\nFigure 14: achieved GFLOP/s per scheduling policy")
     print(f"{'Matrix':<14}{'inter':>10}{'intra':>10}{'intra+inter':>13}")
     for r in rows:

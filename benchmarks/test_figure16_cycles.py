@@ -3,11 +3,11 @@
 from repro.eval import figure16, render_cycle_breakdown, table3, table4
 
 
-def test_figure16_cycle_breakdown(benchmark, settings, chol_names, lu_names):
+def test_figure16_cycle_breakdown(settings, chol_names, lu_names):
     def run():
         return (table3(settings, chol_names), table4(settings, lu_names))
 
-    chol, lu = benchmark.pedantic(run, rounds=1, iterations=1)
+    chol, lu = run()
     print("\n" + render_cycle_breakdown(figure16(chol),
                                         "Figure 16 (Cholesky)"))
     print(render_cycle_breakdown(figure16(lu), "Figure 16 (LU)"))

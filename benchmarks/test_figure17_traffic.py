@@ -3,9 +3,8 @@
 from repro.eval import figure17, render_traffic, table3
 
 
-def test_figure17_data_movement(benchmark, settings, chol_names):
-    rows = benchmark.pedantic(table3, args=(settings, chol_names),
-                              rounds=1, iterations=1)
+def test_figure17_data_movement(settings, chol_names):
+    rows = table3(settings, chol_names)
     entries = figure17(rows)
     print("\n" + render_traffic(entries, "Figure 17 (Cholesky)"))
     cfg = settings.config

@@ -3,11 +3,11 @@
 from repro.eval import figure18, render_power, table3, table4
 
 
-def test_figure18_power(benchmark, settings, chol_names, lu_names):
+def test_figure18_power(settings, chol_names, lu_names):
     def run():
         return table3(settings, chol_names) + table4(settings, lu_names)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     entries = figure18(rows)
     print("\n" + render_power(entries, "Figure 18: power breakdown"))
     for e in entries:

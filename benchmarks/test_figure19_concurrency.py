@@ -3,10 +3,9 @@
 from repro.eval import figure19, render_cdf
 
 
-def test_figure19_concurrency(benchmark, settings):
+def test_figure19_concurrency(settings):
     names = ["af_0_k101", "G3_circuit", "FullChip", "rajat31"]
-    out = benchmark.pedantic(figure19, args=(settings, names),
-                             rounds=1, iterations=1)
+    out = figure19(settings, names)
     print("\nFigure 19: concurrent-supernode CDFs")
     for name, (levels, cdf) in out.items():
         print(" ", render_cdf(name, levels, cdf, "sn"))

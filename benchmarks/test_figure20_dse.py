@@ -3,7 +3,7 @@
 from repro.eval import figure20, render_dse
 
 
-def test_figure20_design_space(benchmark, settings):
+def test_figure20_design_space(settings):
     sweep = [
         (8, 16, 4.0, 1),
         (16, 16, 8.0, 1),
@@ -12,11 +12,7 @@ def test_figure20_design_space(benchmark, settings):
         (32, 8, 16.0, 2),
     ]
     names = ["bone010", "bmwcra_1"]
-    points = benchmark.pedantic(
-        figure20, kwargs={"settings": settings, "names": names,
-                          "sweep": sweep},
-        rounds=1, iterations=1,
-    )
+    points = figure20(settings=settings, names=names, sweep=sweep)
     print("\n" + render_dse(points, "Figure 20: area vs gmean speedup"))
     by_pes = {(p["n_pes"], p["tile"]): p for p in points}
     # Scaling shape: bigger configurations are at least as fast.

@@ -3,13 +3,12 @@
 from repro.eval import EvalSettings, figure5
 
 
-def test_figure5_baseline_performance(benchmark):
+def test_figure5_baseline_performance():
     # Full-scale matrices: this experiment runs only the symbolic
     # analysis plus the analytic baseline models, so it is cheap, and
     # the structural contrast it demonstrates needs the real sizes.
     full = EvalSettings(scale=1.0)
-    rows = benchmark.pedantic(figure5, args=(full,), rounds=1,
-                              iterations=1)
+    rows = figure5(full)
     print("\nFigure 5: baseline GFLOP/s (GPU vs CPU)")
     print(f"{'Matrix':<14}{'GPU GFLOP/s':>13}{'CPU GFLOP/s':>13}")
     for r in rows:

@@ -5,12 +5,11 @@ import numpy as np
 from repro.eval import EvalSettings, figure6, render_cdf
 
 
-def test_figure6_flop_cdfs(benchmark):
+def test_figure6_flop_cdfs():
     # Full scale: symbolic-only, and the supernode-size contrast is the
     # entire point of the figure.
     full = EvalSettings(scale=1.0)
-    out = benchmark.pedantic(figure6, args=(full,), rounds=1,
-                             iterations=1)
+    out = figure6(full)
     print("\nFigure 6: CDF of FLOPs by supernode size")
     for name, (sizes, cdf) in out.items():
         print(" ", render_cdf(name, sizes, cdf, "size"))

@@ -5,8 +5,8 @@ import numpy as np
 from repro.eval import figure7
 
 
-def test_figure7_dense_curve(benchmark):
-    sizes, curve = benchmark.pedantic(figure7, rounds=1, iterations=1)
+def test_figure7_dense_curve():
+    sizes, curve = figure7()
     print("\nFigure 7: GPU dense LU GFLOP/s vs size")
     for i in range(0, len(sizes), len(sizes) // 8):
         bar = "#" * int(40 * curve[i] / curve.max())

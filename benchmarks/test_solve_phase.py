@@ -11,7 +11,7 @@ from repro.arch.solve import simulate_solve
 from repro.eval.experiments import _plan_for, analyze_suite_matrix
 
 
-def test_solve_phase_amortization(benchmark, settings, chol_names):
+def test_solve_phase_amortization(settings, chol_names):
     def run():
         rows = []
         for name in chol_names:
@@ -22,7 +22,7 @@ def test_solve_phase_amortization(benchmark, settings, chol_names):
             rows.append((name, factor, solve))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\nFactorization vs triangular solve (cycles)")
     print(f"{'Matrix':<14}{'factor':>10}{'solve':>10}{'ratio':>8}"
           f"{'solve GB/s':>12}")

@@ -4,9 +4,8 @@ from repro.arch.config import SpatulaConfig
 from repro.eval import table2
 
 
-def test_table2_area(benchmark, settings):
-    areas = benchmark.pedantic(table2, args=(settings,), rounds=1,
-                               iterations=1)
+def test_table2_area(settings):
+    areas = table2(settings)
     cfg = SpatulaConfig.paper()
     print("\nTable 2: Spatula configuration and area")
     print(f"  PEs: {cfg.n_pes} x {cfg.tile}x{cfg.tile} systolic @ "

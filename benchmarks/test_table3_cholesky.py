@@ -4,9 +4,8 @@ from repro.eval import render_suite_table, table3
 from repro.eval.experiments import gmean
 
 
-def test_table3_cholesky(benchmark, settings, chol_names):
-    rows = benchmark.pedantic(table3, args=(settings, chol_names),
-                              rounds=1, iterations=1)
+def test_table3_cholesky(settings, chol_names):
+    rows = table3(settings, chol_names)
     print("\n" + render_suite_table(
         rows, "Table 3: sparse Cholesky (representative subset)"))
     # Paper shape: Spatula wins everywhere; achieved TFLOP/s decreases

@@ -4,9 +4,8 @@ from repro.eval import render_suite_table, table4
 from repro.eval.experiments import gmean
 
 
-def test_table4_lu(benchmark, settings, lu_names):
-    rows = benchmark.pedantic(table4, args=(settings, lu_names),
-                              rounds=1, iterations=1)
+def test_table4_lu(settings, lu_names):
+    rows = table4(settings, lu_names)
     print("\n" + render_suite_table(
         rows, "Table 4: sparse LU (representative subset)"))
     assert all(r.speedup_vs_gpu > 1 and r.speedup_vs_cpu > 1 for r in rows)

@@ -3,9 +3,8 @@
 from repro.eval import table5
 
 
-def test_table5_gpu_generations(benchmark, settings, lu_names):
-    rows = benchmark.pedantic(table5, args=(settings, lu_names),
-                              rounds=1, iterations=1)
+def test_table5_gpu_generations(settings, lu_names):
+    rows = table5(settings, lu_names)
     print("\nTable 5: baseline GPU generations (LU subset)")
     print(f"{'GPU':<8}{'gmean GFLOP/s':>15}{'gmean util %':>14}")
     for r in rows:

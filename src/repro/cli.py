@@ -12,9 +12,6 @@ Commands:
 * ``report``   — pretty-print a run artifact, ``--diff`` two artifacts
   (exit non-zero when a watched metric regresses past ``--threshold``),
   or ``--html`` render one artifact into a self-contained HTML page;
-* ``history``  — append-only artifact history store: ``add`` / ``list`` /
-  ``trend`` / ``check`` (trend-based regression gate over the last N
-  same-key runs);
 * ``verify``   — seeded, time-budgeted differential fuzzing campaign
   (cross-configuration agreement + oracle checks; failing cases are
   shrunk to replayable JSON repros, replayed with ``--replay``;
@@ -33,12 +30,12 @@ Commands:
   per-worker lanes, rolling-window latency with a sparkline trend,
   slow-request exemplars (docs/SERVING.md "Operating the server");
 * ``autotune`` — sweep ordering x block size x worker count for one
-  matrix, record the trials into the history store keyed by the
+  matrix, record the trials into a trial store keyed by the
   matrix-family fingerprint, and print the winning config — served
   later by ``solve --ordering auto`` and ``SparseSolver(ordering=
   "auto")`` (see docs/ORDERING.md).
 
-``solve``, ``simulate``, ``verify``, and ``history`` share the runtime
+``solve``, ``simulate``, and ``verify`` share the runtime
 observability flags: ``--telemetry-dir DIR`` records run-scoped
 telemetry (per-process JSONL event streams, merged on exit into a
 Chrome trace + HTML lane report + ``latency.*`` percentile gauges) and
@@ -72,19 +69,15 @@ from repro.numeric.solver import SparseSolver
 from repro.numeric.tuning import get_tuning
 from repro.obs import (
     global_registry,
-    HistoryStore,
     MetricsRegistry,
     Profiler,
     RunArtifact,
-    check_trend,
     diff_artifacts,
     disable_tracing,
     enable_tracing,
     flamegraph_svg,
     render_artifact,
     render_diff,
-    render_history,
-    render_trend_series,
     setup_logging,
     span,
     telemetry,
@@ -141,47 +134,71 @@ def _config_from_args(args) -> SpatulaConfig:
     return SpatulaConfig.paper(**overrides)
 
 
-class ObsSession:
-    """Lifecycle of ``--telemetry-dir`` / ``--profile`` for one command.
+def _analyze(matrix: CSCMatrix, kind: str, ordering: str,
+             config: SpatulaConfig | None = None):
+    """Symbolic factorization with the simulator's supernode relaxation,
+    plus the tile plan for ``config`` (``None`` without one)."""
+    symbolic = symbolic_factorize(matrix, kind=kind, ordering=ordering,
+                                  relax_small=32, relax_ratio=0.5,
+                                  force_small=64)
+    plan = None
+    if config is not None:
+        plan = build_plan(symbolic, tile=config.tile,
+                          supertile=config.supertile)
+    return symbolic, plan
 
-    ``start()`` opens the telemetry run (publishing the env handshake so
-    worker processes can join via ``telemetry.init_worker``) and the
-    wall-clock profiler.  ``finish()`` — idempotent, also called from
-    the command's ``finally`` — stops both, merges the per-process JSONL
-    streams into one timeline, exports ``latency.*`` percentile gauges
-    into the global registry (so a subsequent artifact snapshot and the
-    history trend gate see wall-clock latency), and writes the merged
-    outputs next to the streams: ``<run>.trace.json`` (Chrome trace),
+
+class ObsSession:
+    """Observability lifecycle of one command: the span tracer,
+    ``--telemetry-dir`` and ``--profile``.
+
+    Entering enables + resets the global tracer when the command embeds
+    spans in an artifact (``trace``) or telemetry is on (:attr:`tracer`
+    stays ``None`` otherwise), opens the telemetry run (publishing the
+    env handshake so worker processes can join via
+    ``telemetry.init_worker``) and starts the wall-clock profiler.
+    Leaving runs ``finish()`` and disables the tracer.
+
+    ``finish()`` — idempotent; commands call it before they snapshot an
+    artifact — stops profiler and telemetry, merges the per-process
+    JSONL streams into one timeline, exports ``latency.*`` percentile
+    gauges into the global registry (so the artifact and ``report
+    --diff`` see wall-clock latency), and writes the merged outputs next
+    to the streams: ``<run>.trace.json`` (Chrome trace),
     ``<run>.report.html`` (per-process lane view), ``<run>.timeline.json``
     and, with ``--profile``, ``<run>.profile.txt`` + ``<run>.flame.svg``.
-
-    With neither flag set every method is a no-op, so instrumented
-    commands pay nothing when observability is off.
+    With nothing asked for every step is a no-op.
     """
 
-    def __init__(self, args, command: str) -> None:
+    def __init__(self, args, command: str, trace: bool = False) -> None:
         self.command = command
-        self.telemetry_dir = getattr(args, "telemetry_dir", None)
-        self.want_profile = bool(getattr(args, "profile", False))
-        self.profile_mode = getattr(args, "profile_mode", None) or "both"
-        self.profiler: Profiler | None = None
+        self.telemetry_dir = args.telemetry_dir
+        self.trace = trace or self.telemetry_dir is not None
+        # only `simulate` has --trace-memory
+        self.trace_memory = getattr(args, "trace_memory", False)
+        self.profiler = (Profiler(mode=args.profile_mode)
+                         if args.profile else None)
+        self.tracer = None
         self.context = None
         self.timeline = None
         self.profile_result = None
         self._done = False
 
-    @property
-    def enabled(self) -> bool:
-        return self.telemetry_dir is not None
-
-    def start(self) -> "ObsSession":
+    def __enter__(self) -> "ObsSession":
+        if self.trace:
+            self.tracer = enable_tracing(trace_memory=self.trace_memory)
+            self.tracer.reset()
         if self.telemetry_dir:
             self.context = telemetry.start(
                 self.telemetry_dir, parent_span_id=self.command)
-        if self.want_profile:
-            self.profiler = Profiler(mode=self.profile_mode)
+        if self.profiler is not None:
             self.profiler.start()
         return self
+
+    def __exit__(self, *exc) -> None:
+        self.finish()
+        if self.tracer is not None:
+            disable_tracing()
 
     def finish(self) -> None:
         if self._done:
@@ -262,9 +279,7 @@ def cmd_info(args) -> int:
     print(f"n = {matrix.n_rows}, nnz = {matrix.nnz} "
           f"({matrix.nnz / matrix.n_rows:.1f}/row)")
     print(f"structurally symmetric: {matrix.is_structurally_symmetric()}")
-    symbolic = symbolic_factorize(matrix, kind=kind, ordering=ordering,
-                                  relax_small=32, relax_ratio=0.5,
-                                  force_small=64)
+    symbolic, _ = _analyze(matrix, kind, ordering)
     sizes = symbolic.supernode_sizes()
     print(f"symbolic [{kind}, {ordering}]: nnz(L) = {symbolic.factor_nnz} "
           f"({symbolic.factor_nnz / max(1, matrix.nnz):.1f}x fill), "
@@ -275,13 +290,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    session = ObsSession(args, "solve")
-    tracer = None
-    if args.metrics or session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
+    with ObsSession(args, "solve", trace=bool(args.metrics)) as session:
         with span("pipeline.load_matrix"):
             matrix, kind, ordering = load_matrix(args.matrix)
         kind = args.kind or kind
@@ -352,7 +361,7 @@ def cmd_solve(args) -> int:
                 },
                 report={},
                 metrics=global_registry().snapshot(),
-                spans=[s.to_dict() for s in tracer.spans],
+                spans=session.tracer.export(),
                 attribution=attribution,
                 telemetry=session.telemetry_dict(),
                 profile=session.profile_dict(),
@@ -360,33 +369,18 @@ def cmd_solve(args) -> int:
             )
             artifact.save(args.metrics)
             print(f"wrote run artifact to {args.metrics} "
-                  f"({len(tracer.spans)} spans, "
+                  f"({len(artifact.spans)} spans, "
                   f"{len(artifact.metrics)} metrics)")
         return 0
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
 
 
 def cmd_simulate(args) -> int:
-    session = ObsSession(args, "simulate")
-    tracer = None
-    if args.metrics or session.enabled:
-        # Spans for every pipeline phase land in the run artifact.
-        tracer = enable_tracing(trace_memory=args.trace_memory)
-        tracer.reset()
-    session.start()
-    try:
+    with ObsSession(args, "simulate", trace=bool(args.metrics)) as session:
         with span("pipeline.load_matrix"):
             matrix, kind, ordering = load_matrix(args.matrix)
         kind = args.kind or kind
         config = _config_from_args(args)
-        symbolic = symbolic_factorize(matrix, kind=kind, ordering=ordering,
-                                      relax_small=32, relax_ratio=0.5,
-                                      force_small=64)
-        plan = build_plan(symbolic, tile=config.tile,
-                          supertile=config.supertile)
+        _, plan = _analyze(matrix, kind, ordering, config)
         executor = None
         if args.check:
             from repro.arch.functional import TileExecutor
@@ -423,23 +417,20 @@ def cmd_simulate(args) -> int:
             from repro.arch.trace import export_chrome_trace
 
             export_chrome_trace(sim.trace, args.trace, config.freq_ghz,
-                                spans=tracer.spans if tracer else None)
+                                spans=session.tracer.spans
+                                if session.tracer else None)
             print(f"wrote Chrome trace to {args.trace}")
         session.finish()
         if args.metrics:
-            artifact = RunArtifact.from_run(report, tracer=tracer,
+            artifact = RunArtifact.from_run(report, tracer=session.tracer,
                                             attribution=sim.attribution())
             artifact.telemetry = session.telemetry_dict()
             artifact.profile = session.profile_dict()
             artifact.save(args.metrics)
             print(f"wrote run artifact to {args.metrics} "
-                  f"({len(tracer.spans)} spans, "
+                  f"({len(artifact.spans)} spans, "
                   f"{len(report.metrics)} metrics, attribution)")
         return 0
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
 
 
 def cmd_report(args) -> int:
@@ -456,62 +447,12 @@ def cmd_report(args) -> int:
     if args.html:
         if len(args.files) != 1:
             raise ValueError("--html renders exactly one artifact file")
-        artifact = RunArtifact.load(args.files[0])
-        history = trend = None
-        if args.history:
-            history = HistoryStore(args.history)
-            trend = check_trend(history, artifact,
-                                tolerance=args.threshold)
-        write_html_report(artifact, args.html, history=history,
-                          trend=trend)
+        write_html_report(RunArtifact.load(args.files[0]), args.html)
         print(f"wrote HTML report to {args.html}")
         return 0
     for path in args.files:
         print(render_artifact(RunArtifact.load(path)))
     return 0
-
-
-def cmd_history(args) -> int:
-    if args.action in ("add", "check") and not args.file:
-        raise ValueError(f"history {args.action} needs an artifact file")
-    session = ObsSession(args, "history")
-    tracer = None
-    if session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
-        return _history_action(args)
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
-
-
-def _history_action(args) -> int:
-    store = HistoryStore(args.dir)
-    if args.action == "add":
-        artifact = RunArtifact.load(args.file)
-        entry = store.add(artifact)
-        print(f"recorded {args.file} as {entry.path} "
-              f"(key {entry.key})")
-        return 0
-    if args.action == "list":
-        print(render_history(store))
-        return 0
-    if args.action == "trend":
-        print(render_trend_series(store, args.metric, key=args.key))
-        return 0
-    # check: judge a new artifact against the rolling same-key median,
-    # then (unless --no-add) record it so the window keeps moving.
-    artifact = RunArtifact.load(args.file)
-    report = check_trend(store, artifact, window=args.window,
-                         tolerance=args.tolerance)
-    print(report.render())
-    if not args.no_add:
-        entry = store.add(artifact)
-        print(f"recorded as {entry.path}")
-    return 1 if report.has_regression else 0
 
 
 def cmd_verify(args) -> int:
@@ -535,13 +476,7 @@ def cmd_verify(args) -> int:
         print("  no mismatch: the failing case no longer reproduces")
         return 0
 
-    session = ObsSession(args, "verify")
-    tracer = None
-    if session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
+    with ObsSession(args, "verify") as session:
         config = VerifyConfig(
             seed=args.seed,
             budget_seconds=args.budget,
@@ -563,10 +498,6 @@ def cmd_verify(args) -> int:
             print(f"wrote run artifact to {args.metrics} "
                   f"({len(artifact.metrics)} metrics)")
         return 0 if summary.ok else 1
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
 
 
 def cmd_telemetry(args) -> int:
@@ -611,11 +542,7 @@ def cmd_compare(args) -> int:
     matrix, kind, ordering = load_matrix(args.matrix)
     kind = args.kind or kind
     config = _config_from_args(args)
-    symbolic = symbolic_factorize(matrix, kind=kind, ordering=ordering,
-                                  relax_small=32, relax_ratio=0.5,
-                                  force_small=64)
-    plan = build_plan(symbolic, tile=config.tile,
-                      supertile=config.supertile)
+    symbolic, plan = _analyze(matrix, kind, ordering, config)
     report = SpatulaSim(plan, config, matrix_name=args.matrix).run()
     gpu = GPUModel().run(symbolic)
     cpu = CPUModel().run(symbolic)
@@ -754,12 +681,12 @@ def cmd_serve_top(args) -> int:
 
 def cmd_autotune(args) -> int:
     from repro.ordering.api import fill_reducing_ordering
-    from repro.ordering.autotune import autotune
+    from repro.ordering.autotune import TrialStore, autotune
     from repro.ordering.quality import export_quality_gauges, score_ordering
 
     matrix, kind, _ = load_matrix(args.matrix)
     kind = args.kind or kind
-    store = HistoryStore(args.store)
+    store = TrialStore(args.store)
     result = autotune(matrix, store, kind=kind, budget=args.budget,
                       matrix_name=args.matrix, force=args.force)
     cfg = result.config
@@ -963,36 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--html", metavar="FILE", default=None,
                        help="render one artifact into a self-contained "
                             "HTML page (attribution tree, utilization "
-                            "timeline, trends)")
-    p_rep.add_argument("--history", metavar="DIR", default=None,
-                       help="with --html, include watched-metric trend "
-                            "sparklines from this history store")
-
-    p_hist = sub.add_parser(
-        "history", help="artifact history store: trend-based regression "
-                        "gate over the last N same-key runs"
-    )
-    p_hist.add_argument("action",
-                        choices=["add", "list", "trend", "check"])
-    p_hist.add_argument("file", nargs="?", default=None,
-                        help="artifact JSON (required for add/check)")
-    p_hist.add_argument("--dir", default=".repro-history", metavar="DIR",
-                        help="history store directory "
-                             "(default: .repro-history)")
-    p_hist.add_argument("--metric", default="report.cycles",
-                        help="metric for `trend` (default: report.cycles)")
-    p_hist.add_argument("--key", default=None,
-                        help="restrict `trend` to one run key")
-    p_hist.add_argument("--window", type=int, default=8,
-                        help="runs in the trend window (default 8)")
-    p_hist.add_argument("--tolerance", type=float, default=0.05,
-                        help="relative tolerance vs the window median "
-                             "before `check` flags a regression "
-                             "(default 0.05)")
-    p_hist.add_argument("--no-add", action="store_true",
-                        help="with `check`, judge only; do not record the "
-                             "artifact afterwards")
-    add_obs_args(p_hist)
+                            "timeline)")
 
     p_srv = sub.add_parser(
         "serve", help="long-lived multi-tenant solve server on a unix "
@@ -1075,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser(
         "autotune", help="sweep ordering x block size x workers for one "
-                         "matrix, record trials into the history store "
+                         "matrix, record trials into a trial store "
                          "keyed by its family fingerprint, and print the "
                          "best config (served by `solve --ordering auto`)"
     )
@@ -1084,8 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="small",
                         help="sweep-grid size (default: small)")
     p_tune.add_argument("--store", default=".repro-history", metavar="DIR",
-                        help="history store holding trials.jsonl "
-                             "(default: .repro-history)")
+                        help="trial store directory holding "
+                             "trials.jsonl (default: .repro-history)")
     p_tune.add_argument("--force", action="store_true",
                         help="re-sweep even when the family already has "
                              "recorded trials")
@@ -1121,7 +1019,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "compare": cmd_compare,
     "report": cmd_report,
-    "history": cmd_history,
     "verify": cmd_verify,
     "telemetry": cmd_telemetry,
     "serve": cmd_serve,

@@ -234,8 +234,8 @@ class AnalysisCache:
 
     def _export_state(self) -> None:
         # Gauges are last-writer-wins; a point-in-time snapshot across
-        # shards is all the trend gate needs.  hit_rate is watched by
-        # the trend gate (repro.obs.artifact.WATCHED_METRICS).
+        # shards is all `report --diff` needs.  hit_rate is one of its
+        # watched metrics (repro.obs.artifact.WATCHED_METRICS).
         reg = global_registry()
         reg.gauge("numeric.analysis_cache.size").set(len(self))
         reg.gauge("numeric.analysis_cache.capacity").set(self.capacity)

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.obs import telemetry
+from repro.obs import span, telemetry
 
 from .base import ScheduleStats, SupernodeJob, WorkerLanes
 
@@ -95,7 +95,7 @@ def run_dag(
         stats.dispatch_latency_s.append(t0 - ready_at[i])
         try:
             if traced:
-                with telemetry.task_span("numeric.supernode", sn=i):
+                with span("numeric.supernode", detail=True, sn=i):
                     job.compute(i)
             else:
                 job.compute(i)

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
-from repro.obs import telemetry
+from repro.obs import span, telemetry
 
 from .base import ScheduleStats, SupernodeJob, WorkerLanes
 
@@ -50,16 +50,15 @@ def run_level_scheduled(
     traced = trace and telemetry.active()
 
     def traced_task(i: int) -> None:
-        with telemetry.task_span("numeric.supernode", sn=i):
+        with span("numeric.supernode", detail=True, sn=i):
             task(i)
 
     pool_task = traced_task if traced else task
     dispatched = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for depth, level in enumerate(levels):
-            with telemetry.task_span(
-                "numeric.level", level=depth, width=len(level)
-            ):
+            with span("numeric.level", detail=True,
+                      level=depth, width=len(level)):
                 if len(level) < parallel_threshold:
                     for i in level:
                         task(int(i))
@@ -100,7 +99,7 @@ def run_level(
         t0 = time.perf_counter()
         stats.dispatch_latency_s.append(t0 - level_t0[0])
         if traced:
-            with telemetry.task_span("numeric.supernode", sn=i):
+            with span("numeric.supernode", detail=True, sn=i):
                 job.compute(i)
         else:
             job.compute(i)
@@ -113,9 +112,8 @@ def run_level(
     dispatched = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for depth, level in enumerate(job.levels):
-            with telemetry.task_span(
-                "numeric.level", level=depth, width=len(level)
-            ):
+            with span("numeric.level", detail=True,
+                      level=depth, width=len(level)):
                 if len(level) < parallel_threshold:
                     for i in level:
                         inline_task(int(i))

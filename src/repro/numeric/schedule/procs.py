@@ -35,7 +35,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.obs import telemetry
+from repro.obs import span, telemetry
 
 from .base import ScheduleStats, SupernodeJob
 from .dag import run_dag
@@ -112,7 +112,8 @@ def _run_subtree(part: int) -> dict:
     for i in nodes:
         i = int(i)
         if traced:
-            with telemetry.task_span("numeric.supernode", sn=i, subtree=part):
+            with span("numeric.supernode", detail=True,
+                      sn=i, subtree=part):
                 job.compute(i)
         else:
             job.compute(i)

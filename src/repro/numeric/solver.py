@@ -63,7 +63,7 @@ class SparseSolver:
             method *before* the analysis-cache key is formed, so cached
             analyses are shared with explicitly-ordered solvers.
         tune_store: autotuner experience database for ``ordering="auto"``
-            — a :class:`~repro.obs.history.HistoryStore` or its directory
+            — a :class:`~repro.ordering.autotune.TrialStore` or its directory
             path (see :mod:`repro.ordering.autotune`).  Ignored for
             concrete orderings.
         workers: worker count for the parallel numeric phase (``None``

@@ -5,18 +5,17 @@ Dependency-free observability primitives used across the whole stack:
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and log-scale histograms keyed by hierarchical name
   (``sim.cache.hits``, ``noc.port.stall_cycles``, ``hbm.chan3.bytes``);
-* :mod:`repro.obs.spans` — a span tracer (``with span("symbolic.etree")``)
-  with wall-clock and optional :mod:`tracemalloc` peak-memory capture,
-  threaded through ordering → symbolic → planning → simulation → solve →
-  baselines;
+* :mod:`repro.obs.spans` — the one span tracer (``with
+  span("symbolic.etree")``; ``span(..., detail=True, **attrs)`` for
+  high-volume spans that reach listeners only) with wall-clock and
+  optional :mod:`tracemalloc` peak-memory capture, threaded through
+  ordering → symbolic → planning → simulation → solve → baselines;
 * :mod:`repro.obs.artifact` — versioned JSON run artifacts
   (config + report + metrics + spans + attribution) with diffing and a
   regression gate (``repro report --diff``);
 * :mod:`repro.obs.attribution` — cycle accounting (per-PE bucket
   decomposition of ``sim.cycles`` with what-if estimates) and
   critical-path extraction over the executed trace;
-* :mod:`repro.obs.history` — append-only artifact history store with
-  trend-based regression checking (``repro history add/list/trend/check``);
 * :mod:`repro.obs.html` — self-contained HTML report
   (``repro report --html``);
 * :mod:`repro.obs.telemetry` — run-scoped runtime telemetry: a run
@@ -58,14 +57,6 @@ from repro.obs.attribution import (
     attribute_cycles,
     critical_path,
 )
-from repro.obs.history import (
-    HistoryStore,
-    TrendReport,
-    check_trend,
-    render_history,
-    render_trend_series,
-    run_key,
-)
 from repro.obs.html import (
     render_html_report,
     render_timeline_html,
@@ -87,7 +78,6 @@ from repro.obs.telemetry import (
     Timeline,
     collect,
     latency_percentiles,
-    task_span,
     timeline_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -134,12 +124,6 @@ __all__ = [
     "CriticalPath",
     "attribute_cycles",
     "critical_path",
-    "HistoryStore",
-    "TrendReport",
-    "check_trend",
-    "run_key",
-    "render_history",
-    "render_trend_series",
     "render_html_report",
     "write_html_report",
     "render_timeline_html",
@@ -149,7 +133,6 @@ __all__ = [
     "Timeline",
     "collect",
     "latency_percentiles",
-    "task_span",
     "timeline_chrome_trace",
     "Profiler",
     "ProfileResult",

@@ -34,7 +34,7 @@ SCHEMA_VERSION = 3
 #: defaulting to ``None``.
 SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 
-#: Metrics the diff/trend gates watch, with the direction that is
+#: Metrics ``repro report --diff`` watches, with the direction that is
 #: *better*.  Spans the whole stack: simulator headline numbers, memory
 #: system, the numeric engine, and the differential-verification layer.
 WATCHED_METRICS: dict[str, str] = {
@@ -62,7 +62,7 @@ WATCHED_METRICS: dict[str, str] = {
     "verify.mismatches": "lower",
     "verify.checks": "higher",
     # wall-clock phase latency percentiles (repro.obs.telemetry): the
-    # trend gate covers real time, not just simulated cycles.  Exported
+    # gate covers real time, not just simulated cycles.  Exported
     # by `solve --telemetry-dir [--repeat N]` runs as latency.<phase>.* gauges.
     "latency.numeric.factorize.p95_ms": "lower",
     "latency.numeric.solve.p50_ms": "lower",
@@ -306,6 +306,9 @@ class MetricDelta:
     watched: bool
     direction: str | None      # "lower" | "higher" | None
     regressed: bool
+    #: a watched metric the baseline has and the new artifact lacks
+    #: (``after`` is NaN); always counts as regressed
+    missing: bool = False
 
     @property
     def rel_change(self) -> float:
@@ -336,13 +339,24 @@ def diff_artifacts(a: RunArtifact, b: RunArtifact,
     """Compare artifact ``b`` (new) against ``a`` (baseline).
 
     A *watched* metric regresses when it moves in its bad direction by
-    more than ``threshold`` relative to the baseline value.
+    more than ``threshold`` relative to the baseline value — or when the
+    new artifact no longer reports it at all (a producer that stopped
+    exporting must fail the gate, not slip through it).
     """
     fa, fb = a.flat_metrics(), b.flat_metrics()
     deltas: list[MetricDelta] = []
-    for name in sorted(set(fa) & set(fb)):
-        before, after = fa[name], fb[name]
+    for name in sorted(fa):
+        before = fa[name]
         direction = WATCHED_METRICS.get(name)
+        if name not in fb:
+            if direction is not None:
+                deltas.append(MetricDelta(
+                    name=name, before=before, after=float("nan"),
+                    watched=True, direction=direction, regressed=True,
+                    missing=True,
+                ))
+            continue
+        after = fb[name]
         regressed = False
         if direction is not None and before != after:
             denom = abs(before)
@@ -358,12 +372,17 @@ def diff_artifacts(a: RunArtifact, b: RunArtifact,
 
 
 def render_diff(result: DiffResult, show_unchanged: bool = False) -> str:
-    """Table of metric deltas; regressions are marked ``<< REGRESSION``."""
+    """Table of metric deltas; regressions are marked ``<< REGRESSION``,
+    watched metrics the new artifact lacks ``<< MISSING``."""
     lines = [
         f"{'metric':<36}{'baseline':>14}{'new':>14}{'change':>10}",
         "-" * 74,
     ]
     for d in result.deltas:
+        if d.missing:
+            lines.append(f"{d.name:<36}{d.before:>14.6g}{'-':>14}"
+                         f"{'':>10}  << MISSING")
+            continue
         if d.before == d.after and not show_unchanged:
             continue
         change = d.rel_change
@@ -382,7 +401,7 @@ def render_diff(result: DiffResult, show_unchanged: bool = False) -> str:
     lines.append("-" * 74)
     lines.append(
         f"{n_reg} watched metric(s) regressed beyond "
-        f"{100 * result.threshold:.0f}%"
+        f"{100 * result.threshold:.0f}% or went missing"
         if n_reg else
         f"no watched metric regressed beyond {100 * result.threshold:.0f}%"
     )

@@ -1,15 +1,14 @@
 """Self-contained HTML performance report (``repro report --html``).
 
-Renders one :class:`~repro.obs.artifact.RunArtifact` — and, when a
-history store is given, the trend series of every watched metric — into a
-single HTML file with zero external assets (inline CSS + SVG), so the
-page survives being archived as a CI build artifact or mailed around.
+Renders one :class:`~repro.obs.artifact.RunArtifact` into a single HTML
+file with zero external assets (inline CSS + SVG), so the page survives
+being archived as a CI build artifact or mailed around.
 
 Sections: run header, headline report table, top-down cycle-attribution
 tree (nested horizontal bars), what-if estimates, critical-path summary,
-PE-utilization timeline (SVG area chart), watched-metric trend sparklines
-(SVG polylines), the span waterfall, and — for schema-v3 artifacts — the
-wall-clock latency percentiles and profile (top functions + flamegraph).
+PE-utilization timeline (SVG area chart), the span waterfall, and — for
+schema-v3 artifacts — the wall-clock latency percentiles and profile
+(top functions + flamegraph).
 
 :func:`write_timeline_report` renders a *collected telemetry timeline*
 (:class:`repro.obs.telemetry.Timeline`) instead: process table with
@@ -23,7 +22,7 @@ from __future__ import annotations
 import html as _html
 from pathlib import Path
 
-from repro.obs.artifact import WATCHED_METRICS, RunArtifact
+from repro.obs.artifact import RunArtifact
 
 _CSS = """
 body { font: 14px/1.45 -apple-system, 'Segoe UI', sans-serif;
@@ -42,7 +41,6 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
              padding-right: .6em; color: #555; }
 .muted { color: #777; } code { background: #f4f4f6; padding: 0 .25em; }
 svg { background: #fafafc; border: 1px solid #e5e5ea; }
-.regressed { color: #c0392b; font-weight: 600; }
 """
 
 _BAR_CLASS = {0: "", 1: "l1", 2: "l2"}
@@ -94,41 +92,8 @@ def _svg_area(values: list[float], width: int = 640, height: int = 120,
     )
 
 
-def _svg_trend(values: list[float], width: int = 280,
-               height: int = 56) -> str:
-    """Polyline sparkline of a metric series, last point marked."""
-    if len(values) < 2:
-        return '<span class="muted">(needs &ge; 2 runs)</span>'
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    step = (width - 10) / (len(values) - 1)
-    pts = [
-        (5 + i * step, height - 6 - (v - lo) / span * (height - 12))
-        for i, v in enumerate(values)
-    ]
-    poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
-    lx, ly = pts[-1]
-    return (
-        f'<svg width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-        f'<polyline points="{poly}" fill="none" stroke="#4c72b0" '
-        f'stroke-width="1.5"/>'
-        f'<circle cx="{lx:.1f}" cy="{ly:.1f}" r="3" fill="#c44e52"/>'
-        "</svg>"
-    )
-
-
-def render_html_report(artifact: RunArtifact, history=None,
-                       trend=None) -> str:
-    """Render one artifact (and optional history/trend context) to HTML.
-
-    Args:
-        artifact: the run to report on.
-        history: optional :class:`~repro.obs.history.HistoryStore`; adds
-            a watched-metric trend section scoped to the artifact's key.
-        trend: optional :class:`~repro.obs.history.TrendReport` from
-            ``check_trend`` — its verdicts annotate the trend section.
-    """
+def render_html_report(artifact: RunArtifact) -> str:
+    """Render one artifact to HTML."""
     parts = [
         "<!doctype html><html><head><meta charset='utf-8'>",
         f"<title>repro report: {_esc(artifact.matrix)}</title>",
@@ -199,29 +164,6 @@ def render_html_report(artifact: RunArtifact, history=None,
         parts.append("<h2>PE utilization over time</h2>")
         parts.append(_svg_area([float(v) for v in timeline]))
 
-    if history is not None:
-        from repro.obs.history import run_key
-
-        key = run_key(artifact)
-        regressed = {v.name for v in trend.regressions} if trend else set()
-        rows = []
-        for name in sorted(WATCHED_METRICS):
-            values = [v for _, v in history.series(name, key=key)]
-            if not values:
-                continue
-            cls = " class='regressed'" if name in regressed else ""
-            rows.append(
-                f"<tr><td{cls}><code>{_esc(name)}</code></td>"
-                f"<td>{_svg_trend(values)}</td>"
-                f"<td class='num'>{values[-1]:.6g}</td></tr>"
-            )
-        if rows:
-            parts.append(f"<h2>Trends <span class='muted'>({len(rows)} "
-                         "watched metrics, this run key)</span></h2>")
-            parts.append("<table>" + "".join(rows) + "</table>")
-        if trend is not None and trend.n_history:
-            parts.append(f"<pre>{_esc(trend.render())}</pre>")
-
     if artifact.telemetry:
         tel = artifact.telemetry
         parts.append(
@@ -276,10 +218,8 @@ def render_html_report(artifact: RunArtifact, history=None,
     return "\n".join(parts)
 
 
-def write_html_report(artifact: RunArtifact, path: str | Path,
-                      history=None, trend=None) -> None:
-    Path(path).write_text(render_html_report(artifact, history=history,
-                                             trend=trend))
+def write_html_report(artifact: RunArtifact, path: str | Path) -> None:
+    Path(path).write_text(render_html_report(artifact))
 
 
 # -- telemetry timeline report ------------------------------------------------

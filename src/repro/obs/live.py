@@ -1,12 +1,12 @@
 """Live operational observability primitives.
 
-Everything in :mod:`repro.obs` so far is *run-scoped*: artifacts,
-telemetry streams, and history entries describe a run after it exits.  A
-long-lived server (:mod:`repro.serve`) needs *live* answers — what is
-p99 over the last minute, which worker is backed up, which request was
-slow and why — without ever growing memory with uptime.  This module
-holds the building blocks the serving layer (and any future daemon)
-composes for that:
+Everything else in :mod:`repro.obs` is *run-scoped*: artifacts and
+telemetry streams describe a run after it exits.  A long-lived server
+(:mod:`repro.serve`) needs *live* answers — what is p99 over the last
+minute, which worker is backed up, which request was slow and why —
+without ever growing memory with uptime.  This module holds the
+building blocks the serving layer (and any future daemon) composes for
+that:
 
 * :class:`RollingWindow` — a fixed-capacity ring of timestamped samples
   with windowed percentile/rate snapshots.  Appends are O(1), memory is
@@ -20,8 +20,8 @@ composes for that:
   dict into Prometheus exposition format so external scrapers can poll
   the server's ``stats`` op with ``format: "text"``.
 
-The cumulative-vs-windowed split: run artifacts and the history trend
-gate want *cumulative* statistics (bit-stable for a fixed workload);
+The cumulative-vs-windowed split: run artifacts and ``repro report
+--diff`` want *cumulative* statistics (bit-stable for a fixed workload);
 operators want *windowed* ones (what is happening now).  A
 :class:`RollingWindow` serves both: while fewer samples than
 ``capacity`` have been observed the full-ring snapshot is exactly the

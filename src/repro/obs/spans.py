@@ -11,9 +11,16 @@ Usage::
         print(s.name, s.duration_s)
 
 The global tracer is *disabled* by default and ``span()`` then costs one
-dict-free function call returning a shared no-op context manager, so
-library code can be instrumented unconditionally.  Spans nest; each span
-records its depth and parent name so exporters can rebuild the hierarchy.
+function call returning a shared no-op context manager, so library code
+can be instrumented unconditionally.  Spans nest; each span records its
+depth and parent name so exporters can rebuild the hierarchy.
+
+High-volume instrumentation (per-supernode tasks, per-case verify jobs,
+per-batch serve sweeps) opens *detail* spans — ``span(name, detail=True,
+**attrs)`` — which are handed to the completion listeners only and never
+enter ``Tracer.spans``, so their volume is bounded by the listener's disk
+stream, not by memory or by the run artifact.  With no listener
+registered a detail span is the same shared no-op.
 
 The tracer is thread-safe: the open-span stack is thread-local (so spans
 opened concurrently from worker threads — e.g. the level-scheduled
@@ -50,9 +57,10 @@ class Span:
     depth: int = 0
     parent: str | None = None
     peak_mem_bytes: int | None = None
+    attrs: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "name": self.name,
             "start_s": self.start_s,
             "duration_s": self.duration_s,
@@ -60,6 +68,9 @@ class Span:
             "parent": self.parent,
             "peak_mem_bytes": self.peak_mem_bytes,
         }
+        if self.attrs:
+            data["attrs"] = self.attrs
+        return data
 
     @classmethod
     def from_dict(cls, d: dict) -> "Span":
@@ -68,6 +79,7 @@ class Span:
             duration_s=d["duration_s"], depth=d.get("depth", 0),
             parent=d.get("parent"),
             peak_mem_bytes=d.get("peak_mem_bytes"),
+            attrs=d.get("attrs"),
         )
 
 
@@ -142,13 +154,36 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
 
-    def span(self, name: str):
-        if not self.enabled:
+    def span(self, name: str, detail: bool = False, **attrs):
+        """Context manager timing one block as a :class:`Span`.
+
+        A phase span (the default) nests under the thread's open spans
+        and lands in :attr:`spans`.  A *detail* span goes to the
+        listeners only, at depth 0.  Both return the shared no-op while
+        the tracer is disabled, a detail span also while nobody listens.
+        """
+        if not self.enabled or (detail and not self._listeners):
             return _NULL_CONTEXT
-        return self._record(name)
+        if detail:
+            return self._record_detail(name, attrs)
+        return self._record(name, attrs)
 
     @contextmanager
-    def _record(self, name: str):
+    def _record_detail(self, name: str, attrs: dict):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            completed = Span(
+                name=name, start_s=start,
+                duration_s=time.perf_counter() - start,
+                attrs=attrs or None,
+            )
+            for fn in list(self._listeners):
+                fn(completed)
+
+    @contextmanager
+    def _record(self, name: str, attrs: dict):
         stack = self._stack
         parent = stack[-1] if stack else None
         depth = len(stack)
@@ -167,6 +202,7 @@ class Tracer:
             completed = Span(
                 name=name, start_s=start, duration_s=duration,
                 depth=depth, parent=parent, peak_mem_bytes=peak,
+                attrs=attrs or None,
             )
             with self._lock:
                 self.spans.append(completed)
@@ -205,9 +241,6 @@ def disable_tracing() -> None:
     _TRACER.disable()
 
 
-def span(name: str):
-    """Context manager timing one pipeline phase on the global tracer.
-
-    No-op (and allocation-free) while tracing is disabled.
-    """
-    return _TRACER.span(name)
+#: ``span(name, detail=False, **attrs)`` on the global tracer — the one
+#: way to open a span.  Bound once so the disabled path is a single call.
+span = _TRACER.span

@@ -17,7 +17,7 @@ event a worker emits carries the parent run id.
 file per process (``<run_id>.<pid>.jsonl``), so a crashed worker loses at
 most its final partial line.  Event types: ``meta`` (process start: pid,
 role, wall/perf clock pair for alignment), ``span`` (mirrored from the
-global tracer and from :func:`task_span`), ``counters`` (a registry
+global tracer, detail spans included), ``counters`` (a registry
 snapshot, dumped at shutdown), ``log`` (records from the ``repro``
 logger), and ``hb`` (periodic heartbeats with RSS).
 
@@ -33,10 +33,10 @@ thread lane per worker thread) and to the HTML report
 wall-clock latency percentiles (p50/p95/p99) that feed the
 ``latency.*`` watched metrics.
 
-Everything here is disabled by default.  While telemetry is off,
-:func:`task_span` returns a shared no-op context manager and the tracer
-carries no listener — the instrumented code paths cost one attribute
-check.
+Everything here is disabled by default.  While telemetry is off the
+tracer carries no listener, so ``span(..., detail=True)`` returns the
+shared no-op context manager — the instrumented code paths cost one
+call.
 """
 
 from __future__ import annotations
@@ -136,19 +136,18 @@ class TelemetrySink:
 
     # -- typed events --------------------------------------------------------
 
-    def span(self, span: Span, tid: int | None = None,
-             attrs: dict | None = None) -> None:
+    def span(self, span: Span) -> None:
         event = {
             "t": "span", "run": self.context.run_id, "pid": self.pid,
-            "tid": tid if tid is not None else threading.get_ident(),
+            "tid": threading.get_ident(),
             "name": span.name, "start": span.start_s,
             "dur": span.duration_s, "depth": span.depth,
             "parent": span.parent,
         }
         if span.peak_mem_bytes is not None:
             event["peak_mem_bytes"] = span.peak_mem_bytes
-        if attrs:
-            event["attrs"] = attrs
+        if span.attrs:
+            event["attrs"] = span.attrs
         self.emit(event)
 
     def counters(self, registry: MetricsRegistry) -> None:
@@ -197,46 +196,6 @@ class _SinkLogHandler(logging.Handler):
             self._sink.log(record)
         except Exception:      # never let telemetry break the pipeline
             pass
-
-
-class _NullTaskSpan:
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_TASK_SPAN = _NullTaskSpan()
-
-
-class _TaskSpan:
-    """Direct-to-sink span that bypasses the tracer's in-memory list —
-    for high-volume worker-side instrumentation (per-supernode tasks,
-    per-case verify jobs) that must not bloat run artifacts."""
-
-    __slots__ = ("_name", "_attrs", "_start")
-
-    def __init__(self, name: str, attrs: dict) -> None:
-        self._name = name
-        self._attrs = attrs
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        sink = _STATE.sink
-        if sink is not None:
-            duration = time.perf_counter() - self._start
-            sink.span(
-                Span(name=self._name, start_s=self._start,
-                     duration_s=duration),
-                attrs=self._attrs or None,
-            )
-        return False
 
 
 class _State:
@@ -388,20 +347,6 @@ def init_worker() -> RunContext | None:
     return context
 
 
-def task_span(name: str, **attrs):
-    """Span written straight to the sink — no-op while telemetry is off.
-
-    The hot-path variant of :func:`repro.obs.span` for worker-side
-    instrumentation: events go to the JSONL stream only, never into the
-    tracer's in-memory span list (and therefore never into run
-    artifacts), so per-supernode / per-case volume is bounded by disk,
-    not memory.
-    """
-    if _STATE.sink is None:
-        return _NULL_TASK_SPAN
-    return _TaskSpan(name, attrs)
-
-
 # -- collector ----------------------------------------------------------------
 
 
@@ -537,7 +482,7 @@ def export_latency_metrics(summary: dict[str, dict[str, float]],
                            registry: MetricsRegistry | None = None,
                            phases: tuple[str, ...] | None = None) -> None:
     """Export per-phase percentiles as ``latency.<phase>.pXX_ms`` gauges
-    (the watched wall-clock metrics of the trend gate)."""
+    (the watched wall-clock metrics of ``repro report --diff``)."""
     registry = registry if registry is not None else global_registry()
     for name, stats in summary.items():
         if phases is not None and name not in phases:

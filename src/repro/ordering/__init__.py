@@ -19,7 +19,7 @@ a quality harness (:mod:`repro.ordering.quality`) scoring any permutation
 — fill, symbolic FLOPs, etree height, level occupancy, optionally
 simulated cycles — and a per-matrix-family autotuner
 (:mod:`repro.ordering.autotune`) that sweeps ordering x block size x
-workers and serves cached best-configs from the history store to
+workers and serves cached best-configs from its trial store to
 ``SparseSolver(ordering="auto")`` / ``solve --ordering auto``.
 
 All orderings return a permutation array ``perm`` mapping new index -> old
@@ -51,6 +51,7 @@ from repro.ordering.quality import (
 from repro.ordering.autotune import (
     AutotuneResult,
     Trial,
+    TrialStore,
     TunedConfig,
     autotune,
     best_config,
@@ -82,6 +83,7 @@ __all__ = [
     "validate_permutation",
     # autotuner
     "Trial",
+    "TrialStore",
     "TunedConfig",
     "AutotuneResult",
     "autotune",

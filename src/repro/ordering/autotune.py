@@ -4,9 +4,9 @@ The numeric engine exposes three knobs that interact with the matrix
 structure — the fill-reducing ordering, the dense-kernel block size,
 and the worker count.  This module sweeps them, times warm
 refactorization with a real :class:`~repro.numeric.solver.SparseSolver`,
-and records every trial into the :class:`~repro.obs.history.HistoryStore`
-(``trials.jsonl``) keyed by a coarse *matrix-family fingerprint*.  The
-store is the experience database: the next solve of a structurally
+and records every trial into a :class:`TrialStore` (``trials.jsonl`` in
+a directory) keyed by a coarse *matrix-family fingerprint*.  The store
+is the experience database: the next solve of a structurally
 similar matrix (``SparseSolver(ordering="auto")``, ``solve --ordering
 auto``, or a serve-layer pattern registration with a tune store) reads
 the cached best config instead of re-sweeping.
@@ -19,14 +19,15 @@ not.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
-from repro.obs.history import HistoryStore
 from repro.obs.metrics import global_registry
 from repro.sparse.csc import CSCMatrix
 
@@ -128,6 +129,55 @@ class Trial:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
 
+class TrialStore:
+    """Append-only experience database: ``<root>/trials.jsonl``, one
+    JSON object per measured trial, each carrying a ``fingerprint``."""
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+
+    @property
+    def trials_path(self) -> Path:
+        return self.root / "trials.jsonl"
+
+    def add_trial(self, record: dict) -> None:
+        if "fingerprint" not in record:
+            raise ValueError("trial record must carry a 'fingerprint'")
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.trials_path, "a") as f:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def trials(self, fingerprint: str | None = None) -> list[dict]:
+        """Recorded trials in recording order, optionally for one
+        fingerprint.  Corrupted lines (truncated writes, merge damage)
+        are skipped with a warning: the autotuner must keep working on
+        a partially damaged store."""
+        if not self.trials_path.exists():
+            return []
+        out: list[dict] = []
+        with open(self.trials_path) as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    logger.warning(
+                        "skipping corrupted trial line %s:%d (%s)",
+                        self.trials_path, lineno, exc)
+                    continue
+                if not isinstance(record, dict) or "fingerprint" not in record:
+                    logger.warning(
+                        "skipping malformed trial line %s:%d "
+                        "(not a fingerprinted record)",
+                        self.trials_path, lineno)
+                    continue
+                if fingerprint is None or record["fingerprint"] == fingerprint:
+                    out.append(record)
+        return out
+
+
 @dataclass
 class AutotuneResult:
     """Outcome of :func:`autotune`: the pick plus how it was obtained."""
@@ -138,7 +188,7 @@ class AutotuneResult:
     from_cache: bool
 
 
-def best_config(store: HistoryStore, fingerprint: str,
+def best_config(store: TrialStore, fingerprint: str,
                 kind: str | None = None) -> TunedConfig | None:
     """The lowest-``factorize_s`` trial recorded for a fingerprint."""
     best: Trial | None = None
@@ -161,7 +211,7 @@ def best_config(store: HistoryStore, fingerprint: str,
 def resolve_auto(
     matrix: CSCMatrix,
     kind: str = "cholesky",
-    store: HistoryStore | str | None = None,
+    store: TrialStore | str | None = None,
 ) -> TunedConfig:
     """Resolve ``ordering="auto"`` against the experience store.
 
@@ -173,8 +223,8 @@ def resolve_auto(
     if store is None:
         reg.counter("ordering.autotune.fallbacks").inc()
         return TunedConfig(ordering="amd", source="fallback")
-    if not isinstance(store, HistoryStore):
-        store = HistoryStore(store)
+    if not isinstance(store, TrialStore):
+        store = TrialStore(store)
     fingerprint = matrix_fingerprint(matrix, kind=kind)
     tuned = best_config(store, fingerprint, kind=kind)
     if tuned is None:
@@ -186,7 +236,7 @@ def resolve_auto(
 
 def autotune(
     matrix: CSCMatrix,
-    store: HistoryStore | str,
+    store: TrialStore | str,
     kind: str = "cholesky",
     budget: str = "small",
     matrix_name: str = "matrix",
@@ -201,8 +251,8 @@ def autotune(
     from repro.numeric.solver import SparseSolver
     from repro.ordering.registry import available_orderings
 
-    if not isinstance(store, HistoryStore):
-        store = HistoryStore(store)
+    if not isinstance(store, TrialStore):
+        store = TrialStore(store)
     try:
         grid = BUDGETS[budget]
     except KeyError:

@@ -15,7 +15,7 @@ an arbitrary permutation (registry method, plugin, or hand-rolled):
 
 Scores are exported as ``ordering.quality.*`` gauges into the global
 metrics registry (so they land in solve artifacts and are watched by
-the history trend gate) and embedded in
+``repro report --diff``) and embedded in
 :class:`~repro.symbolic.analyze.SymbolicFactorization` results.
 """
 

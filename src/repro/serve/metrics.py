@@ -2,9 +2,8 @@
 
 ``serve.*`` has exactly one producer: the long-lived
 :class:`~repro.serve.server.SolveServer`, which exports these gauges
-from ``stats(export=True)`` and at shutdown, so the
-``repro.obs.history`` trend gate never mixes series measured by
-different programs under one name:
+from ``stats(export=True)`` and at shutdown, so ``repro report --diff``
+never mixes series measured by different programs under one name:
 
 * ``serve.latency.request.{p50,p95,p99}_ms`` — end-to-end request
   latency (enqueue to response, including queueing and coalescing wait);
@@ -18,7 +17,7 @@ different programs under one name:
 * ``serve.uptime_s`` — server uptime at export time.
 
 The latency names are deliberately *one* logical phase ("request"), not
-per-op: the history gate compares like with like across runs that mix
+per-op: the diff gate compares like with like across runs that mix
 factor/refactorize/solve traffic differently.  The server additionally
 records per-phase sub-latencies (``queue_wait``, ``coalesce_wait``,
 ``solve``) so a slow request decomposes.
@@ -32,7 +31,7 @@ percentile schema computed over only the samples of the trailing
 window, plus throughput.  Windowed values export under
 ``serve.window.*`` (``serve.window.latency.<phase>.pXX_ms``,
 ``serve.window.throughput.rps``), which are WATCHED_METRICS of their
-own so the trend gate compares live-window behaviour across builds.
+own so the diff gate compares live-window behaviour across builds.
 
 Storage is bounded: each phase keeps at most ``ring`` samples in a
 :class:`repro.obs.live.RollingWindow` (lifetime count/mean/max stay
@@ -67,7 +66,7 @@ SUB_PHASES = ("queue_wait", "coalesce_wait", "solve")
 #: server holds a few hundred KiB per phase, total.
 DEFAULT_RING = 8192
 
-#: Gauge names the trend gate watches (see repro.obs.artifact).
+#: Gauge names `report --diff` watches (see repro.obs.artifact).
 LATENCY_GAUGES = tuple(
     f"serve.latency.{REQUEST_PHASE}.{stat}"
     for stat in ("p50_ms", "p95_ms", "p99_ms")
@@ -78,7 +77,7 @@ QUEUE_DEPTH_GAUGE = "serve.queue.depth_max"
 QUEUE_DEPTH_CURRENT_GAUGE = "serve.queue.depth"
 UPTIME_GAUGE = "serve.uptime_s"
 #: Rolling-window SLO gauges (exported by export_window / stats
-#: collection points; watched by the trend gate).
+#: collection points; watched by `report --diff`).
 WINDOW_LATENCY_GAUGES = tuple(
     f"serve.window.latency.{REQUEST_PHASE}.{stat}"
     for stat in ("p50_ms", "p95_ms", "p99_ms")

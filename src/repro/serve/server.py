@@ -58,7 +58,7 @@ from repro.numeric.solver import SparseSolver
 from repro.obs import telemetry
 from repro.obs.live import ExemplarRing
 from repro.obs.metrics import global_registry
-from repro.obs.spans import Span
+from repro.obs.spans import Span, span
 from repro.serve import protocol
 from repro.serve.metrics import (
     REQUEST_PHASE,
@@ -319,9 +319,8 @@ class PatternWorker(threading.Thread):
             panel = (batch[0].b if len(batch) == 1
                      else np.concatenate([t.b for t in batch], axis=1))
             k = panel.shape[1]
-            with telemetry.task_span("serve.batch", pattern=self.pattern,
-                                     k=k, requests=len(batch),
-                                     riders=riders):
+            with span("serve.batch", detail=True, pattern=self.pattern,
+                      k=k, requests=len(batch), riders=riders):
                 x = self._solve_panel(panel)
         except Exception as exc:
             # A failed coalesced solve must fail *every* rider: a batch
@@ -492,13 +491,13 @@ class SolveServer:
                      "pattern": pattern, "batch_k": batch_k}
             sink.span(Span(name="serve.request",
                            start_s=ticket.t_submit,
-                           duration_s=total_s), attrs=attrs)
+                           duration_s=total_s, attrs=attrs))
             cursor = ticket.t_submit
             for phase in ("queue_wait", "coalesce_wait", "solve"):
                 dur = phases[phase] / 1e3
                 sink.span(Span(name=f"serve.request.{phase}",
                                start_s=cursor, duration_s=dur,
-                               depth=1), attrs=attrs)
+                               depth=1, attrs=attrs))
                 cursor += dur
 
     # -- pattern table ------------------------------------------------------

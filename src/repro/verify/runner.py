@@ -30,7 +30,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.obs import telemetry
+from repro.obs import span, telemetry
 from repro.obs.artifact import RunArtifact
 from repro.obs.metrics import global_registry
 from repro.verify.differential import CaseResult, SweepAxes, run_case
@@ -143,7 +143,7 @@ def _account(result: CaseResult, summary: VerifySummary,
     reg.counter("verify.cases").inc()
     reg.counter("verify.checks").inc(result.checks)
     # recorded even when zero, so the watched metric exists in a clean
-    # baseline for the trend gate to compare against
+    # baseline for `report --diff` to compare against
     reg.counter("verify.mismatches").inc(len(result.mismatches))
     reg.counter(f"verify.family.{case.family}").inc()
     reg.histogram("verify.case_n").observe(case.matrix.n_rows)
@@ -164,14 +164,14 @@ def _account(result: CaseResult, summary: VerifySummary,
 
 
 def _run_case_job(payload: tuple) -> CaseResult:
-    """Pool worker body: run one case under a ``verify.case`` task span.
+    """Pool worker body: run one case under a ``verify.case`` detail span.
 
     Module-level so it pickles under spawn; the span goes to the
     worker's own JSONL sink (no-op when the run has no telemetry).
     """
     case, axes = payload
-    with telemetry.task_span("verify.case", case=case.name,
-                             family=case.family, n=case.matrix.n_rows):
+    with span("verify.case", detail=True, case=case.name,
+              family=case.family, n=case.matrix.n_rows):
         return run_case(case, axes=axes)
 
 

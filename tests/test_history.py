@@ -1,4 +1,5 @@
-"""Tests for the artifact history store, trend gate, and HTML report."""
+"""Tests for the artifact HTML report, the committed baseline artifact
+and artifact schema versions."""
 
 import json
 from pathlib import Path
@@ -8,16 +9,7 @@ import pytest
 from repro.arch.config import SpatulaConfig
 from repro.arch.sim import SpatulaSim
 from repro.cli import main
-from repro.obs import (
-    HistoryStore,
-    MetricsRegistry,
-    RunArtifact,
-    check_trend,
-    render_history,
-    render_trend_series,
-    render_html_report,
-    run_key,
-)
+from repro.obs import MetricsRegistry, RunArtifact, render_html_report
 from repro.symbolic import symbolic_factorize
 from repro.tasks.plan import build_plan
 
@@ -35,159 +27,6 @@ def sim_artifact(tmp_path_factory):
     return RunArtifact.from_run(report, attribution=sim.attribution())
 
 
-def regress(artifact: RunArtifact, factor: float = 1.5) -> RunArtifact:
-    """Copy of ``artifact`` with cycles degraded by ``factor``."""
-    data = json.loads(json.dumps(artifact.to_dict()))
-    data["report"]["cycles"] = int(data["report"]["cycles"] * factor)
-    data["metrics"]["sim.cycles"] = data["report"]["cycles"]
-    bad = RunArtifact(
-        matrix=data["matrix"], kind=data["kind"], n=data["n"],
-        config=data["config"], report=data["report"],
-        metrics=data["metrics"], spans=data["spans"],
-        attribution=data.get("attribution"),
-        created_at=data["created_at"],
-    )
-    return bad
-
-
-class TestHistoryStore:
-    def test_add_and_list(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        entry = store.add(sim_artifact)
-        assert (tmp_path / "hist" / entry.path).exists()
-        assert (tmp_path / "hist" / "index.jsonl").exists()
-        entries = store.entries()
-        assert len(entries) == 1
-        assert entries[0].key == run_key(sim_artifact)
-        assert entries[0].metrics["report.cycles"] == \
-            sim_artifact.report["cycles"]
-
-    def test_entries_filter_by_key(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        store.add(sim_artifact)
-        other = regress(sim_artifact)
-        other.matrix = "something-else"
-        store.add(other)
-        assert len(store.entries()) == 2
-        assert len(store.entries(run_key(sim_artifact))) == 1
-        assert len(store.keys()) == 2
-
-    def test_roundtrip_artifact(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        entry = store.add(sim_artifact)
-        loaded = store.load_artifact(entry)
-        assert loaded.report["cycles"] == sim_artifact.report["cycles"]
-        assert loaded.attribution is not None
-
-    def test_series(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        store.add(sim_artifact)
-        store.add(sim_artifact)
-        series = store.series("report.cycles")
-        assert [v for _, v in series] == \
-            [sim_artifact.report["cycles"]] * 2
-
-    def test_renderers(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        assert "empty history" in render_history(store)
-        store.add(sim_artifact)
-        assert "1 run(s)" in render_history(store)
-        assert "report.cycles" in render_trend_series(store,
-                                                      "report.cycles")
-
-
-class TestTrendCheck:
-    def test_no_history_is_not_a_regression(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        report = check_trend(store, sim_artifact)
-        assert report.n_history == 0
-        assert not report.has_regression
-
-    def test_steady_metrics_pass(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        for _ in range(3):
-            store.add(sim_artifact)
-        report = check_trend(store, sim_artifact)
-        assert report.n_history == 3
-        assert not report.has_regression
-        assert any(v.name == "report.cycles" for v in report.verdicts)
-
-    def test_injected_regression_detected(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        for _ in range(3):
-            store.add(sim_artifact)
-        report = check_trend(store, regress(sim_artifact, 1.5))
-        assert report.has_regression
-        names = {v.name for v in report.regressions}
-        assert "report.cycles" in names
-
-    def test_improvement_is_not_a_regression(self, sim_artifact,
-                                             tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        for _ in range(3):
-            store.add(sim_artifact)
-        report = check_trend(store, regress(sim_artifact, 0.5))
-        assert not report.has_regression
-
-    def test_median_robust_to_one_outlier(self, sim_artifact, tmp_path):
-        # One historic spike must not poison the window baseline.
-        store = HistoryStore(tmp_path / "hist")
-        store.add(sim_artifact)
-        store.add(regress(sim_artifact, 4.0))
-        store.add(sim_artifact)
-        report = check_trend(store, sim_artifact)
-        assert not report.has_regression
-
-    def test_window_limits_samples(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        for _ in range(6):
-            store.add(sim_artifact)
-        report = check_trend(store, sim_artifact, window=2)
-        assert report.n_history == 2
-
-    def test_render(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        store.add(sim_artifact)
-        text = check_trend(store, regress(sim_artifact, 2.0)).render()
-        assert "REGRESSION" in text
-
-
-class TestHistoryCLI:
-    def test_check_exits_nonzero_on_injected_regression(
-            self, sim_artifact, tmp_path, capsys):
-        # Acceptance criterion: `repro history check` exits non-zero when
-        # the history contains the baseline and the artifact regressed.
-        hist = tmp_path / "hist"
-        good = tmp_path / "good.json"
-        bad = tmp_path / "bad.json"
-        sim_artifact.save(good)
-        regress(sim_artifact, 1.5).save(bad)
-        assert main(["history", "add", str(good),
-                     "--dir", str(hist)]) == 0
-        assert main(["history", "check", str(good),
-                     "--dir", str(hist)]) == 0
-        assert main(["history", "check", str(bad), "--dir", str(hist),
-                     "--no-add"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-
-    def test_list_and_trend(self, sim_artifact, tmp_path, capsys):
-        hist = tmp_path / "hist"
-        path = tmp_path / "run.json"
-        sim_artifact.save(path)
-        main(["history", "add", str(path), "--dir", str(hist)])
-        assert main(["history", "list", "--dir", str(hist)]) == 0
-        assert main(["history", "trend", "--dir", str(hist),
-                     "--metric", "report.cycles"]) == 0
-        out = capsys.readouterr().out
-        assert "report.cycles" in out
-
-    def test_add_without_file_errors(self, tmp_path, capsys):
-        assert main(["history", "add", "--dir",
-                     str(tmp_path / "h")]) == 1
-        assert "needs an artifact file" in capsys.readouterr().err
-
-
 class TestHtmlReport:
     def test_self_contained_page(self, sim_artifact, tmp_path):
         html = render_html_report(sim_artifact)
@@ -197,16 +36,6 @@ class TestHtmlReport:
         assert "What-if" in html
         assert "<svg" in html           # utilization timeline
         assert "http" not in html.split("</title>")[1]  # no external refs
-
-    def test_trends_section_with_history(self, sim_artifact, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        store.add(sim_artifact)
-        store.add(sim_artifact)
-        trend = check_trend(store, sim_artifact)
-        html = render_html_report(sim_artifact, history=store,
-                                  trend=trend)
-        assert "Trends" in html
-        assert "report.cycles" in html
 
     def test_handles_artifact_without_attribution(self, sim_artifact):
         bare = RunArtifact(
@@ -221,11 +50,8 @@ class TestHtmlReport:
     def test_cli_html(self, sim_artifact, tmp_path, capsys):
         src = tmp_path / "run.json"
         out = tmp_path / "report.html"
-        hist = tmp_path / "hist"
         sim_artifact.save(src)
-        main(["history", "add", str(src), "--dir", str(hist)])
-        assert main(["report", str(src), "--html", str(out),
-                     "--history", str(hist)]) == 0
+        assert main(["report", str(src), "--html", str(out)]) == 0
         text = out.read_text()
         assert "Cycle attribution" in text
 

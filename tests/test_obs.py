@@ -122,6 +122,29 @@ class TestTracer:
             pass
         assert tracer.spans == []
 
+    def test_detail_span_is_same_noop_without_listener(self):
+        tracer = Tracer()
+        assert tracer.span("d", detail=True, sn=1) is _NULL_CONTEXT
+        tracer.enable()
+        # enabled, but nobody listens: still the shared no-op
+        assert tracer.span("d", detail=True, sn=1) is _NULL_CONTEXT
+        assert tracer.span("phase") is not _NULL_CONTEXT
+
+    def test_detail_span_reaches_listeners_only(self):
+        tracer = Tracer()
+        tracer.enable()
+        seen = []
+        tracer.add_listener(seen.append)
+        with tracer.span("outer"):
+            with tracer.span("task", detail=True, sn=7, part=2):
+                pass
+        assert [s.name for s in seen] == ["task", "outer"]
+        task = seen[0]
+        assert task.attrs == {"sn": 7, "part": 2}
+        assert task.depth == 0 and task.parent is None
+        assert [s.name for s in tracer.spans] == ["outer"]
+        assert [d["name"] for d in tracer.export()] == ["outer"]
+
     def test_global_span_noop_when_disabled(self):
         with span("phase"):
             pass
@@ -191,6 +214,9 @@ class TestTracer:
 
         s = Span(name="n", start_s=1.0, duration_s=0.5, depth=2,
                  parent="p", peak_mem_bytes=99)
+        assert Span.from_dict(s.to_dict()) == s
+        assert "attrs" not in s.to_dict()
+        s.attrs = {"k": 3}
         assert Span.from_dict(s.to_dict()) == s
 
 
@@ -326,6 +352,20 @@ class TestDiff:
                  if d.name == "scheduler.launched"]
         assert named and not named[0].regressed
 
+    def test_vanished_watched_metric_fails_the_gate(self, sim_report):
+        a = self._artifact(sim_report, **{"verify.mismatches": 0,
+                                          "scheduler.extra": 1})
+        b = self._artifact(sim_report)
+        result = diff_artifacts(a, b)
+        (missing,) = result.regressions
+        assert missing.name == "verify.mismatches" and missing.missing
+        # an unwatched metric may come and go freely
+        assert all(d.name != "scheduler.extra" for d in result.deltas)
+        text = render_diff(result)
+        assert "verify.mismatches" in text and "<< MISSING" in text
+        # a metric only the new artifact has is not a finding
+        assert not diff_artifacts(b, a).has_regression
+
     def test_render_diff_marks_regressions(self, sim_report):
         a = self._artifact(sim_report, **{"cache.misses": 100})
         b = self._artifact(sim_report, **{"cache.misses": 200})
@@ -403,6 +443,17 @@ class TestCLI:
         b.write_text(json.dumps(data))
         assert main(["report", "--diff", str(a), str(b)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_report_diff_missing_watched_metric_exits_nonzero(
+            self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        main(["simulate", "suite:bmwcra_1@0.3", "--metrics", str(a)])
+        data = json.loads(a.read_text())
+        del data["metrics"]["cache.misses"]
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(data))
+        assert main(["report", "--diff", str(a), str(b)]) == 1
+        assert "<< MISSING" in capsys.readouterr().out
 
     def test_report_diff_requires_two_files(self, tmp_path, capsys):
         out = tmp_path / "run.json"

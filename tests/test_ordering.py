@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import (
+    connected_components,
+    reverse_cuthill_mckee,
+    shortest_path,
+)
 
 from repro.ordering import (
     fill_reducing_ordering,
@@ -225,43 +229,33 @@ class TestStaticPivoting:
 
 
 class TestNetworkxOracles:
-    """Independent cross-checks against networkx graph algorithms."""
+    """Independent cross-checks against scipy.sparse.csgraph (networkx
+    until it stopped being a dependency; the class keeps its test ids).
+    """
+
+    @staticmethod
+    def _csr(indptr, indices):
+        n = len(indptr) - 1
+        return sp.csr_matrix(
+            (np.ones(len(indices)), indices, indptr), shape=(n, n))
 
     def test_bfs_levels_match_shortest_paths(self, spd_irregular):
-        import networkx as nx
-
         indptr, indices = pattern_graph(spd_irregular)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(spd_irregular.n_rows))
-        for v in range(spd_irregular.n_rows):
-            for u in indices[indptr[v]:indptr[v + 1]]:
-                graph.add_edge(v, int(u))
         levels, _ = bfs_levels(indptr, indices, 0)
-        dist = nx.single_source_shortest_path_length(graph, 0)
-        for v in range(spd_irregular.n_rows):
-            assert levels[v] == dist.get(v, -1)
+        dist = shortest_path(self._csr(indptr, indices), unweighted=True,
+                             indices=0)
+        expected = np.where(np.isinf(dist), -1, dist).astype(int)
+        assert np.array_equal(np.asarray(levels), expected)
 
     def test_grid_generator_is_connected(self):
-        import networkx as nx
-
-        m = grid_laplacian_2d(8, seed=1)
-        indptr, indices = pattern_graph(m)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(m.n_rows))
-        for v in range(m.n_rows):
-            for u in indices[indptr[v]:indptr[v + 1]]:
-                graph.add_edge(v, int(u))
-        assert nx.is_connected(graph)
+        indptr, indices = pattern_graph(grid_laplacian_2d(8, seed=1))
+        n_components, _ = connected_components(
+            self._csr(indptr, indices), directed=False)
+        assert n_components == 1
 
     def test_circuit_hub_degrees_power_law_ish(self):
-        import networkx as nx
-
         m = circuit_like(3600, hub_fraction=0.3, seed=4)
-        indptr, indices = pattern_graph(m)
-        graph = nx.Graph()
-        for v in range(m.n_rows):
-            for u in indices[indptr[v]:indptr[v + 1]]:
-                graph.add_edge(v, int(u))
-        degrees = sorted((d for _n, d in graph.degree()), reverse=True)
+        indptr, _ = pattern_graph(m)
+        degrees = np.sort(np.diff(indptr))[::-1]
         # Hubs: top degree well above the median.
         assert degrees[0] >= 2 * degrees[len(degrees) // 2]

@@ -33,7 +33,6 @@ from repro.obs.telemetry import (
     export_latency_metrics,
     latency_percentiles,
     list_runs,
-    task_span,
     timeline_chrome_trace,
 )
 
@@ -47,7 +46,7 @@ class TestSink:
     def test_stream_is_one_jsonl_file_per_process(self, tmp_path):
         ctx = telemetry.start(tmp_path, run_id="run-t1", heartbeat_s=None)
         assert telemetry.active()
-        with task_span("unit.work", item=3):
+        with span("unit.work", detail=True, item=3):
             pass
         telemetry.stop()
         assert not telemetry.active()
@@ -91,8 +90,8 @@ class TestSink:
         telemetry.stop()
 
     def test_task_span_is_noop_when_off(self):
-        cm1 = task_span("anything", x=1)
-        cm2 = task_span("other")
+        cm1 = span("anything", detail=True, x=1)
+        cm2 = span("other", detail=True)
         assert cm1 is cm2            # the shared null context manager
         with cm1:
             pass
@@ -130,7 +129,7 @@ class TestSink:
 
 def _mp_worker_job(i: int) -> int:
     """Module-level pool job (pickles by reference under fork/spawn)."""
-    with task_span("mp.case", case=i):
+    with span("mp.case", detail=True, case=i):
         time.sleep(0.01)
     return os.getpid()
 
@@ -264,8 +263,8 @@ class TestLatency:
         assert "latency.numeric.solve.p95_ms" in snap
         assert "latency.numeric.solve.p99_ms" in snap
 
-    def test_latency_metrics_are_watched_by_trend_gate(self, tmp_path):
-        from repro.obs import HistoryStore, check_trend
+    def test_latency_metrics_are_watched_by_trend_gate(self):
+        from repro.obs import diff_artifacts
 
         def art(p95):
             metrics = {"latency.numeric.solve.p50_ms": p95 / 2,
@@ -276,14 +275,10 @@ class TestLatency:
                 report={}, metrics=metrics,
                 created_at="2026-08-08T00:00:00")
 
-        store = HistoryStore(tmp_path / "hist")
-        for _ in range(5):
-            store.add(art(10.0))
-        ok = check_trend(store, art(10.2))
-        assert not ok.has_regression
-        bad = check_trend(store, art(25.0))
+        assert not diff_artifacts(art(10.0), art(10.2)).has_regression
+        bad = diff_artifacts(art(10.0), art(25.0))
         assert bad.has_regression
-        names = [v.name for v in bad.regressions]
+        names = [d.name for d in bad.regressions]
         assert "latency.numeric.solve.p95_ms" in names
 
 
@@ -533,6 +528,18 @@ class TestCLITelemetry:
         assert (tel / f"{run_id}.trace.json").exists()
         assert (tel / f"{run_id}.report.html").exists()
         assert (tel / f"{run_id}.timeline.json").exists()
+        # Detail spans reach the JSONL stream with their attrs and stay
+        # out of the artifact.
+        supernodes = [e for e in _events(streams[0])
+                      if e["t"] == "span"
+                      and e["name"] == "numeric.supernode"]
+        assert supernodes
+        assert all(isinstance(e["attrs"]["sn"], int) for e in supernodes)
+        assert all(e["depth"] == 0 and e["parent"] is None
+                   for e in supernodes)
+        artifact_names = {s["name"] for s in loaded.spans}
+        assert "numeric.factorize" in artifact_names
+        assert not artifact_names & {"numeric.supernode", "numeric.level"}
 
     def test_telemetry_collect_and_list_verbs(self, tmp_path, capsys):
         tel = tmp_path / "telemetry"
