@@ -299,7 +299,6 @@ def cmd_solve(args) -> int:
                               tune_store=args.tune_store,
                               workers=args.workers,
                               block_size=args.block_size,
-                              scheduler=args.scheduler,
                               rhs_pad=args.rhs_pad)
         if ordering == "auto":
             print(f"ordering auto -> {solver.ordering}")
@@ -356,7 +355,6 @@ def cmd_solve(args) -> int:
                     # auto-resolved ordering may have tuned them)
                     "workers": solver.workers or tuning.workers,
                     "block_size": solver.block_size or tuning.block_size,
-                    "scheduler": args.scheduler or tuning.scheduler,
                     "rhs": args.rhs, "repeat": args.repeat,
                 },
                 report={},
@@ -570,7 +568,6 @@ def cmd_serve(args) -> int:
         io_threads=args.io_threads,
         workers=args.workers,
         block_size=args.block_size,
-        scheduler=args.scheduler,
         tune_store=args.tune_store,
     )
     server = SolveServer(config)
@@ -784,15 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--refine", action="store_true",
                          help="use iterative refinement")
     p_solve.add_argument("--workers", type=int, default=None,
-                         help="threads for the level-scheduled numeric "
-                              "factorization (default: tuning)")
-    p_solve.add_argument("--scheduler",
-                         choices=["level", "dag", "procs"], default=None,
-                         help="numeric-phase scheduler: level barriers "
-                              "(baseline), barrier-free DAG dispatch, or "
-                              "subtree-parallel worker processes; "
-                              "bit-identical results (defaults to the "
-                              "global tuning)")
+                         help="threads of the numeric-phase scheduler "
+                              "(a supernode runs once its children have; "
+                              "bit-identical results; default: tuning)")
     p_solve.add_argument("--block-size", type=int, default=None,
                          help="dense-kernel panel width (default: tuning)")
     p_solve.add_argument("--rhs", type=int, default=1,
@@ -920,9 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: tuning)")
     p_srv.add_argument("--block-size", type=int, default=None,
                        help="dense-kernel panel width (default: tuning)")
-    p_srv.add_argument("--scheduler",
-                       choices=["level", "dag", "procs"], default=None,
-                       help="numeric-phase scheduler (default: tuning)")
     p_srv.add_argument("--tune-store", metavar="DIR", default=None,
                        help="autotuner experience store: pattern "
                             "registrations with ordering='auto' resolve "

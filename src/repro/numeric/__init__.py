@@ -10,10 +10,9 @@ computation; tests verify the two agree on work performed, and that this
 model's factors satisfy ||A - LL^T|| (resp. ||A - LU||) ~ machine epsilon.
 
 Performance machinery (see ``docs/PERFORMANCE.md``): blocked BLAS-3 dense
-kernels with a :mod:`~repro.numeric.tuning` block-size knob,
-interchangeable parallel schedulers (:mod:`~repro.numeric.schedule`:
-level barriers, barrier-free DAG dispatch, subtree-parallel worker
-processes — all bit-identical), pattern-cached assembly maps
+kernels with a :mod:`~repro.numeric.tuning` block-size knob, a
+dependence-count thread scheduler (:mod:`~repro.numeric.schedule`,
+bit-identical for every worker count), pattern-cached assembly maps
 (:mod:`~repro.numeric.engine`), and a process-global
 :class:`~repro.numeric.cache.AnalysisCache`.
 """
@@ -35,12 +34,11 @@ from repro.numeric.triangular import (
 )
 from repro.numeric.refinement import RefinementResult, iterative_refinement
 from repro.numeric.supernodal_solve import cholesky_solve, lu_solve
-from repro.numeric.schedule import SCHEDULER_NAMES, ScheduleStats
+from repro.numeric.schedule import ScheduleStats
 from repro.numeric.solver import SparseSolver
 from repro.numeric.tuning import NumericTuning, get_tuning, set_tuning, tuned
 
 __all__ = [
-    "SCHEDULER_NAMES",
     "ScheduleStats",
     "dense_cholesky",
     "dense_lu_nopivot",

@@ -9,10 +9,10 @@ Schur complement up as this supernode's update matrix.
 Assembly uses the pattern-cached scatter maps of
 :mod:`repro.numeric.engine`, the partial factorization is the blocked
 BLAS-3 kernel of :mod:`repro.numeric.dense`, and with ``workers > 1``
-independent supernodes run under one of the interchangeable schedulers
-of :mod:`repro.numeric.schedule` (level barriers, barrier-free DAG, or
-subtree-parallel processes) — the result is bit-identical to the
-sequential leaves-to-root order for every scheduler and worker count.
+independent supernodes run concurrently under
+:func:`repro.numeric.schedule.run_scheduled` (each dispatched the moment
+its last child finishes) — the result is bit-identical to the sequential
+leaves-to-root order for every worker count.
 """
 
 from __future__ import annotations
@@ -115,23 +115,12 @@ class CholeskyJob(SupernodeJob):
         zero_strict_triangle(block[:k], upper=True)
         self.columns[i] = (sn.rows.copy(), block)
 
-    def output_shapes(self, i: int) -> list[tuple[int, ...]]:
-        sn = self.supernodes[i]
-        return [(sn.front_size, sn.n_cols)]
-
-    def output_arrays(self, i: int) -> list[np.ndarray]:
-        return [self.columns[i][1]]
-
-    def load_outputs(self, i: int, arrays: list[np.ndarray]) -> None:
-        self.columns[i] = (self.supernodes[i].rows.copy(), arrays[0])
-
 
 def multifrontal_cholesky(
     matrix: CSCMatrix,
     symbolic: SymbolicFactorization,
     workers: int | None = None,
     block_size: int | None = None,
-    scheduler: str | None = None,
 ) -> CholeskyFactor:
     """Numerically factor a matrix under an existing symbolic analysis.
 
@@ -139,16 +128,15 @@ def multifrontal_cholesky(
         matrix: the *original* (unpermuted) SPD matrix; it is permuted with
             ``symbolic.perm`` internally, so the same analysis can be reused
             across many numeric factorizations (Figure 2's loop).
-        workers: worker count for the parallel schedulers (defaults to
-            the global :mod:`repro.numeric.tuning` value).  The factor is
-            bit-identical for every worker count.
-        block_size: dense-kernel panel width (defaults to tuning).
-        scheduler: "level" | "dag" | "procs" (defaults to tuning; see
-            :mod:`repro.numeric.schedule`).  Bit-identical across all.
+        workers: scheduler thread count (defaults to the global
+            :mod:`repro.numeric.tuning` value; must be >= 1).  The factor
+            is bit-identical for every worker count.
+        block_size: dense-kernel panel width (defaults to tuning; must
+            be >= 1).
     """
     if symbolic.kind != "cholesky":
         raise ValueError("symbolic analysis is not for Cholesky")
     job, attribution = run_factor_job(
-        matrix, symbolic, CholeskyJob, workers, block_size, scheduler)
+        matrix, symbolic, CholeskyJob, workers, block_size)
     return CholeskyFactor(symbolic=symbolic, columns=job.columns,
                           attribution=attribution)

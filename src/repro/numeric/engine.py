@@ -12,12 +12,10 @@ This module is the machinery shared by :func:`multifrontal_cholesky` and
   operations instead of per-entry Python loops — the amortized-analysis
   serving pattern of CKTSO-style circuit simulation.
 
-* **Scheduled parallel traversal**: the actual execution strategies live
-  in :mod:`repro.numeric.schedule` — level-scheduled barriers (baseline),
-  barrier-free DAG dispatch, and subtree-parallel worker processes — all
-  bit-identical for every worker count.  ``run_level_scheduled`` and
-  ``TaskTimer`` are re-exported here for backward compatibility.
-  :func:`run_factor_job` is the one driver both factorizations share.
+* **Scheduled parallel traversal**: :func:`run_factor_job`, the one
+  driver both factorizations share, hands the per-supernode tasks to
+  :func:`repro.numeric.schedule.run_scheduled` (dependence-count dispatch
+  on ``workers`` threads, bit-identical for every worker count).
 
 * **Metrics export** (:func:`export_factor_metrics`): kernel FLOP rates,
   level widths, scheduler evidence (ready-queue depth, dispatch latency,
@@ -35,20 +33,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.numeric.schedule import (
-    SCHEDULER_NAMES,
-    ScheduleStats,
-    SupernodeJob,
-    TaskTimer,
-    run_level_scheduled,
-    run_scheduled,
-)
-from repro.numeric.tuning import (
-    get_tuning,
-    resolve_block_size,
-    resolve_scheduler,
-    resolve_workers,
-)
+from repro.numeric.schedule import ScheduleStats, SupernodeJob, run_scheduled
+from repro.numeric.tuning import resolve_block_size, resolve_workers
 from repro.obs.metrics import global_registry
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
@@ -57,12 +43,10 @@ from repro.symbolic.etree import etree_level_sets
 
 __all__ = [
     "NumericContext",
-    "TaskTimer",
     "export_factor_metrics",
     "numeric_context",
     "row_permutation_data_map",
     "run_factor_job",
-    "run_level_scheduled",
 ]
 
 
@@ -113,9 +97,10 @@ class NumericContext:
             initializes supernode ``i``'s front from A's entries (both the
             L and — for LU — the U part).
         sn_parent: supernode parent array (``-1`` for roots) — the task
-            dependence structure the DAG and subtree schedulers consume.
-        levels: supernode level sets (leaves first) for the level
-            scheduler.
+            dependence structure the scheduler consumes.
+        levels: supernode level sets (leaves first): the available
+            parallelism reported as ``attribution["level_widths"]`` and
+            ``numeric.levels.*``.
     """
 
     def __init__(self, symbolic: SymbolicFactorization,
@@ -244,6 +229,9 @@ def export_factor_metrics(
     parallel_tasks = stats.dispatched
     widths = [len(level) for level in levels]
     n_sn = sum(widths)
+    parallel = workers > 1 and seconds > 0.0
+    occupancy = (min(1.0, busy_seconds / (seconds * workers))
+                 if parallel else 1.0)
     attribution = {
         "level_widths": widths,
         # mean runnable supernodes per level — the schedule's available
@@ -254,10 +242,7 @@ def export_factor_metrics(
         "parallel_tasks": parallel_tasks,
         "seconds": seconds,
         "busy_seconds": busy_seconds,
-        "occupancy": (
-            min(1.0, busy_seconds / (seconds * workers))
-            if workers > 1 and seconds > 0.0 else 1.0
-        ),
+        "occupancy": occupancy,
         "schedule": stats.summary(),
     }
     reg = global_registry()
@@ -271,20 +256,15 @@ def export_factor_metrics(
     reg.gauge("numeric.factor.block_size").set(block_size)
     reg.gauge("numeric.factor.workers").set(workers)
     reg.counter("numeric.parallel.tasks").inc(parallel_tasks)
-    if workers > 1 and seconds > 0.0:
-        reg.gauge("numeric.parallel.occupancy").set(
-            min(1.0, busy_seconds / (seconds * workers))
-        )
+    if parallel:
+        reg.gauge("numeric.parallel.occupancy").set(occupancy)
     reg.gauge("numeric.levels.count").set(len(levels))
     width_hist = reg.histogram("numeric.levels.width")
     for level in levels:
         width_hist.observe(len(level))
 
     sched = attribution["schedule"]
-    reg.gauge("numeric.sched.backend").set(
-        SCHEDULER_NAMES.index(stats.scheduler)
-    )
-    reg.counter(f"numeric.sched.tasks.{stats.scheduler}").inc(
+    reg.counter("numeric.sched.tasks").inc(
         stats.dispatched + stats.inline_tasks
     )
     reg.gauge("numeric.sched.ready_depth.mean").set(
@@ -303,8 +283,6 @@ def export_factor_metrics(
     reg.gauge("numeric.sched.worker_tasks.imbalance").set(
         sched["task_imbalance"]
     )
-    if stats.n_subtrees:
-        reg.gauge("numeric.sched.subtrees").set(stats.n_subtrees)
     return attribution
 
 
@@ -314,24 +292,20 @@ def run_factor_job(
     make_job: Callable[[NumericContext, np.ndarray, int], SupernodeJob],
     workers: int | None,
     block_size: int | None,
-    scheduler: str | None,
 ) -> tuple[SupernodeJob, dict]:
-    """The numeric driver shared by Cholesky and LU: resolve the tuning
-    knobs, build the job over the pattern-cached context
-    (``make_job(ctx, permuted_data, block)``), run it under the chosen
-    scheduler, check every update matrix was consumed, and export the
-    metrics.  Returns the finished job and its attribution view."""
+    """The numeric driver shared by Cholesky and LU: resolve (and
+    range-check) the tuning knobs, build the job over the pattern-cached
+    context (``make_job(ctx, permuted_data, block)``), run it on
+    ``workers`` threads, check every update matrix was consumed, and
+    export the metrics.  Returns the finished job and its attribution
+    view."""
     workers = resolve_workers(workers)
     block = resolve_block_size(block_size)
-    scheduler = resolve_scheduler(scheduler)
     t_start = time.perf_counter()
 
     ctx = numeric_context(symbolic, matrix)
     job = make_job(ctx, ctx.permuted_data(matrix), block)
-    stats = run_scheduled(
-        job, scheduler, workers,
-        parallel_threshold=get_tuning().parallel_threshold,
-    )
+    stats = run_scheduled(job, workers)
     job.check_consumed()
     attribution = export_factor_metrics(
         symbolic, time.perf_counter() - t_start, block,

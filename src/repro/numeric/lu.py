@@ -10,7 +10,7 @@ static-pivoted solvers.
 Like the Cholesky side, assembly runs through the pattern-cached scatter
 maps of :mod:`repro.numeric.engine`, the partial factorization is the
 blocked BLAS-3 kernel, and ``workers > 1`` runs independent supernodes
-under any of the :mod:`repro.numeric.schedule` backends with
+concurrently under :func:`repro.numeric.schedule.run_scheduled` with
 bit-identical results.
 """
 
@@ -112,24 +112,6 @@ class LUJob(SupernodeJob):
         zero_strict_triangle(u_block[:, :k], upper=False)
         self.fronts[i] = (sn.rows.copy(), l_block, u_block)
 
-    def output_shapes(self, i: int) -> list[tuple[int, ...]]:
-        sn = self.supernodes[i]
-        size, k = sn.front_size, sn.n_cols
-        return [(size, k), (k, size)]
-
-    def output_arrays(self, i: int) -> list[np.ndarray]:
-        return [self.fronts[i][1], self.fronts[i][2]]
-
-    def load_outputs(self, i: int, arrays: list[np.ndarray]) -> None:
-        self.fronts[i] = (self.supernodes[i].rows.copy(),
-                          arrays[0], arrays[1])
-
-    def scalar_output(self, i: int) -> float:
-        return float(self.perturbed[i])
-
-    def load_scalar(self, i: int, value: float) -> None:
-        self.perturbed[i] = int(value)
-
 
 def multifrontal_lu(
     matrix: CSCMatrix,
@@ -137,7 +119,6 @@ def multifrontal_lu(
     perturb: float | None = None,
     workers: int | None = None,
     block_size: int | None = None,
-    scheduler: str | None = None,
 ) -> LUFactors:
     """Numerically LU-factor a matrix under an existing symbolic analysis.
 
@@ -146,11 +127,10 @@ def multifrontal_lu(
             matrix.
         symbolic: analysis with kind == "lu".
         perturb: small-pivot threshold; defaults to sqrt(eps) * max|A|.
-        workers: worker count for the parallel schedulers (defaults to
-            the global tuning; bit-identical for every N).
-        block_size: dense-kernel panel width (defaults to tuning).
-        scheduler: "level" | "dag" | "procs" (defaults to tuning; see
-            :mod:`repro.numeric.schedule`).  Bit-identical across all.
+        workers: scheduler thread count (defaults to the global tuning;
+            must be >= 1; bit-identical for every N).
+        block_size: dense-kernel panel width (defaults to tuning; must
+            be >= 1).
     """
     if symbolic.kind != "lu":
         raise ValueError("symbolic analysis is not for LU")
@@ -161,7 +141,7 @@ def multifrontal_lu(
     job, attribution = run_factor_job(
         matrix, symbolic,
         lambda ctx, data, block: LUJob(ctx, data, block, perturb),
-        workers, block_size, scheduler)
+        workers, block_size)
     return LUFactors(symbolic=symbolic, fronts=job.fronts,
                      perturbed_pivots=int(job.perturbed.sum()),
                      attribution=attribution)

@@ -1,27 +1,28 @@
-"""Shared machinery of the numeric-phase schedulers.
+"""The numeric-phase scheduler: dependence-count dispatch on threads.
 
-A *scheduler* executes the per-supernode tasks of one numeric
-factorization in some dependence-respecting order.  The work itself is
-described by a :class:`SupernodeJob` — assembly of a frontal matrix from
-A's entries plus the children's update matrices, a blocked partial
-factorization, and storage of the resulting factor block(s) — while the
-scheduler decides *where and when* each supernode runs:
+One numeric factorization is a set of per-supernode tasks — assemble a
+frontal matrix from A's entries plus the children's update matrices,
+run the blocked partial factorization, store the factor block(s) —
+described by a :class:`SupernodeJob`.  :func:`run_scheduled` decides
+*where and when* each supernode runs.
 
-* :mod:`repro.numeric.schedule.level` — level sets with a barrier
-  between levels (the baseline);
-* :mod:`repro.numeric.schedule.dag` — barrier-free task-graph
-  dispatch: a supernode fires the moment its last etree child finishes;
-* :mod:`repro.numeric.schedule.procs` — subtree-parallel worker
-  *processes* over shared-memory factor buffers, with the top of the
-  tree finished by the DAG scheduler in the parent.
+Each supernode carries a dependence count (its number of assembly-tree
+children); completion of a child decrements the parent's count, and the
+parent is submitted to the thread pool the moment the count hits zero.
+This is the launch rule of Spatula's supernode scheduler (paper §4.4,
+§5.2) and the CKTSO-style pipelined task-graph numeric phase: a slow
+supernode only delays its own ancestors, never unrelated subtrees.
+With ``workers <= 1`` (or a one-node tree) the tasks run inline in
+ascending index order, which is a valid bottom-up traversal because
+children are always numbered before their parents.
 
-Every scheduler must preserve the bit-identity invariant: the stored
-factor is bitwise equal for every scheduler and worker count, because
-each supernode's computation is a pure function of its assembled front
-(children extend-added in fixed ascending order) and the blocked
-kernels are deterministic.
+The stored factor is bitwise equal for every worker count: each
+supernode's computation is a pure function of its assembled front
+(children extend-added in fixed ascending order inside
+:meth:`SupernodeJob.compute`) and the blocked kernels are
+deterministic, so only the execution interleaving changes.
 
-Schedulers return a :class:`ScheduleStats` — the evidence record the
+A run returns a :class:`ScheduleStats` — the evidence record the
 attribution layer turns into scheduler-idle / load-imbalance buckets
 (ready-queue depth, dispatch latency, per-worker busy/idle seconds).
 """
@@ -30,12 +31,20 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Scheduler names accepted across the stack (tuning, CLI, benchmarks).
-SCHEDULER_NAMES = ("level", "dag", "procs")
+from repro.obs import span, telemetry
+
+__all__ = [
+    "ScheduleStats",
+    "SupernodeJob",
+    "TaskTimer",
+    "WorkerLanes",
+    "run_scheduled",
+]
 
 #: Longest ready-depth / latency series kept verbatim in attribution
 #: output; longer series are decimated (aggregates are exact regardless).
@@ -107,26 +116,17 @@ class ScheduleStats:
     """What one scheduler run looked like, for attribution and metrics.
 
     Attributes:
-        scheduler: which backend ran ("level" | "dag" | "procs").
         workers: requested worker count.
         wall_s: scheduler wall-clock (dispatch through last completion).
-        dispatched: tasks executed off the inline main-thread path
-            (thread-pool tasks, or subtree tasks in worker processes).
-        inline_tasks: tasks run inline on the main thread.
-        worker_busy_s: per-worker-lane busy seconds (threads for
-            level/dag, processes for procs; the main inline lane is not
-            included).
-        worker_tasks: per-worker-lane task counts.
-        ready_depth: ready-queue depth sampled at each dispatch (level
-            width at each barrier for the level scheduler).
+        dispatched: tasks executed on pool threads.
+        inline_tasks: tasks run inline on the calling thread.
+        worker_busy_s: per-worker-thread busy seconds (the inline lane
+            is not included).
+        worker_tasks: per-worker-thread task counts.
+        ready_depth: ready-queue depth sampled at each dispatch.
         dispatch_latency_s: per-task ready-to-running latency samples.
-        n_subtrees: independent subtrees farmed to processes (procs
-            only).
-        top_tasks: supernodes finished by the parent's DAG phase (procs
-            only).
     """
 
-    scheduler: str
     workers: int
     wall_s: float = 0.0
     dispatched: int = 0
@@ -135,8 +135,6 @@ class ScheduleStats:
     worker_tasks: list[int] = field(default_factory=list)
     ready_depth: list[int] = field(default_factory=list)
     dispatch_latency_s: list[float] = field(default_factory=list)
-    n_subtrees: int = 0
-    top_tasks: int = 0
 
     def worker_idle_s(self) -> list[float]:
         """Per-worker idle seconds (wall minus busy, floored at 0)."""
@@ -160,13 +158,10 @@ class ScheduleStats:
         depth = np.asarray(self.ready_depth, dtype=float)
         lat = np.asarray(self.dispatch_latency_s, dtype=float)
         return {
-            "scheduler": self.scheduler,
             "workers": self.workers,
             "wall_s": self.wall_s,
             "dispatched": self.dispatched,
             "inline_tasks": self.inline_tasks,
-            "n_subtrees": self.n_subtrees,
-            "top_tasks": self.top_tasks,
             "worker_busy_s": list(self.worker_busy_s),
             "worker_idle_s": self.worker_idle_s(),
             "worker_tasks": list(self.worker_tasks),
@@ -187,31 +182,23 @@ class ScheduleStats:
 class SupernodeJob:
     """One numeric factorization as schedulable per-supernode tasks.
 
-    Owns the state previously closured inside ``multifrontal_cholesky``
-    / ``multifrontal_lu``: the pattern-cached numeric context, the
-    permuted input values, the in-flight update matrices, and the
-    per-supernode outputs.  :meth:`compute` is the task body every
-    scheduler runs; it is safe to call concurrently for *independent*
-    supernodes (each task writes only its own slots and consumes only
-    its children's — all of which completed first).
+    Owns the state of one factorization: the pattern-cached numeric
+    context, the permuted input values, the in-flight update matrices,
+    and (in the subclass) the per-supernode outputs.  :meth:`compute`
+    is the task body the scheduler runs; it is safe to call concurrently
+    for *independent* supernodes (each task writes only its own slots
+    and consumes only its children's — all of which completed first).
 
-    Subclasses implement the kind-specific ``_factor`` step plus the
-    output transport hooks the process backend uses to ship factor
-    blocks through shared memory (:meth:`output_shapes` /
-    :meth:`output_arrays` / :meth:`load_outputs`, and the per-supernode
-    scalar channel for LU's perturbed-pivot counts).
+    Subclasses implement the kind-specific ``_factor`` step.
     """
 
     def __init__(self, ctx, permuted_data: np.ndarray, block: int) -> None:
-        symbolic = ctx.symbolic
-        tree = symbolic.tree
+        tree = ctx.symbolic.tree
         self.ctx = ctx
-        self.symbolic = symbolic
         self.supernodes = tree.supernodes
         self.child_maps = tree.child_maps
         self.n_supernodes = tree.n_supernodes
         self.sn_parent = ctx.sn_parent
-        self.levels = ctx.levels
         self.permuted_data = permuted_data
         self.block = block
         self.updates: list[np.ndarray | None] = [None] * self.n_supernodes
@@ -248,29 +235,95 @@ class SupernodeJob:
         if any(u is not None for u in self.updates):
             raise AssertionError("unconsumed update matrices remain")
 
-    # -- kind-specific --------------------------------------------------------
-
     def _factor(self, i: int, sn, values: np.ndarray) -> None:
         raise NotImplementedError
 
-    # -- shared-memory transport hooks (process backend) ----------------------
 
-    def output_shapes(self, i: int) -> list[tuple[int, ...]]:
-        """Shapes of supernode ``i``'s stored factor arrays — a pure
-        function of the symbolic analysis (known before computing)."""
-        raise NotImplementedError
+def run_scheduled(job: SupernodeJob, workers: int) -> ScheduleStats:
+    """Run every supernode task of ``job`` on ``workers`` threads, each
+    the moment its last child has finished, and return the run's stats.
 
-    def output_arrays(self, i: int) -> list[np.ndarray]:
-        """The stored factor arrays of a *computed* supernode."""
-        raise NotImplementedError
+    The first task to raise stops further submissions; tasks already
+    queued drain without computing and the exception is re-raised here.
+    """
+    total = job.n_supernodes
+    stats = ScheduleStats(workers)
+    t_start = time.perf_counter()
 
-    def load_outputs(self, i: int, arrays: list[np.ndarray]) -> None:
-        """Adopt factor arrays computed in another process."""
-        raise NotImplementedError
+    if workers <= 1 or total <= 1:
+        for i in range(total):
+            job.compute(i)
+        stats.inline_tasks = total
+        stats.wall_s = time.perf_counter() - t_start
+        return stats
 
-    def scalar_output(self, i: int) -> float:
-        """Optional per-supernode scalar channel (LU perturbed pivots)."""
-        return 0.0
+    deps = [len(sn.children) for sn in job.supernodes]
+    cond = threading.Condition()
+    state = {"submitted": 0, "finished": 0, "error": None, "ready": 0}
+    ready_at: dict[int, float] = {}
+    lanes = WorkerLanes()
+    traced = telemetry.active()
 
-    def load_scalar(self, i: int, value: float) -> None:
-        pass
+    def submit(pool: ThreadPoolExecutor, i: int, now: float) -> None:
+        # Caller holds ``cond``.
+        ready_at[i] = now
+        state["submitted"] += 1
+        state["ready"] += 1
+        stats.ready_depth.append(state["ready"])
+        pool.submit(run_task, pool, i)
+
+    def run_task(pool: ThreadPoolExecutor, i: int) -> None:
+        t0 = time.perf_counter()
+        with cond:
+            state["ready"] -= 1
+            if state["error"] is not None:
+                # Drain without computing once a task has failed.
+                state["finished"] += 1
+                cond.notify()
+                return
+        stats.dispatch_latency_s.append(t0 - ready_at[i])
+        try:
+            if traced:
+                with span("numeric.supernode", detail=True, sn=i):
+                    job.compute(i)
+            else:
+                job.compute(i)
+        except BaseException as exc:  # noqa: BLE001 - repropagated below
+            with cond:
+                if state["error"] is None:
+                    state["error"] = exc
+                state["finished"] += 1
+                cond.notify()
+            return
+        t1 = time.perf_counter()
+        lanes.record(t1 - t0)
+        with cond:
+            parent = int(job.sn_parent[i])
+            if parent >= 0 and state["error"] is None:
+                deps[parent] -= 1
+                if deps[parent] == 0:
+                    submit(pool, parent, t1)
+            state["finished"] += 1
+            cond.notify()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        with cond:
+            now = time.perf_counter()
+            for i in range(total):
+                if deps[i] == 0:
+                    submit(pool, i, now)
+            # Done when nothing is in flight and either everything ran
+            # or an error stopped further submissions.
+            while not (
+                state["finished"] == state["submitted"]
+                and (state["error"] is not None or state["finished"] == total)
+            ):
+                cond.wait()
+    if state["error"] is not None:
+        raise state["error"]
+
+    stats.dispatched = total
+    stats.worker_busy_s = lanes.busy()
+    stats.worker_tasks = lanes.tasks()
+    stats.wall_s = time.perf_counter() - t_start
+    return stats

@@ -66,14 +66,13 @@ class SparseSolver:
             — a :class:`~repro.ordering.autotune.TrialStore` or its directory
             path (see :mod:`repro.ordering.autotune`).  Ignored for
             concrete orderings.
-        workers: worker count for the parallel numeric phase (``None``
-            defers to the global :mod:`repro.numeric.tuning`).  The
-            factor is bit-identical for every worker count.
-        block_size: dense-kernel panel width (``None`` defers to tuning).
-        scheduler: numeric-phase scheduler — "level", "dag", or "procs"
-            (``None`` defers to tuning; see
-            :mod:`repro.numeric.schedule` and docs/PERFORMANCE.md).
-            Bit-identical across all schedulers.
+        workers: thread count of the numeric-phase scheduler (``None``
+            defers to the global :mod:`repro.numeric.tuning`; must be
+            >= 1; see :mod:`repro.numeric.schedule` and
+            docs/PERFORMANCE.md).  The factor is bit-identical for every
+            worker count.
+        block_size: dense-kernel panel width (``None`` defers to tuning;
+            must be >= 1).
         rhs_pad: batch-invariant solve width.  When > 1, every ``solve``
             with k <= rhs_pad right-hand sides runs as one zero-padded
             (n, rhs_pad) panel and the real columns are sliced out.
@@ -100,7 +99,6 @@ class SparseSolver:
         relax_ratio: float = 0.3,
         workers: int | None = None,
         block_size: int | None = None,
-        scheduler: str | None = None,
         rhs_pad: int = 1,
         use_cache: bool = True,
         tune_store=None,
@@ -128,7 +126,6 @@ class SparseSolver:
         self.ordering = ordering  # concrete method ("auto" already resolved)
         self.workers = workers
         self.block_size = block_size
-        self.scheduler = scheduler
         self.rhs_pad = rhs_pad
         # The pattern this solver was built for (refactorize validates
         # against it, so pattern changes fail loudly).
@@ -187,7 +184,6 @@ class SparseSolver:
             factor = factor_fn(
                 matrix, self.symbolic,
                 workers=self.workers, block_size=self.block_size,
-                scheduler=self.scheduler,
             )
             self._matrix = matrix
             if self.kind == "cholesky":

@@ -23,8 +23,8 @@ stream, not by memory or by the run artifact.  With no listener
 registered a detail span is the same shared no-op.
 
 The tracer is thread-safe: the open-span stack is thread-local (so spans
-opened concurrently from worker threads — e.g. the level-scheduled
-numeric pool — nest within their own thread, not each other), completed
+opened concurrently from worker threads — e.g. the numeric scheduler's
+pool — nest within their own thread, not each other), completed
 spans are appended under a lock, and registered completion listeners
 (:meth:`Tracer.add_listener`, used by :mod:`repro.obs.telemetry` to
 mirror spans into the per-process event sink) are invoked in the

@@ -93,7 +93,6 @@ class ServeConfig:
     #: Numeric-phase knobs forwarded to each SparseSolver.
     workers: int | None = None
     block_size: int | None = None
-    scheduler: str | None = None
     #: Autotuner experience store (a directory path).  When set, pattern
     #: registrations with ``ordering="auto"`` resolve the best known
     #: ordering/block-size/workers for the matrix family from it (see
@@ -364,7 +363,6 @@ class PatternWorker(threading.Thread):
                 ordering=ticket.ordering,
                 workers=self.config.workers,
                 block_size=self.config.block_size,
-                scheduler=self.config.scheduler,
                 rhs_pad=self.config.effective_rhs_pad(),
                 tune_store=self.config.tune_store,
             )

@@ -324,11 +324,17 @@ class TestFailedRefactorizeIsAtomic:
     """A rejected ``refactorize`` leaves matrix, factor and CSC mirrors
     exactly as they were; ``solve`` keeps answering for the old values."""
 
-    @pytest.mark.parametrize("kind", ["cholesky", "lu"])
-    def test_solver_state_survives(self, kind):
+    @pytest.mark.parametrize("kind, workers", [
+        pytest.param("cholesky", 1, id="cholesky"),
+        pytest.param("lu", 1, id="lu"),
+        pytest.param("cholesky", 2, id="cholesky-workers2"),
+        pytest.param("lu", 2, id="lu-workers2"),
+    ])
+    def test_solver_state_survives(self, kind, workers):
         matrix = (grid_laplacian_3d(5, seed=4) if kind == "cholesky"
                   else circuit_like(100, seed=7))
-        solver = SparseSolver(matrix, kind=kind, use_cache=False)
+        solver = SparseSolver(matrix, kind=kind, workers=workers,
+                              use_cache=False)
         b = np.cos(np.arange(matrix.n_rows, dtype=np.float64))
         before = solver.solve(b)
         before_csc = solver.solve(b, method="csc")

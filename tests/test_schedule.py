@@ -1,11 +1,11 @@
-"""Tests for the numeric-phase schedulers (:mod:`repro.numeric.schedule`).
+"""Tests for the numeric-phase scheduler (:mod:`repro.numeric.schedule`).
 
-Covers the subtree partitioner and level-set edge cases (empty forest,
-chains, stars, multi-root forests), scheduler bit-identity across the
-verify fuzz-suite generator families at several worker counts, prompt
-exception propagation (the ``as_completed`` regression fix), DAG
-dependence ordering and error handling, the per-factor attribution view,
-and the ``numeric.sched.*`` metrics surface.
+Covers etree level-set edge cases (empty forest, chains, stars,
+multi-root forests), factor bit-identity across the verify fuzz-suite
+generator families at several worker counts, dependence ordering,
+prompt exception propagation without a hang, the per-call knob range
+checks, the per-factor attribution view, and the ``numeric.sched.*``
+metrics surface.
 """
 
 import threading
@@ -14,23 +14,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.numeric import SparseSolver, multifrontal_cholesky
-from repro.numeric.schedule import (
-    SCHEDULER_NAMES,
-    partition_subtrees,
-    run_dag,
-    run_level_scheduled,
-    run_scheduled,
-    subtree_work,
-)
-from repro.numeric.tuning import NumericTuning, resolve_scheduler
+from repro.numeric.schedule import run_scheduled
 from repro.obs.metrics import global_registry
+from repro.sparse.generators import grid_laplacian_3d
 from repro.symbolic.analyze import symbolic_factorize
 from repro.symbolic.etree import etree_level_sets
 from repro.verify.generators import build_case, family_names
-
-
-# -- partition invariants ------------------------------------------------------
 
 
 def _children_of(sn_parent):
@@ -39,100 +30,6 @@ def _children_of(sn_parent):
         if int(p) >= 0:
             children[int(p)].append(i)
     return children
-
-
-def _check_partition(sn_parent, subtrees, top):
-    """The structural contract of partition_subtrees.
-
-    Disjoint exact cover; every subtree is descendant-closed (a node's
-    children stay in its subtree); the top set is upward-closed (a top
-    node's parent is top or a forest root's absence); each subtree root's
-    parent lies in the top set or is a forest root.
-    """
-    n = len(sn_parent)
-    seen = np.zeros(n, dtype=int)
-    for part in subtrees:
-        seen[part] += 1
-    seen[top] += 1
-    assert np.all(seen == 1), "nodes must be covered exactly once"
-
-    top_set = set(int(i) for i in top)
-    children = _children_of(sn_parent)
-    for part in subtrees:
-        part_set = set(int(i) for i in part)
-        root = max(part_set)
-        for i in part_set:
-            if i != root:
-                assert int(sn_parent[i]) in part_set
-            for c in children[i]:
-                assert c in part_set, "subtrees must be descendant-closed"
-        parent = int(sn_parent[root])
-        assert parent == -1 or parent in top_set
-    for i in top_set:
-        p = int(sn_parent[i])
-        assert p == -1 or p in top_set, "top must be upward-closed"
-
-
-def test_partition_empty_forest():
-    subtrees, top = partition_subtrees(
-        np.empty(0, dtype=np.int64), np.empty(0), 4)
-    assert subtrees == []
-    assert top.size == 0
-
-
-def test_partition_single_chain():
-    n = 40
-    parent = np.arange(1, n + 1, dtype=np.int64)
-    parent[-1] = -1
-    subtrees, top = partition_subtrees(parent, np.ones(n), 4)
-    _check_partition(parent, subtrees, top)
-    # A chain has no subtree parallelism: exactly one subtree (a
-    # prefix), the rest sequential top.
-    assert len(subtrees) == 1
-    assert top.size > 0
-
-
-def test_partition_star():
-    n = 33
-    parent = np.full(n, n - 1, dtype=np.int64)
-    parent[-1] = -1
-    subtrees, top = partition_subtrees(parent, np.ones(n), 4)
-    _check_partition(parent, subtrees, top)
-    # The hub must be split: it lands in the top set, leaves become
-    # independent single-node subtrees.
-    assert list(top) == [n - 1]
-    assert len(subtrees) >= 2
-    assert all(part.size == 1 for part in subtrees)
-
-
-def test_partition_multi_root_forest():
-    # Two disjoint binary-ish trees plus an isolated root.
-    parent = np.array([2, 2, 4, 4, -1, 7, 7, 9, 9, -1, -1],
-                      dtype=np.int64)
-    subtrees, top = partition_subtrees(parent, np.ones(len(parent)), 3)
-    _check_partition(parent, subtrees, top)
-    covered = sorted(
-        int(i) for part in subtrees for i in part) + sorted(
-        int(i) for i in top)
-    assert sorted(covered) == list(range(len(parent)))
-
-
-def test_partition_all_zero_work():
-    parent = np.array([2, 2, -1], dtype=np.int64)
-    subtrees, top = partition_subtrees(parent, np.zeros(3), 2)
-    _check_partition(parent, subtrees, top)
-
-
-def test_subtree_work_accumulates_into_ancestors():
-    #   0   1
-    #    \ /
-    #     2     3
-    #      \   /
-    #        4
-    parent = np.array([2, 2, 4, 4, -1], dtype=np.int64)
-    work = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    total = subtree_work(parent, work)
-    assert total.tolist() == [1.0, 2.0, 7.0, 8.0, 31.0]
 
 
 # -- etree level-set edge cases ------------------------------------------------
@@ -171,17 +68,17 @@ def test_level_sets_multi_root_forest():
     assert list(levels[1]) == [2, 5]
 
 
-# -- bit-identity across schedulers and worker counts --------------------------
+# -- bit-identity across worker counts -----------------------------------------
 
 
-def _factor_bits(matrix, kind, scheduler, workers):
-    solver = SparseSolver(matrix, kind=kind, workers=workers,
-                          scheduler=scheduler)
+def _factor_bits(matrix, kind, workers):
+    solver = SparseSolver(matrix, kind=kind, workers=workers)
     lower, upper = solver.factor_csc()
     parts = [lower.indptr, lower.indices, lower.data]
     if upper is not None:
         parts += [upper.indptr, upper.indices, upper.data]
-    return parts
+    perturbed = solver.factor.perturbed_pivots if kind == "lu" else None
+    return parts, perturbed
 
 
 def _assert_same_bits(ref, got, label):
@@ -194,77 +91,43 @@ def _assert_same_bits(ref, got, label):
     f for f in family_names() if not f.startswith("struct_singular")
 ])
 def test_bit_identity_fuzz_families(family):
-    """level/dag at workers 1/2/4 produce bitwise-equal factors on every
-    non-singular fuzz-suite generator family."""
+    """workers 1/2/4 produce bitwise-equal factors (and, for LU, the
+    same perturbed-pivot count) on every non-singular fuzz-suite
+    generator family."""
     for seed in (3, 11):
         case = build_case(family, seed, max_n=36)
         assert case.expect == "ok"
-        ref = _factor_bits(case.matrix, case.kind, "level", workers=1)
-        for scheduler in ("level", "dag"):
-            for workers in (1, 2, 4):
-                got = _factor_bits(case.matrix, case.kind, scheduler,
-                                   workers)
-                _assert_same_bits(
-                    ref, got,
-                    f"{family}@{seed} {scheduler}/w{workers}")
+        ref, ref_perturbed = _factor_bits(case.matrix, case.kind, workers=1)
+        for workers in (1, 2, 4):
+            got, perturbed = _factor_bits(case.matrix, case.kind, workers)
+            _assert_same_bits(ref, got, f"{family}@{seed} w{workers}")
+            assert perturbed == ref_perturbed
 
 
-def test_bit_identity_procs_cholesky(spd_medium):
-    """The shared-memory process backend matches the serial factor
-    bitwise (and actually takes the multi-subtree fork path)."""
-    ref = _factor_bits(spd_medium, "cholesky", "level", workers=1)
-    for workers in (2, 4):
-        got = _factor_bits(spd_medium, "cholesky", "procs", workers)
-        _assert_same_bits(ref, got, f"procs/w{workers}")
+# -- per-call knob range checks ------------------------------------------------
 
 
-def test_bit_identity_procs_lu(unsym_small):
-    ref = _factor_bits(unsym_small, "lu", "level", workers=1)
-    for workers in (2, 4):
-        got = _factor_bits(unsym_small, "lu", "procs", workers)
-        _assert_same_bits(ref, got, f"lu procs/w{workers}")
+@pytest.mark.parametrize("knob, value", [
+    ("block_size", 0), ("block_size", -3), ("workers", 0),
+])
+def test_per_call_knobs_are_range_checked(knob, value):
+    """A per-call knob is held to the range ``NumericTuning`` enforces
+    (``block_size=-3`` used to return a wrong answer, ``0`` died inside
+    the kernel)."""
+    matrix = grid_laplacian_3d(4, 4, 4, seed=1)
+    with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+        SparseSolver(matrix, **{knob: value})
+    symbolic = symbolic_factorize(matrix)
+    with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+        multifrontal_cholesky(matrix, symbolic, **{knob: value})
 
 
-def test_run_scheduled_rejects_unknown_scheduler(spd_small):
-    symbolic = symbolic_factorize(spd_small)
-    with pytest.raises(ValueError, match="scheduler"):
-        multifrontal_cholesky(spd_small, symbolic, workers=2,
-                              scheduler="bogus")
+def test_cli_rejects_zero_block_size(capsys):
+    assert main(["solve", "fuzz:spd_mesh@1", "--block-size", "0"]) == 1
+    assert "error: block_size must be >= 1" in capsys.readouterr().err
 
 
-def test_tuning_scheduler_validation():
-    with pytest.raises(ValueError):
-        NumericTuning(scheduler="bogus")
-    with pytest.raises(ValueError):
-        resolve_scheduler("bogus")
-    for name in SCHEDULER_NAMES:
-        assert resolve_scheduler(name) == name
-
-
-# -- exception latency (the as_completed regression fix) -----------------------
-
-
-def test_level_scheduled_failure_propagates_promptly():
-    """A failing task must raise as soon as it completes, not after the
-    whole level drains.  24 sleeping tasks at 0.3 s over 4 workers take
-    >= 1.8 s to drain fully; the prompt path cancels the queue and only
-    waits out the handful already running."""
-    n = 25
-    levels = [np.arange(n)]
-
-    def task(i):
-        if i == 0:
-            raise RuntimeError("boom")
-        time.sleep(0.3)
-
-    t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="boom"):
-        run_level_scheduled(levels, n, task, workers=4, trace=False)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.2, f"failure took {elapsed:.2f}s to surface"
-
-
-# -- DAG scheduler on synthetic trees ------------------------------------------
+# -- the scheduler on synthetic trees ------------------------------------------
 
 
 class _FakeSupernode:
@@ -307,7 +170,7 @@ def _random_tree(n, seed):
 def test_dag_respects_dependencies():
     parent = _random_tree(60, seed=42)
     job = _FakeJob(parent, sleep_s=0.001)
-    stats = run_dag(job, workers=4)
+    stats = run_scheduled(job, workers=4)
     assert sorted(job.order) == list(range(60))
     position = {node: k for k, node in enumerate(job.order)}
     for i in range(60):
@@ -322,62 +185,68 @@ def test_dag_respects_dependencies():
 
 def test_dag_inline_path_is_ascending():
     job = _FakeJob(_random_tree(20, seed=7))
-    stats = run_dag(job, workers=1)
+    stats = run_scheduled(job, workers=1)
     assert job.order == list(range(20))
     assert stats.inline_tasks == 20
     assert stats.dispatched == 0
-
-
-def test_dag_node_subset():
-    #  0 -> 2 <- 1,   3 -> 4;  run only the upper part {2, 4} after
-    #  pretending the leaves already completed elsewhere.
-    parent = np.array([2, 2, -1, 4, -1], dtype=np.int64)
-    job = _FakeJob(parent)
-    stats = run_dag(job, workers=2, nodes=[2, 4])
-    assert sorted(job.order) == [2, 4]
-    assert stats.dispatched == 2
 
 
 def test_dag_error_propagates_without_hanging():
     parent = _random_tree(40, seed=3)
     job = _FakeJob(parent, fail_at=5, sleep_s=0.001)
     with pytest.raises(RuntimeError, match="task 5 failed"):
-        run_dag(job, workers=4)
+        run_scheduled(job, workers=4)
 
 
-def test_run_scheduled_unknown_name():
-    job = _FakeJob(_random_tree(5, seed=1))
-    with pytest.raises(ValueError):
-        run_scheduled(job, "nope", workers=2)
+def test_failure_propagates_promptly():
+    """A failing task must surface without waiting out the queue.  A
+    25-leaf star whose 24 sleeping leaves take 0.3 s each needs >= 1.8 s
+    to drain on 4 workers; after leaf 0 raises, only the leaves already
+    running finish, the queued ones drain without computing, and the
+    root never runs."""
+    n = 26
+    parent = np.full(n, n - 1, dtype=np.int64)
+    parent[-1] = -1
+
+    class _SleepyStar(_FakeJob):
+        def compute(self, i):
+            if i == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.3)
+            super().compute(i)
+
+    job = _SleepyStar(parent)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="boom"):
+        run_scheduled(job, workers=4)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.2, f"failure took {elapsed:.2f}s to surface"
+    assert n - 1 not in job.order
+    assert len(job.order) <= 4
 
 
 # -- per-factor attribution ----------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
-def test_factor_attribution_names_its_scheduler(
-        scheduler, spd_medium, unsym_small):
+def test_factor_attribution_names_its_scheduler(spd_medium, unsym_small):
     """The attribution view rides on the factor it describes, for both
-    factorization kinds and every scheduler."""
+    factorization kinds."""
     for matrix, kind in ((spd_medium, "cholesky"), (unsym_small, "lu")):
-        solver = SparseSolver(matrix, kind=kind, workers=2,
-                              scheduler=scheduler)
+        solver = SparseSolver(matrix, kind=kind, workers=2)
         sched = solver.factor.attribution["schedule"]
-        assert sched["scheduler"] == scheduler
         assert sched["workers"] == 2
-        if scheduler == "procs" and matrix is spd_medium:
-            # The 3-D grid is wide enough that this must be the real
-            # fork path, not the DAG fallback.
-            assert sched["n_subtrees"] >= 2
-            assert sched["top_tasks"] >= 1
+        assert sched["dispatched"] == solver.symbolic.tree.n_supernodes
+        assert set(sched) == {
+            "workers", "wall_s", "dispatched", "inline_tasks",
+            "worker_busy_s", "worker_idle_s", "worker_tasks", "idle_s",
+            "task_imbalance", "ready_depth", "dispatch_latency_ms",
+        }
 
 
 def test_main_role_attribution_has_schedule_evidence(spd_medium):
     symbolic = symbolic_factorize(spd_medium)
-    factor = multifrontal_cholesky(spd_medium, symbolic, workers=2,
-                                   scheduler="dag")
+    factor = multifrontal_cholesky(spd_medium, symbolic, workers=2)
     sched = factor.attribution["schedule"]
-    assert sched["scheduler"] == "dag"
     assert sched["workers"] == 2
     assert sched["dispatched"] > 0
     assert sched["ready_depth"]["max"] >= 1
@@ -391,11 +260,9 @@ def test_main_role_attribution_has_schedule_evidence(spd_medium):
 
 def test_sched_metrics_exported(spd_medium):
     symbolic = symbolic_factorize(spd_medium)
-    multifrontal_cholesky(spd_medium, symbolic, workers=2,
-                          scheduler="dag")
+    multifrontal_cholesky(spd_medium, symbolic, workers=2)
     snap = global_registry().snapshot()
-    assert snap["numeric.sched.backend"] == SCHEDULER_NAMES.index("dag")
-    assert snap["numeric.sched.tasks.dag"] == symbolic.tree.n_supernodes
+    assert snap["numeric.sched.tasks"] == symbolic.tree.n_supernodes
     for name in (
         "numeric.sched.ready_depth.mean",
         "numeric.sched.ready_depth.max",

@@ -344,7 +344,7 @@ class TestTracerThreadSafety:
         assert len(seen) == 6 * 25
 
     def test_worker_pool_spans_stream_to_sink(self, tmp_path, spd_medium):
-        # The real consumer: level-scheduled numeric workers emitting
+        # The real consumer: the numeric scheduler's workers emitting
         # concurrent spans while telemetry mirrors them to the sink.
         telemetry.start(tmp_path, run_id="run-th", heartbeat_s=None)
         solver = SparseSolver(spd_medium, workers=4)
@@ -356,7 +356,7 @@ class TestTracerThreadSafety:
         names = {e["name"] for e in events if e["t"] == "span"}
         assert "numeric.factorize" in names
         assert "numeric.solve" in names
-        assert "numeric.level" in names       # per-level task spans
+        assert "numeric.supernode" in names   # per-task detail spans
 
 
 class TestArtifactTelemetrySections:
@@ -539,7 +539,7 @@ class TestCLITelemetry:
                    for e in supernodes)
         artifact_names = {s["name"] for s in loaded.spans}
         assert "numeric.factorize" in artifact_names
-        assert not artifact_names & {"numeric.supernode", "numeric.level"}
+        assert "numeric.supernode" not in artifact_names
 
     def test_telemetry_collect_and_list_verbs(self, tmp_path, capsys):
         tel = tmp_path / "telemetry"
