@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.numeric.dense import partial_cholesky, zero_strict_triangle
 from repro.numeric.engine import run_factor_job
-from repro.numeric.schedule import SupernodeJob
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
@@ -48,8 +46,9 @@ class CholeskyFactor:
     Attributes:
         symbolic: the analysis this factor was computed under.
         columns: per-supernode (rows, block) pairs, where ``block`` is the
-            front's first n_cols columns holding final L values at global
-            row coordinates ``rows``.
+            front's pivot panel (``len(rows) x n_cols``, C-ordered) holding
+            final L values at global row coordinates ``rows``; the strict
+            upper triangle of ``block[:n_cols]`` is unspecified.
         attribution: where the factorization's time went — level widths,
             scheduler evidence (``attribution["schedule"]``), worker
             occupancy, wall/busy seconds (see
@@ -95,27 +94,6 @@ class CholeskyFactor:
         )
 
 
-class CholeskyJob(SupernodeJob):
-    """The per-supernode Cholesky task body (see ``SupernodeJob``).
-
-    Only the lower triangle of each update matrix is meaningful, and the
-    whole Cholesky pipeline only ever reads lower triangles — the
-    trailing square is passed as-is.
-    """
-
-    def __init__(self, ctx, permuted_data: np.ndarray, block: int) -> None:
-        super().__init__(ctx, permuted_data, block)
-        self.columns: list[tuple[np.ndarray, np.ndarray] | None] = \
-            [None] * self.n_supernodes
-
-    def _factor(self, i: int, sn, values: np.ndarray) -> None:
-        k = sn.n_cols
-        partial_cholesky(values, k, block=self.block)
-        block = values[:, :k].copy()
-        zero_strict_triangle(block[:k], upper=True)
-        self.columns[i] = (sn.rows.copy(), block)
-
-
 def multifrontal_cholesky(
     matrix: CSCMatrix,
     symbolic: SymbolicFactorization,
@@ -136,7 +114,9 @@ def multifrontal_cholesky(
     """
     if symbolic.kind != "cholesky":
         raise ValueError("symbolic analysis is not for Cholesky")
-    job, attribution = run_factor_job(
-        matrix, symbolic, CholeskyJob, workers, block_size)
-    return CholeskyFactor(symbolic=symbolic, columns=job.columns,
+    job, attribution = run_factor_job(matrix, symbolic, workers, block_size)
+    # Only lower triangles are meaningful — of each update matrix and of
+    # each stored pivot block — and Cholesky only ever reads those.
+    return CholeskyFactor(symbolic=symbolic,
+                          columns=[front[:2] for front in job.fronts],
                           attribution=attribution)

@@ -1,22 +1,25 @@
 """Dense kernels: the numeric payload of Spatula's task types (Table 1).
 
-These are the computations a PE's systolic array performs, as *blocked
-right-looking* algorithms on LAPACK/BLAS: each kernel factors the
-``w x w`` diagonal block of a panel (``dpotrf`` for Cholesky; a per-pivot
-loop for LU, whose static-pivoting bump LAPACK cannot do), solves the
-sub-panel with one ``dtrsm``, then applies the panel to the trailing
-submatrix with one matrix-matrix product.  The panel width ``w`` is
-:mod:`repro.numeric.tuning`'s ``block_size``.  A panel of width 1 is the
-textbook per-pivot step in plain NumPy (Listing 1), so ``block_size=1``
-runs the unblocked algorithm exactly, with no LAPACK call — the
-reference the tests hold the LAPACK path against.
+These are the computations a PE's systolic array performs, on LAPACK/BLAS.
+A supernode's front of ``k`` pivots and ``m`` update rows is held split,
+each part C-ordered: the pivot panel ``P`` (``size x k``: L11/L21, and
+for LU U11 on and above the diagonal), for LU the pivot rows right of it
+``R`` (``k x m``: U12), and the update block ``C`` (``m x m``).  Every
+block a kernel touches is then a transposed *Fortran-contiguous* view —
+``P[:k].T``, ``P[k:].T``, ``R.T``, ``C.T`` — so f2py runs each call in the
+caller's memory (scipy's wrappers take no leading dimension, so a
+sub-block of a larger array would be copied).
 
-Fronts are C-ordered and BLAS is Fortran-ordered, so operands go in as
-transposed *views* (the lower triangle of a C array is the upper triangle
-of its view; side and transposition flip).  f2py works in the caller's
-memory when a view is Fortran-contiguous — row bands of a front, the
-right-hand-side panel of the supernodal solves — and on a panel-sized
-private copy otherwise (column bands); nothing front-sized is copied.
+Per supernode (:func:`cholesky_front` / :func:`lu_front`): the pivot
+block is one ``dpotrf`` (Cholesky) or one ``dgetrf`` accepted only when it
+swapped no row and bumped no pivot (LU; otherwise the per-pivot
+static-pivoting loop factors it), L21 and U12 are one ``dtrsm`` each, and
+``C`` gets one rank-``k`` ``dsyrk`` / ``dgemm``.  Supernodes wider than
+:mod:`repro.numeric.tuning`'s ``block_size`` are factored right-looking
+in panels of that width inside ``P`` / ``R`` first.  A panel of width 1
+is the textbook per-pivot step in plain NumPy (Listing 1), so
+``block_size=1`` factors the pivot columns with no LAPACK call — the
+reference the tests hold the LAPACK path against.
 
 The factors are identical (up to floating-point reassociation of the
 update sums) to the per-pivot algorithms the paper cites (Brent & Luk's
@@ -27,8 +30,8 @@ against ``numpy.linalg`` in tests.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dgemm, dsyrk, dtrsm
+from scipy.linalg.lapack import dgetrf, dpotrf
 
 from repro.numeric.tuning import resolve_block_size
 
@@ -103,11 +106,11 @@ def _non_spd(pivot: float, position: int) -> ValueError:
 
 
 def _cholesky_panel(f: np.ndarray, k0: int, k1: int) -> None:
-    """Factor panel columns [k0, k1) against all rows below them.
+    """Factor panel columns [k0, k1) of ``f`` against all rows below them.
 
-    The trailing matrix is handled by the caller's rank-``(k1-k0)``
-    update.  Raises on the first pivot (in elimination order) that is
-    non-positive or non-finite.
+    The columns right of the panel are handled by the caller's
+    rank-``(k1-k0)`` update.  Raises on the first pivot (in elimination
+    order) that is non-positive or non-finite.
     """
     if k1 - k0 == 1:
         pivot = f[k0, k0]
@@ -136,94 +139,129 @@ def _cholesky_panel(f: np.ndarray, k0: int, k1: int) -> None:
         _trsm(u, f[k1:, k0:k1].T, side=0, lower=0, trans_a=1)
 
 
-def partial_cholesky(front: np.ndarray, n_pivots: int,
-                     block: int | None = None) -> np.ndarray:
-    """Run ``n_pivots`` Cholesky steps on a front, in place (Listing 2).
+def cholesky_front(panel: np.ndarray, update: np.ndarray,
+                   block: int | None = None) -> None:
+    """Factor one supernode's front in place (Listing 2).
 
-    Blocked right-looking: factor a panel of ``block`` columns, then apply
-    one symmetric rank-``block`` update ``A22 -= L21 @ L21.T`` to the
-    trailing block.  After the call, the leading ``n_pivots`` columns hold
-    final L values and the trailing lower triangle holds the
-    Schur-complement update matrix (the strict upper triangle of the
-    front is not maintained; consumers read the lower triangle, as the
-    per-pivot algorithm's callers already did).
+    ``panel`` (``size x k``) becomes L11 over L21 (the strict upper
+    triangle of ``panel[:k]`` is unspecified); ``update`` (``m x m``, only
+    its lower triangle meaningful) receives the Schur complement; both
+    C-ordered.  Panels of ``block`` columns are factored right-looking
+    inside ``panel``, then one rank-``k`` ``dsyrk`` updates ``update`` in
+    its own memory.
     """
-    f = front
-    r = f.shape[0]
+    k = panel.shape[1]
     bs = resolve_block_size(block)
-    for k0 in range(0, n_pivots, bs):
-        k1 = min(k0 + bs, n_pivots)
-        _cholesky_panel(f, k0, k1)
-        if k1 < r:
-            panel = f[k1:, k0:k1]
-            f[k1:, k1:] -= panel @ panel.T
-    return f
+    for k0 in range(0, k, bs):
+        k1 = min(k0 + bs, k)
+        _cholesky_panel(panel, k0, k1)
+        if k1 < k:
+            panel[k1:, k1:] -= panel[k1:, k0:k1] @ panel[k1:k, k0:k1].T
+    if update.size:
+        dsyrk(-1.0, panel[k:].T, trans=1, beta=1.0, c=update.T, lower=0,
+              overwrite_c=1)
 
 
-def _lu_panel(f: np.ndarray, k0: int, k1: int, perturb: float) -> None:
-    """LU of panel columns [k0, k1) and the U rows right of them.
+def _lu_diagonal(d: np.ndarray, k0: int, perturb: float) -> int:
+    """Unpivoted LU of the square block ``d`` (front position ``k0``) in
+    place; returns how many pivots the static-pivoting bump replaced.
 
-    The static-pivoting bump needs every pivot in elimination order, so
-    the ``w x w`` diagonal block is factored per pivot; L21 and U12 are
-    one dtrsm each.
+    ``dgetrf`` on a Fortran copy is kept if it swapped no row and no
+    pivot is below ``perturb``: then it *is* the unpivoted LU.  Otherwise
+    the per-pivot loop — the ``block_size=1`` reference, and the only code
+    that applies the bump (Li & Demmel) — factors the untouched values.
     """
-    w = k1 - k0
-    d = f[k0:k1, k0:k1]
+    w = d.shape[0]
+    if w > 1:
+        lu, piv, info = dgetrf(np.array(d, order="F"), overwrite_a=1)
+        if (info == 0 and (piv == np.arange(w)).all()
+                and np.abs(lu.diagonal()).min() >= perturb):
+            d[...] = lu
+            return 0
+    bumped = 0
     for k in range(w):
         pivot = d[k, k]
         if abs(pivot) < perturb:
             pivot = perturb if pivot >= 0 else -perturb
             d[k, k] = pivot
+            bumped += 1
         if pivot == 0.0:
             raise ValueError(f"zero pivot at front position {k0 + k}")
         if k + 1 < w:
             d[k + 1:, k] /= pivot
             d[k + 1:, k + 1:] -= d[k + 1:, k][:, None] * d[k, k + 1:]
-    if k1 == f.shape[0]:
-        return
-    if w == 1:
-        f[k1:, k0] /= d[0, 0]
-        return
-    # L21 = A21 @ U11^-1, as U11.T @ L21.T = A21.T (U11.T is the lower
-    # triangle of the Fortran view of d).
-    _trsm(d.T, f[k1:, k0:k1].T, side=0, lower=1)
-    # U12: solve unit-lower L11 @ U12 = A12 (the diagonal of d holds U
-    # values, never read with unit=True).
-    _solve_lower_inplace(d, f[k0:k1, k1:], True)
+    return bumped
+
+
+def lu_front(panel: np.ndarray, right: np.ndarray, update: np.ndarray,
+             perturb: float = 0.0, block: int | None = None) -> int:
+    """Factor one supernode's unsymmetric front in place; returns the
+    number of bumped pivots.
+
+    ``panel`` (``size x k``) becomes unit L11 (strict lower) with U11
+    (upper) over L21, ``right`` (``k x m``) becomes U12, ``update``
+    (``m x m``) receives the Schur complement; all C-ordered.  Panels of
+    ``block`` columns are factored right-looking inside ``panel`` /
+    ``right`` (diagonal block by :func:`_lu_diagonal`, L below and U
+    right of it by one ``dtrsm`` each), then one rank-``k`` ``dgemm``
+    updates ``update`` in its own memory.
+    """
+    k = panel.shape[1]
+    bs = resolve_block_size(block)
+    bumped = 0
+    for k0 in range(0, k, bs):
+        k1 = min(k0 + bs, k)
+        d = panel[k0:k1, k0:k1]
+        bumped += _lu_diagonal(d, k0, perturb)
+        below = panel[k1:, k0:k1]
+        if k1 - k0 == 1:
+            below /= d[0, 0]
+        else:
+            # L21 = A21 @ U11^-1, as U11.T @ L21.T = A21.T (U11.T is the
+            # lower triangle of the Fortran view of d).
+            if below.size:
+                _trsm(d.T, below.T, side=0, lower=1)
+            # U12: unit-lower L11 @ U12 = A12 (d's diagonal is not read).
+            for rows in (panel[k0:k1, k1:], right[k0:k1]):
+                if rows.size:
+                    _solve_lower_inplace(d, rows, True)
+        if k1 < k:
+            panel[k1:, k1:] -= below @ panel[k0:k1, k1:]
+            right[k1:] -= panel[k1:k, k0:k1] @ right[k0:k1]
+    if update.size:
+        dgemm(-1.0, right.T, panel[k:].T, beta=1.0, c=update.T,
+              overwrite_c=1)
+    return bumped
+
+
+def _on_square(front: np.ndarray, n_pivots: int, kernel) -> np.ndarray:
+    """Run a split-front kernel on private copies of a square front's
+    ``P`` / ``R`` / ``C`` parts and write them back."""
+    parts = (front[:, :n_pivots], front[:n_pivots, n_pivots:],
+             front[n_pivots:, n_pivots:])
+    copies = [np.array(part) for part in parts]
+    kernel(*copies)
+    for part, copy in zip(parts, copies):
+        part[...] = copy
+    return front
+
+
+def partial_cholesky(front: np.ndarray, n_pivots: int,
+                     block: int | None = None) -> np.ndarray:
+    """Run ``n_pivots`` Cholesky steps on a square front, in place: the
+    square-front form of :func:`cholesky_front` (the strict upper
+    triangle of the front is not maintained)."""
+    return _on_square(front, n_pivots,
+                      lambda p, _r, c: cholesky_front(p, c, block))
 
 
 def partial_lu(front: np.ndarray, n_pivots: int,
                perturb: float = 0.0, block: int | None = None) -> np.ndarray:
-    """Run ``n_pivots`` LU steps on a full-square front, in place.
-
-    Blocked right-looking with the static-pivoting small-pivot bump
-    (pivots with ``|pivot| < perturb`` are replaced by ``+/- perturb``;
-    Li & Demmel).  Per panel: the panel factorization with its U rows
-    (:func:`_lu_panel`), then one matmul trailing update.
-    """
-    f = front
-    r = f.shape[0]
-    bs = resolve_block_size(block)
-    for k0 in range(0, n_pivots, bs):
-        k1 = min(k0 + bs, n_pivots)
-        _lu_panel(f, k0, k1, perturb)
-        if k1 < r:
-            f[k1:, k1:] -= f[k1:, k0:k1] @ f[k0:k1, k1:]
-    return f
-
-
-def zero_strict_triangle(a: np.ndarray, upper: bool) -> None:
-    """Zero the strict upper (or lower) triangle of a square block in place.
-
-    One row slice at a time: on the small ``k x k`` pivot blocks the
-    factor drivers call this for, that is several times cheaper than
-    building ``np.tril``'s boolean mask.
-    """
-    for i in range(1, a.shape[0]):
-        if upper:
-            a[i - 1, i:] = 0.0
-        else:
-            a[i, :i] = 0.0
+    """Run ``n_pivots`` LU steps on a square front, in place: the
+    square-front form of :func:`lu_front`, pivots with ``|pivot| <
+    perturb`` replaced by ``+/- perturb`` (Li & Demmel)."""
+    return _on_square(front, n_pivots,
+                      lambda p, r, c: lu_front(p, r, c, perturb, block))
 
 
 def dense_cholesky(a: np.ndarray, block: int | None = None) -> np.ndarray:
@@ -263,7 +301,7 @@ def tsolve_lower(block: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
     This is the tsolve task of Figure 11: given the factored diagonal tile
     ``lower`` (L11) and a subdiagonal block B, compute L21 = B @ L11^-T
-    — the same dtrsm :func:`partial_cholesky` issues per panel.
+    — the same dtrsm :func:`cholesky_front` runs per panel.
     """
     x = np.array(block, dtype=np.float64, order="C")
     _trsm(lower.T, x.T, side=0, lower=0, trans_a=1)

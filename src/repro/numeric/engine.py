@@ -29,7 +29,6 @@ This module is the machinery shared by :func:`multifrontal_cholesky` and
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 
 import numpy as np
 
@@ -92,10 +91,12 @@ class NumericContext:
 
     Attributes:
         perm_data: ``permuted.data == matrix.data[perm_data]``.
-        flat_pos / data_idx: per-supernode scatter maps;
-            ``front.flat[flat_pos[i]] = permuted_data[data_idx[i]]``
-            initializes supernode ``i``'s front from A's entries (both the
-            L and — for LU — the U part).
+        front_pos / data_idx: per-supernode scatter maps;
+            ``buf[front_pos[i]] = permuted_data[data_idx[i]]`` initializes
+            supernode ``i``'s pivot panel ``P`` and (LU) pivot rows ``R``
+            from A's entries, ``buf`` being ``P`` then ``R`` flattened
+            (both the L and — for LU — the U part; see
+            :meth:`SupernodeJob.compute`).
         sn_parent: supernode parent array (``-1`` for roots) — the task
             dependence structure the scheduler consumes.
         levels: supernode level sets (leaves first): the available
@@ -134,52 +135,77 @@ class NumericContext:
                                   dtype=np.int64)
         self.levels = etree_level_sets(self.sn_parent)
 
-        lower = self._front_maps(analyzed.indptr, analyzed.indices,
-                                 upper=False)
-        self.flat_pos = [flat for flat, _ in lower]
-        self.data_idx = [slot for _, slot in lower]
+        parts = [self._front_maps(analyzed.indptr, analyzed.indices,
+                                  upper=False)]
         if symbolic.kind == "lu":
             # The U part: rows of the permuted matrix are the "columns"
             # of its tagged transpose, whose data slots carry the
             # permuted-data index.
             entries = analyzed.to_coo()
             t = _arange_csc(n, n, entries.cols, entries.rows)
-            t_src = _as_int_index(t.data)
-            for i, (flat, slot) in enumerate(
-                    self._front_maps(t.indptr, t.indices, upper=True)):
-                self.flat_pos[i] = np.concatenate([self.flat_pos[i], flat])
-                self.data_idx[i] = np.concatenate(
-                    [self.data_idx[i], t_src[slot]])
+            sn_u, flat_u, slot_u = self._front_maps(t.indptr, t.indices,
+                                                    upper=True)
+            parts.append((sn_u, flat_u, _as_int_index(t.data)[slot_u]))
+        # Stable by supernode: each supernode's L entries, then its U's.
+        sn_of, flat, slot = (np.concatenate(col) for col in zip(*parts))
+        order = np.argsort(sn_of, kind="stable")
+        cuts = np.searchsorted(sn_of[order], np.arange(1, tree.n_supernodes))
+        self.front_pos = np.split(flat[order], cuts)
+        self.data_idx = np.split(slot[order], cuts)
 
     # -- construction helpers ------------------------------------------------
 
     def _front_maps(self, indptr: np.ndarray, indices: np.ndarray,
-                    upper: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-supernode (front flat position, CSC slot) pairs for the
-        entries of the supernode's columns that fall inside its front:
-        one ``searchsorted`` per supernode over its contiguous CSC slice.
+                    upper: bool) -> tuple[np.ndarray, ...]:
+        """(supernode, ``front_pos`` position, CSC slot) of every entry
+        that falls inside the front of the supernode owning its column,
+        in slot order: one ``searchsorted`` over all supernodes' rows,
+        keyed by ``supernode * n + row``.
 
         ``upper=False`` takes A's at-or-below-diagonal entries (the L
-        part of every front, column ``local`` of the front);
-        ``upper=True`` takes a transposed CSC's strictly-beyond-diagonal
-        entries (the U part of LU fronts, row ``local``).
+        part of every front, column ``local`` of ``P``); ``upper=True``
+        takes a transposed CSC's strictly-beyond-diagonal entries (the U
+        part of LU fronts, row ``local`` of ``P`` or, past the pivot
+        columns, of ``R``).
         """
-        cols = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
-                         np.diff(indptr))
-        wanted = indices > cols if upper else indices >= cols
-        maps = []
-        for sn in self.symbolic.tree.supernodes:
-            size = sn.front_size
-            lo, hi = indptr[sn.first_col], indptr[sn.last_col + 1]
-            slot = lo + np.flatnonzero(wanted[lo:hi])
-            rows = indices[slot]
-            pos = np.searchsorted(sn.rows, rows)
-            ok = (pos < size) & (sn.rows[np.minimum(pos, size - 1)] == rows)
-            pos, slot = pos[ok], slot[ok]
-            local = cols[slot] - sn.first_col
-            maps.append((local * size + pos if upper else pos * size + local,
-                         slot))
-        return maps
+        supernodes = self.symbolic.tree.supernodes
+        n = len(indptr) - 1
+        size, k, first = np.array(
+            [(sn.front_size, sn.n_cols, sn.first_col) for sn in supernodes],
+            dtype=np.int64).reshape(-1, 3).T
+        start = np.cumsum(size) - size
+        keys = np.concatenate([sn.rows for sn in supernodes]) + np.repeat(
+            np.arange(len(supernodes), dtype=np.int64) * n, size)
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        slot = np.flatnonzero(indices > cols if upper else indices >= cols)
+        sn_of = self.symbolic.tree.col_to_sn[cols[slot]]
+        key = sn_of * n + indices[slot]
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        ok = keys[at] == key
+        slot, sn_of = slot[ok], sn_of[ok]
+        pos = at[ok] - start[sn_of]
+        local = cols[slot] - first[sn_of]
+        size, k = size[sn_of], k[sn_of]
+        if upper:
+            flat = np.where(pos < k, local * k + pos,
+                            size * k + local * (size - k) + pos - k)
+        else:
+            flat = pos * k + local
+        return sn_of, flat, slot
+
+    @property
+    def flat_pos(self) -> list[np.ndarray]:
+        """``front_pos`` as square-front positions (``row * size + col``):
+        the layout-independent statement of the same maps, which
+        ``tests/test_symbolic_golden.py`` holds equal to the oracle's."""
+        out = []
+        for sn, flat in zip(self.symbolic.tree.supernodes, self.front_pos):
+            size, k = sn.front_size, sn.n_cols
+            in_r = flat >= size * k
+            row, col = np.divmod(np.where(in_r, flat - size * k, flat),
+                                 np.where(in_r, size - k, k))
+            out.append(row * size + col + in_r * k)
+        return out
 
     # -- queries -------------------------------------------------------------
 
@@ -289,22 +315,22 @@ def export_factor_metrics(
 def run_factor_job(
     matrix: CSCMatrix,
     symbolic: SymbolicFactorization,
-    make_job: Callable[[NumericContext, np.ndarray, int], SupernodeJob],
     workers: int | None,
     block_size: int | None,
+    perturb: float | None = None,
 ) -> tuple[SupernodeJob, dict]:
     """The numeric driver shared by Cholesky and LU: resolve (and
     range-check) the tuning knobs, build the job over the pattern-cached
-    context (``make_job(ctx, permuted_data, block)``), run it on
-    ``workers`` threads, check every update matrix was consumed, and
-    export the metrics.  Returns the finished job and its attribution
-    view."""
+    context (``perturb`` is ``None`` for Cholesky, the static-pivoting
+    threshold for LU), run it on ``workers`` threads, check every update
+    matrix was consumed, and export the metrics.  Returns the finished
+    job and its attribution view."""
     workers = resolve_workers(workers)
     block = resolve_block_size(block_size)
     t_start = time.perf_counter()
 
     ctx = numeric_context(symbolic, matrix)
-    job = make_job(ctx, ctx.permuted_data(matrix), block)
+    job = SupernodeJob(ctx, ctx.permuted_data(matrix), block, perturb)
     stats = run_scheduled(job, workers)
     job.check_consumed()
     attribution = export_factor_metrics(

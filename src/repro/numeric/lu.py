@@ -1,11 +1,11 @@
 """Multifrontal sparse LU with static pivoting (Section 2.4).
 
-Same structure as multifrontal Cholesky, with full-square fronts: the first
-N_k columns of a front hold L's columns, the first N_k *rows* hold U's rows,
-and the trailing square is the update matrix.  Static pivoting (row
-matching) happens before the symbolic analysis; tiny pivots encountered
-during factorization are bumped by ``sqrt(eps) * ||A||_max`` as in
-static-pivoted solvers.
+Same structure as multifrontal Cholesky, with unsymmetric fronts: the
+pivot panel holds L's N_k columns (and U11 on and above its diagonal),
+the pivot rows right of it hold U12, and the trailing square is the
+update matrix.  Static pivoting (row matching) happens before the
+symbolic analysis; tiny pivots encountered during factorization are
+bumped by ``sqrt(eps) * ||A||_max`` as in static-pivoted solvers.
 
 Like the Cholesky side, assembly runs through the pattern-cached scatter
 maps of :mod:`repro.numeric.engine`, the partial factorization is the
@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.numeric.cholesky import _supernode_triangle
-from repro.numeric.dense import partial_lu, zero_strict_triangle
 from repro.numeric.engine import run_factor_job
-from repro.numeric.schedule import SupernodeJob
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
@@ -35,13 +33,14 @@ class LUFactors:
 
     Attributes:
         symbolic: the analysis this factor was computed under.
-        fronts: per-supernode (rows, l_block, u_block): l_block is the
-            front's first n_cols columns (L, unit diagonal implicit in U
-            convention below); u_block is the first n_cols rows (U,
-            including the diagonal).
-        perturbed_pivots: number of pivots bumped by the static-pivoting
-            perturbation (0 for well-conditioned diagonally dominant
-            inputs).
+        fronts: per-supernode (rows, panel, right), both C-ordered:
+            ``panel`` (``len(rows) x n_cols``) holds L's columns (unit
+            diagonal implicit) strictly below its diagonal and U11 on and
+            above it; ``right`` (``n_cols x (len(rows) - n_cols)``) holds
+            U12, the rest of U's rows.
+        perturbed_pivots: number of pivots the static-pivoting
+            perturbation replaced during elimination (0 for
+            well-conditioned diagonally dominant inputs).
         attribution: where the factorization's time went (same view as
             ``CholeskyFactor.attribution``).
     """
@@ -62,13 +61,13 @@ class LUFactors:
         n = self.symbolic.n
         l_rows, l_cols, l_vals = [], [], []
         u_rows, u_cols, u_vals = [], [], []
-        for sn, (rows, l_block, u_block) in zip(
+        for sn, (rows, panel, right) in zip(
             self.symbolic.tree.supernodes, self.fronts
         ):
             ii, jj = _supernode_triangle(rows, sn.n_cols)
             # L: column first_col + j holds rows[i] for i >= j; the
             # diagonal (i == j) is stored as the unit 1.0.
-            vals = l_block[ii, jj]
+            vals = panel[ii, jj]
             vals[ii == jj] = 1.0
             l_rows.append(rows[ii])
             l_cols.append(sn.first_col + jj)
@@ -77,7 +76,7 @@ class LUFactors:
             # including the pivot diagonal.
             u_rows.append(sn.first_col + jj)
             u_cols.append(rows[ii])
-            u_vals.append(u_block[jj, ii])
+            u_vals.append(np.hstack((panel[:sn.n_cols], right))[jj, ii])
         lower = CSCMatrix.from_coo(COOMatrix(
             n, n, np.concatenate(l_rows), np.concatenate(l_cols),
             np.concatenate(l_vals),
@@ -87,30 +86,6 @@ class LUFactors:
             np.concatenate(u_vals),
         ))
         return lower, upper
-
-
-class LUJob(SupernodeJob):
-    """The per-supernode LU task body (see ``SupernodeJob``)."""
-
-    def __init__(self, ctx, permuted_data: np.ndarray, block: int,
-                 perturb: float) -> None:
-        super().__init__(ctx, permuted_data, block)
-        self.perturb = perturb
-        self.fronts: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray] | None
-        ] = [None] * self.n_supernodes
-        self.perturbed = np.zeros(self.n_supernodes, dtype=np.int64)
-
-    def _factor(self, i: int, sn, values: np.ndarray) -> None:
-        k = sn.n_cols
-        before = np.abs(np.diag(values)[:k])
-        self.perturbed[i] = int(np.sum(before < self.perturb))
-        partial_lu(values, k, perturb=self.perturb, block=self.block)
-        l_block = values[:, :k].copy()
-        zero_strict_triangle(l_block[:k], upper=True)
-        u_block = values[:k].copy()
-        zero_strict_triangle(u_block[:, :k], upper=False)
-        self.fronts[i] = (sn.rows.copy(), l_block, u_block)
 
 
 def multifrontal_lu(
@@ -138,10 +113,8 @@ def multifrontal_lu(
         amax = float(np.abs(matrix.data).max()) if matrix.nnz else 1.0
         perturb = np.sqrt(np.finfo(np.float64).eps) * amax
 
-    job, attribution = run_factor_job(
-        matrix, symbolic,
-        lambda ctx, data, block: LUJob(ctx, data, block, perturb),
-        workers, block_size)
+    job, attribution = run_factor_job(matrix, symbolic, workers, block_size,
+                                      perturb)
     return LUFactors(symbolic=symbolic, fronts=job.fronts,
                      perturbed_pivots=int(job.perturbed.sum()),
                      attribution=attribution)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.numeric.dense import cholesky_front, lu_front
 from repro.obs import span, telemetry
 
 __all__ = [
@@ -184,15 +185,17 @@ class SupernodeJob:
 
     Owns the state of one factorization: the pattern-cached numeric
     context, the permuted input values, the in-flight update matrices,
-    and (in the subclass) the per-supernode outputs.  :meth:`compute`
-    is the task body the scheduler runs; it is safe to call concurrently
-    for *independent* supernodes (each task writes only its own slots
-    and consumes only its children's — all of which completed first).
-
-    Subclasses implement the kind-specific ``_factor`` step.
+    and the per-supernode outputs — ``fronts[i] = (rows, P, R)`` (``R``
+    is empty for Cholesky) and, for LU, ``perturbed[i]``, the pivots the
+    static-pivoting bump replaced.  ``perturb`` is ``None`` for Cholesky
+    and the bump threshold for LU.  :meth:`compute` is the task body the
+    scheduler runs; it is safe to call concurrently for *independent*
+    supernodes (each task writes only its own slots and consumes only
+    its children's — all of which completed first).
     """
 
-    def __init__(self, ctx, permuted_data: np.ndarray, block: int) -> None:
+    def __init__(self, ctx, permuted_data: np.ndarray, block: int,
+                 perturb: float | None = None) -> None:
         tree = ctx.symbolic.tree
         self.ctx = ctx
         self.supernodes = tree.supernodes
@@ -201,42 +204,65 @@ class SupernodeJob:
         self.sn_parent = ctx.sn_parent
         self.permuted_data = permuted_data
         self.block = block
+        self.perturb = perturb
         self.updates: list[np.ndarray | None] = [None] * self.n_supernodes
+        self.fronts: list[tuple[np.ndarray, ...] | None] = \
+            [None] * self.n_supernodes
+        self.perturbed = np.zeros(self.n_supernodes, dtype=np.int64)
         self.timer = TaskTimer(self.n_supernodes)
 
     def compute(self, i: int) -> None:
-        """Assemble, extend-add, factor, and store supernode ``i``."""
+        """Assemble, extend-add, factor, and store supernode ``i``, its
+        front split as in :mod:`repro.numeric.dense`: ``P`` and (LU)
+        ``R`` in one buffer, the update block ``C`` (passed up) apart."""
         with self.timer.time(i):
             sn = self.supernodes[i]
-            size = sn.front_size
-            values = np.zeros((size, size))
-            flat = values.reshape(-1)
-            flat[self.ctx.flat_pos[i]] = \
+            k, m = sn.n_cols, sn.n_update_rows
+            size = k + m
+            m_right = 0 if self.perturb is None else m
+            buf = np.zeros(size * k + k * m_right)
+            buf[self.ctx.front_pos[i]] = \
                 self.permuted_data[self.ctx.data_idx[i]]
+            panel = buf[:size * k].reshape(size, k)
+            right = buf[size * k:].reshape(k, m_right)
+            update = np.zeros((m, m))
             # Extend-add children in fixed (ascending) order so the
             # result does not depend on which worker computed each child.
-            # The same additions as values[pos[:, None], pos] += update,
-            # as one scatter-add over flat indices: several times faster
-            # than the 2-D fancy index and no gathered temporary.
+            # A child's sorted positions split at the first update row:
+            # entries in pivot columns go to P, pivot rows right of them
+            # to R (LU only; Cholesky's strict upper is never read), the
+            # rest to C — one flat-index scatter-add each (several times
+            # faster than a 2-D fancy index, no gathered temporary).
             for child in sn.children:
                 pos = self.child_maps[child]
                 if pos is None:
                     continue
                 child_update = self.updates[child]
                 self.updates[child] = None
-                np.add.at(flat, (pos[:, None] * size + pos).reshape(-1),
-                          child_update.reshape(-1))
-            self._factor(i, sn, values)
-            if sn.parent >= 0 and sn.n_update_rows > 0:
-                self.updates[i] = values[sn.n_cols:, sn.n_cols:].copy()
+                s = int(np.searchsorted(pos, k))
+                top, low = pos[:s], pos[s:] - k
+                np.add.at(buf, (pos[:, None] * k + top).reshape(-1),
+                          child_update[:, :s].reshape(-1))
+                if m_right:
+                    np.add.at(right.reshape(-1),
+                              (top[:, None] * m + low).reshape(-1),
+                              child_update[:s, s:].reshape(-1))
+                np.add.at(update.reshape(-1),
+                          (low[:, None] * m + low).reshape(-1),
+                          child_update[s:, s:].reshape(-1))
+            if self.perturb is None:
+                cholesky_front(panel, update, self.block)
+            else:
+                self.perturbed[i] = lu_front(panel, right, update,
+                                             self.perturb, self.block)
+            self.fronts[i] = (sn.rows.copy(), panel, right)
+            if sn.parent >= 0 and m > 0:
+                self.updates[i] = update
 
     def check_consumed(self) -> None:
         """Every update matrix must have been extend-added exactly once."""
         if any(u is not None for u in self.updates):
             raise AssertionError("unconsumed update matrices remain")
-
-    def _factor(self, i: int, sn, values: np.ndarray) -> None:
-        raise NotImplementedError
 
 
 def run_scheduled(job: SupernodeJob, workers: int) -> ScheduleStats:

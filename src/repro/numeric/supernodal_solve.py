@@ -43,6 +43,32 @@ def _as_panel(b: np.ndarray) -> tuple[np.ndarray, bool]:
     return y, False
 
 
+def _supernodal_solve(supernodes, blocks, b: np.ndarray,
+                      lu: bool) -> np.ndarray:
+    """L U X = B over per-supernode ``(rows, P[, R])`` blocks: U = L^T for
+    Cholesky; for LU, L has a unit diagonal (the stored diagonal holds
+    U's pivots and is never read by the unit solve), U11 is the upper
+    triangle of the pivot block and U12 the pivot rows ``R``."""
+    y, was_vector = _as_panel(b)
+    # Forward: L Y = B, supernodes in postorder.
+    for sn, (rows, panel, *_) in zip(supernodes, blocks):
+        k = sn.n_cols
+        y_sn = y[sn.first_col:sn.last_col + 1]
+        _solve_lower_inplace(panel[:k], y_sn, lu)
+        if len(rows) > k:
+            y[rows[k:]] -= panel[k:] @ y_sn
+    # Backward: U X = Y, supernodes in reverse.
+    x = y
+    for sn, (rows, panel, *right) in zip(reversed(supernodes),
+                                         reversed(blocks)):
+        k = sn.n_cols
+        rhs = x[sn.first_col:sn.last_col + 1]
+        if len(rows) > k:
+            rhs -= (right[0] if lu else panel[k:].T) @ x[rows[k:]]
+        _solve_upper_inplace(panel[:k] if lu else panel[:k].T, rhs, False)
+    return x[:, 0] if was_vector else x
+
+
 def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) X = B using the supernodal factor directly.
 
@@ -50,25 +76,8 @@ def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     permutation, as :class:`repro.numeric.solver.SparseSolver` does) and
     may be a vector or an (n, k) panel of right-hand sides.
     """
-    supernodes = factor.symbolic.tree.supernodes
-    y, was_vector = _as_panel(b)
-    # Forward: L Y = B, supernodes in postorder.
-    for sn, (rows, block) in zip(supernodes, factor.columns):
-        k = sn.n_cols
-        y_sn = y[sn.first_col:sn.last_col + 1]
-        _solve_lower_inplace(block[:k, :], y_sn, False)
-        if len(rows) > k:
-            y[rows[k:]] -= block[k:, :] @ y_sn
-    # Backward: L^T X = Y, supernodes in reverse.
-    x = y
-    for sn, (rows, block) in zip(reversed(supernodes),
-                                 reversed(factor.columns)):
-        k = sn.n_cols
-        rhs = x[sn.first_col:sn.last_col + 1]
-        if len(rows) > k:
-            rhs -= block[k:, :].T @ x[rows[k:]]
-        _solve_upper_inplace(block[:k, :].T, rhs, False)
-    return x[:, 0] if was_vector else x
+    return _supernodal_solve(factor.symbolic.tree.supernodes,
+                             factor.columns, b, lu=False)
 
 
 def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
@@ -77,23 +86,5 @@ def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
     Same conventions as :func:`cholesky_solve`; ``b`` may be a vector or
     an (n, k) panel.
     """
-    supernodes = factors.symbolic.tree.supernodes
-    y, was_vector = _as_panel(b)
-    # Forward: L Y = B (unit-diagonal L; the stored diagonal holds U's
-    # pivots and is never read by the unit solve).
-    for sn, (rows, l_block, _u_block) in zip(supernodes, factors.fronts):
-        k = sn.n_cols
-        y_sn = y[sn.first_col:sn.last_col + 1]
-        _solve_lower_inplace(l_block[:k, :], y_sn, True)
-        if len(rows) > k:
-            y[rows[k:]] -= l_block[k:, :] @ y_sn
-    # Backward: U X = Y.
-    x = y
-    for sn, (rows, _l_block, u_block) in zip(reversed(supernodes),
-                                             reversed(factors.fronts)):
-        k = sn.n_cols
-        rhs = x[sn.first_col:sn.last_col + 1]
-        if len(rows) > k:
-            rhs -= u_block[:, k:] @ x[rows[k:]]
-        _solve_upper_inplace(u_block[:k, :k], rhs, False)
-    return x[:, 0] if was_vector else x
+    return _supernodal_solve(factors.symbolic.tree.supernodes,
+                             factors.fronts, b, lu=True)

@@ -13,12 +13,12 @@ and the multifrontal factorizations (:mod:`repro.numeric.cholesky` /
 Knobs:
 
 * ``block_size`` — panel width of the right-looking blocked kernels: how
-  many pivots one ``dpotrf``/``dtrsm`` pair (Cholesky) or one per-pivot
-  diagonal-block loop plus two ``dtrsm`` (LU) factors at once, and the
-  rank of each trailing matrix-matrix update.  32–128 is the useful range
-  on typical BLAS builds.  ``1`` is the textbook per-pivot algorithm in
-  plain NumPy, with no LAPACK call — the reference path the tests hold
-  the LAPACK-routed kernels against.
+  many pivots one ``dpotrf``/``dtrsm`` pair (Cholesky) or one ``dgetrf``
+  (the per-pivot loop when it would pivot or bump) plus two ``dtrsm``
+  (LU) factors at once; a supernode no wider than this is one panel, and
+  its update block takes one rank-``k`` update either way.  ``1`` is the
+  textbook per-pivot algorithm in plain NumPy, with no LAPACK call — the
+  reference path the tests hold the LAPACK-routed kernels against.
 * ``workers`` — thread count of the numeric-phase scheduler
   (:mod:`repro.numeric.schedule`): a supernode is dispatched to the pool
   the moment its last assembly-tree child finishes.  NumPy's BLAS

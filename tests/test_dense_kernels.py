@@ -13,12 +13,13 @@ import pytest
 
 from repro.numeric import SparseSolver
 from repro.numeric import dense
+from repro.numeric import schedule
 from repro.numeric.dense import (
+    lu_front,
     partial_cholesky,
     partial_lu,
     solve_lower_dense,
     solve_upper_dense,
-    zero_strict_triangle,
 )
 from repro.numeric.supernodal_solve import cholesky_solve, lu_solve
 from repro.sparse import circuit_like, grid_laplacian_3d
@@ -156,33 +157,47 @@ class TestTriangularSolves:
         assert np.array_equal(holder[:, :3], before[:, :3])
         assert np.array_equal(holder[:, 20:], before[:, 20:])
 
-    def test_zero_strict_triangle(self, rng):
-        for k in (1, 2, 7):
-            a = rng.standard_normal((k, k))
-            up, lo = a.copy(), a.copy()
-            zero_strict_triangle(up, upper=True)
-            zero_strict_triangle(lo, upper=False)
-            assert np.array_equal(up, np.tril(a))
-            assert np.array_equal(lo, np.triu(a))
+    def test_cholesky_strict_upper_triangle_is_never_read(self):
+        matrix = grid_laplacian_3d(7, seed=3)
+        solver = SparseSolver(matrix, use_cache=False)
+        rng = np.random.default_rng(6)
+        rhs = [rng.standard_normal(matrix.n_rows),
+               rng.standard_normal((matrix.n_rows, 32))]
+
+        def outputs():
+            csc = solver.factor.to_csc()
+            return [solver.solve(b) for b in rhs] + [
+                csc.indptr, csc.indices, csc.data]
+
+        before = outputs()
+        for sn, (_, block) in zip(solver.symbolic.tree.supernodes,
+                                  solver.factor.columns):
+            k = sn.n_cols
+            block[:k][np.triu_indices(k, 1)] = np.nan
+        assert all(np.array_equal(a, b) for a, b in zip(outputs(), before))
 
 
 class _BlasSpy:
-    """Wraps an f2py routine; records, per call, whether each array went
-    in Fortran-contiguous (no private copy) and whether the result is the
-    very object passed in (solved in the caller's memory)."""
+    """Wraps an f2py routine; records, per call, whether each array
+    (positional or keyword) went in Fortran-contiguous (no private copy)
+    and whether the result is the very object passed in (solved in the
+    caller's memory).  Spies sharing one ``log`` record in call order."""
 
-    def __init__(self, fn, in_place_arg):
-        self.fn, self.in_place_arg, self.calls = fn, in_place_arg, []
+    def __init__(self, fn, in_place_arg, log=None):
+        self.fn, self.in_place_arg = fn, in_place_arg
+        self.calls = [] if log is None else log
 
     def __call__(self, *args, **kwargs):
         out = self.fn(*args, **kwargs)
-        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        arrays = [a for a in (*args, *kwargs.values())
+                  if isinstance(a, np.ndarray)]
         target = arrays[self.in_place_arg]
         result = out[0] if isinstance(out, tuple) else out
         self.calls.append({
             "contiguous": [a.flags.f_contiguous for a in arrays],
             "in_place": result is target
             and np.shares_memory(result, target),
+            "target": target,
         })
         return out
 
@@ -220,14 +235,45 @@ class TestNoCopies:
             # L11 is a row band of the stored block: no copy either.
             assert all(c["contiguous"][0] for c in spy.calls)
 
-    def test_whole_front_panel_factors_in_place(self, rng, monkeypatch):
-        spy = _BlasSpy(dense.dpotrf, in_place_arg=0)
-        monkeypatch.setattr(dense, "dpotrf", spy)
-        a = _spd(rng, 40)
-        front = a.copy()
-        partial_cholesky(front, 40, block=48)
-        assert spy.calls == [{"contiguous": [True], "in_place": True}]
-        assert np.allclose(np.tril(front), np.linalg.cholesky(a))
+    def test_whole_front_panel_factors_in_place(self, monkeypatch):
+        """On every supernode no wider than ``block_size`` each LAPACK /
+        BLAS call gets Fortran-contiguous operands and works in the
+        memory of that supernode's P / R / C — except ``dgetrf``, which
+        factors a ``k x k`` copy (kept only if it needed no pivoting)."""
+        log = []
+        for name, arg in (("dpotrf", 0), ("dtrsm", 1), ("dsyrk", 1),
+                          ("dgemm", 2), ("dgetrf", 0)):
+            spy = _BlasSpy(getattr(dense, name), arg, log)
+            monkeypatch.setattr(dense, name, spy)
+        for kernel in ("cholesky_front", "lu_front"):
+            def front(*args, _real=getattr(schedule, kernel)):
+                log.append({"front": [a for a in args
+                                      if isinstance(a, np.ndarray)]})
+                return _real(*args)
+
+            monkeypatch.setattr(schedule, kernel, front)
+        block = 48
+        for kind, matrix in (("cholesky", grid_laplacian_3d(6, seed=1)),
+                             ("lu", circuit_like(300, seed=2))):
+            log.clear()
+            SparseSolver(matrix, kind=kind, block_size=block,
+                         use_cache=False)
+            checked, with_update = 0, 0
+            for call in log:
+                if "front" in call:
+                    arrays = call["front"]
+                    k = arrays[0].shape[1]
+                    with_update += k <= block and arrays[-1].size > 0
+                    continue
+                if k > block:
+                    continue
+                checked += 1
+                assert call["in_place"] and all(call["contiguous"])
+                if not any(np.shares_memory(call["target"], a)
+                           for a in arrays):
+                    assert kind == "lu" and call["target"].shape == (k, k)
+            # At least the rank-k update of every narrow front with one.
+            assert with_update and checked > with_update, kind
 
 
 def _decoupled_pivot(rng, size, position, value):
@@ -297,6 +343,56 @@ class TestErrorContract:
             default = SparseSolver(matrix, kind="lu", use_cache=False)
             assert (default._lu.perturbed_pivots
                     == reference._lu.perturbed_pivots)
+
+
+def _split_front(front, k):
+    """(P, R, C) copies of a square front with ``k`` pivots."""
+    return (np.array(front[:, :k]), np.array(front[:k, k:]),
+            np.array(front[k:, k:]))
+
+
+class TestPivotBlockLU:
+    """``dgetrf`` is kept only when it is the unpivoted, unbumped LU;
+    every other pivot block is factored by the per-pivot loop, so values,
+    errors and the bump count match ``block_size=1``."""
+
+    @pytest.mark.parametrize("pivots, perturb, bumped", [
+        pytest.param([[0.1, 1, 0], [5, 1, 0], [0, 1, 4]], 1e-8, 0,
+                     id="row-swap"),
+        pytest.param([[1, 1, 0], [1, 1 + 1e-13, 0], [0, 0, 2]], 1e-8, 1,
+                     id="small-reduced-pivot"),
+    ])
+    def test_rejected_dgetrf_matches_reference(self, rng, monkeypatch,
+                                               pivots, perturb, bumped):
+        front = rng.standard_normal((7, 7))
+        front[:3, :3] = pivots
+        spy = _BlasSpy(dense.dgetrf, in_place_arg=0)
+        monkeypatch.setattr(dense, "dgetrf", spy)
+        got, reference = _split_front(front, 3), _split_front(front, 3)
+        assert lu_front(*got, perturb=perturb) == bumped
+        assert len(spy.calls) == 1
+        assert lu_front(*reference, perturb=perturb, block=1) == bumped
+        assert len(spy.calls) == 1
+        for a, b in zip(got, reference):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_exact_zero_pivot_raises_like_reference(self, rng):
+        front = rng.standard_normal((7, 7))
+        front[:3, :3] = [[1, 1, 0], [1, 1, 0], [0, 0, 2]]
+        for block in (None, 2, 1):
+            with pytest.raises(ValueError,
+                               match="^zero pivot at front position 1$"):
+                lu_front(*_split_front(front, 3), perturb=0.0, block=block)
+
+    def test_pivot_bumped_after_the_update_is_counted(self):
+        # The assembled diagonal is 1 + 1e-13; only the reduced pivot
+        # (1e-13) is below the threshold and bumped.
+        matrix = CSCMatrix.from_dense(np.array(
+            [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 1.0], [0.0, 1.0, 2.0]]))
+        for block in (None, 1):
+            solver = SparseSolver(matrix, kind="lu", ordering="natural",
+                                  block_size=block, use_cache=False)
+            assert solver.factor.perturbed_pivots == 1
 
 
 class TestPaddedColumnPosition:

@@ -326,8 +326,10 @@ class TestTuning:
             f_small = multifrontal_cholesky(spd_medium, sf)
         with tuned(block_size=96):
             f_large = multifrontal_cholesky(spd_medium, sf)
+        # The strict upper triangle of a pivot block is unspecified.
         for (_, b1), (_, b2) in zip(f_small.columns, f_large.columns):
-            assert np.allclose(b1, b2, rtol=1e-12, atol=1e-12)
+            assert np.allclose(np.tril(b1), np.tril(b2), rtol=1e-12,
+                               atol=1e-12)
 
 
 class TestNumericContextMetrics:

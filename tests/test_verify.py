@@ -11,10 +11,10 @@ removed.
 import numpy as np
 import pytest
 
-import repro.numeric.cholesky as cholesky_mod
+import repro.numeric.schedule as schedule_mod
 from repro.cli import main
 from repro.numeric import SparseSolver
-from repro.numeric.dense import partial_cholesky as real_partial_cholesky
+from repro.numeric.dense import cholesky_front as real_cholesky_front
 from repro.obs.metrics import global_registry
 from repro.verify import (
     CaseResult,
@@ -290,18 +290,17 @@ class TestMutation:
     removed."""
 
     @staticmethod
-    def _buggy_partial_cholesky(front, n_pivots, block=None):
-        real_partial_cholesky(front, n_pivots, block=block)
+    def _buggy_cholesky_front(panel, update, block=None):
+        real_cholesky_front(panel, update, block)
         # Corrupt the last pivot's diagonal — fires on every front, even
         # the 1x1 fronts of diagonal matrices and fully amalgamated ones.
-        if n_pivots >= 1:
-            front[n_pivots - 1, n_pivots - 1] *= 1.0 + 1e-3
-        return front
+        k = panel.shape[1]
+        panel[k - 1, k - 1] *= 1.0 + 1e-3
 
     def test_injected_bug_is_caught_shrunk_and_replayable(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cholesky_mod, "partial_cholesky",
-                            self._buggy_partial_cholesky)
+        monkeypatch.setattr(schedule_mod, "cholesky_front",
+                            self._buggy_cholesky_front)
         config = VerifyConfig(
             seed=0, budget_seconds=120.0, max_cases=4, max_n=18,
             out_dir=str(tmp_path), shrink_seconds=6.0,
@@ -330,6 +329,6 @@ class TestMutation:
         case = build_case("spd_random", seed=1, max_n=14)
         fails = failure_predicate(case, match_axes={"oracle"})
         assert not fails(case.matrix)
-        monkeypatch.setattr(cholesky_mod, "partial_cholesky",
-                            self._buggy_partial_cholesky)
+        monkeypatch.setattr(schedule_mod, "cholesky_front",
+                            self._buggy_cholesky_front)
         assert fails(case.matrix)
