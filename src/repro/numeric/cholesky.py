@@ -49,6 +49,9 @@ class CholeskyFactor:
             front's pivot panel (``len(rows) x n_cols``, C-ordered) holding
             final L values at global row coordinates ``rows``; the strict
             upper triangle of ``block[:n_cols]`` is unspecified.
+        operands: per-supernode views of the same blocks in the form the
+            supernodal solve reads them (see
+            :meth:`repro.numeric.schedule.SupernodeJob.compute`).
         attribution: where the factorization's time went — level widths,
             scheduler evidence (``attribution["schedule"]``), worker
             occupancy, wall/busy seconds (see
@@ -57,6 +60,7 @@ class CholeskyFactor:
 
     symbolic: SymbolicFactorization
     columns: list[tuple[np.ndarray, np.ndarray]]
+    operands: list[tuple] = field(repr=False, compare=False)
     attribution: dict | None = field(default=None, repr=False,
                                      compare=False)
 
@@ -119,4 +123,4 @@ def multifrontal_cholesky(
     # each stored pivot block — and Cholesky only ever reads those.
     return CholeskyFactor(symbolic=symbolic,
                           columns=[front[:2] for front in job.fronts],
-                          attribution=attribution)
+                          operands=job.operands, attribution=attribution)

@@ -29,6 +29,8 @@ against ``numpy.linalg`` in tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.blas import dgemm, dsyrk, dtrsm
 from scipy.linalg.lapack import dgetrf, dpotrf
@@ -166,16 +168,20 @@ def _lu_diagonal(d: np.ndarray, k0: int, perturb: float) -> int:
     """Unpivoted LU of the square block ``d`` (front position ``k0``) in
     place; returns how many pivots the static-pivoting bump replaced.
 
-    ``dgetrf`` on a Fortran copy is kept if it swapped no row and no
-    pivot is below ``perturb``: then it *is* the unpivoted LU.  Otherwise
-    the per-pivot loop — the ``block_size=1`` reference, and the only code
-    that applies the bump (Li & Demmel) — factors the untouched values.
+    ``dgetrf`` on a Fortran copy is kept if it swapped no row, no pivot
+    is below ``perturb`` and the factored block is finite: then it *is*
+    the unpivoted LU.  Otherwise the per-pivot loop — the
+    ``block_size=1`` reference, and the only code that applies the bump
+    (Li & Demmel) or raises — factors the untouched values.  A NaN or
+    infinite pivot (after the bump) is an error, reported at the first
+    bad position in elimination order like a zero one.
     """
     w = d.shape[0]
     if w > 1:
         lu, piv, info = dgetrf(np.array(d, order="F"), overwrite_a=1)
-        if (info == 0 and (piv == np.arange(w)).all()
-                and np.abs(lu.diagonal()).min() >= perturb):
+        if (info == 0 and piv.tolist() == list(range(w))
+                and np.minimum.reduce(np.abs(lu.diagonal())) >= perturb
+                and math.isfinite(np.add.reduce(lu, axis=None))):
             d[...] = lu
             return 0
     bumped = 0
@@ -185,6 +191,9 @@ def _lu_diagonal(d: np.ndarray, k0: int, perturb: float) -> int:
             pivot = perturb if pivot >= 0 else -perturb
             d[k, k] = pivot
             bumped += 1
+        if not math.isfinite(pivot):
+            raise ValueError(f"non-finite pivot {pivot} at front position "
+                             f"{k0 + k}")
         if pivot == 0.0:
             raise ValueError(f"zero pivot at front position {k0 + k}")
         if k + 1 < w:
@@ -208,26 +217,45 @@ def lu_front(panel: np.ndarray, right: np.ndarray, update: np.ndarray,
     """
     k = panel.shape[1]
     bs = resolve_block_size(block)
-    bumped = 0
-    for k0 in range(0, k, bs):
-        k1 = min(k0 + bs, k)
-        d = panel[k0:k1, k0:k1]
-        bumped += _lu_diagonal(d, k0, perturb)
-        below = panel[k1:, k0:k1]
-        if k1 - k0 == 1:
-            below /= d[0, 0]
+    if k <= bs:
+        # One panel, as nearly every circuit supernode is: the calls one
+        # pass of the loop below makes for k0 = 0, k1 = k, on whole-row
+        # views.  The loop's slicing costs ~1 us more a front, 4-5 % of
+        # a circuit refactorize (docs/PERFORMANCE.md, "Kernels").
+        d = panel[:k]
+        bumped = _lu_diagonal(d, 0, perturb)
+        if k == 1:
+            panel[1:] /= d[0, 0]
         else:
-            # L21 = A21 @ U11^-1, as U11.T @ L21.T = A21.T (U11.T is the
-            # lower triangle of the Fortran view of d).
-            if below.size:
-                _trsm(d.T, below.T, side=0, lower=1)
-            # U12: unit-lower L11 @ U12 = A12 (d's diagonal is not read).
-            for rows in (panel[k0:k1, k1:], right[k0:k1]):
-                if rows.size:
-                    _solve_lower_inplace(d, rows, True)
-        if k1 < k:
-            panel[k1:, k1:] -= below @ panel[k0:k1, k1:]
-            right[k1:] -= panel[k1:k, k0:k1] @ right[k0:k1]
+            if k < panel.shape[0]:
+                _trsm(d.T, panel[k:].T, side=0, lower=1)
+            if right.size:
+                _trsm(d.T, right.T, side=1, lower=0, diag=1)
+    else:
+        bumped = 0
+        for k0 in range(0, k, bs):
+            k1 = min(k0 + bs, k)
+            d = panel[k0:k1, k0:k1]
+            bumped += _lu_diagonal(d, k0, perturb)
+            below = panel[k1:, k0:k1]
+            if k1 - k0 == 1:
+                below /= d[0, 0]
+            else:
+                # L21 = A21 @ U11^-1, as U11.T @ L21.T = A21.T (U11.T is
+                # the lower triangle of the Fortran view of d).
+                if below.size:
+                    _trsm(d.T, below.T, side=0, lower=1)
+                # U12: unit-lower L11 @ U12 = A12, as U12.T @ L11.T =
+                # A12.T (d's diagonal is not read), in P right of the
+                # panel and in R.
+                if k1 < k:
+                    _trsm(d.T, panel[k0:k1, k1:].T, side=1, lower=0,
+                          diag=1)
+                if right.size:
+                    _trsm(d.T, right[k0:k1].T, side=1, lower=0, diag=1)
+            if k1 < k:
+                panel[k1:, k1:] -= below @ panel[k0:k1, k1:]
+                right[k1:] -= panel[k1:k, k0:k1] @ right[k0:k1]
     if update.size:
         dgemm(-1.0, right.T, panel[k:].T, beta=1.0, c=update.T,
               overwrite_c=1)

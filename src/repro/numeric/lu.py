@@ -38,6 +38,8 @@ class LUFactors:
             diagonal implicit) strictly below its diagonal and U11 on and
             above it; ``right`` (``n_cols x (len(rows) - n_cols)``) holds
             U12, the rest of U's rows.
+        operands: the supernodal solve's views of the same blocks (as
+            ``CholeskyFactor.operands``).
         perturbed_pivots: number of pivots the static-pivoting
             perturbation replaced during elimination (0 for
             well-conditioned diagonally dominant inputs).
@@ -47,6 +49,7 @@ class LUFactors:
 
     symbolic: SymbolicFactorization
     fronts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    operands: list[tuple] = field(repr=False, compare=False)
     perturbed_pivots: int = 0
     attribution: dict | None = field(default=None, repr=False,
                                      compare=False)
@@ -117,4 +120,4 @@ def multifrontal_lu(
                                       perturb)
     return LUFactors(symbolic=symbolic, fronts=job.fronts,
                      perturbed_pivots=int(job.perturbed.sum()),
-                     attribution=attribution)
+                     operands=job.operands, attribution=attribution)

@@ -1,26 +1,29 @@
 """The numeric-phase scheduler: dependence-count dispatch on threads.
 
-One numeric factorization is a set of per-supernode tasks — assemble a
-frontal matrix from A's entries plus the children's update matrices,
-run the blocked partial factorization, store the factor block(s) —
-described by a :class:`SupernodeJob`.  :func:`run_scheduled` decides
-*where and when* each supernode runs.
+One numeric factorization is a set of per-supernode steps — extend-add
+the children's update blocks into the supernode's front (A's entries are
+already there), run the partial factorization, hand the update block up
+— described by a :class:`SupernodeJob`.  The scheduler runs *tasks*: a
+whole subtree of small (grouped) supernodes, or one larger supernode
+(:class:`GroupTasks`, over the task forest of the pattern-cached
+:class:`~repro.numeric.engine.NumericContext`).  :func:`run_scheduled`
+decides *where and when* each task runs.
 
-Each supernode carries a dependence count (its number of assembly-tree
-children); completion of a child decrements the parent's count, and the
-parent is submitted to the thread pool the moment the count hits zero.
-This is the launch rule of Spatula's supernode scheduler (paper §4.4,
-§5.2) and the CKTSO-style pipelined task-graph numeric phase: a slow
-supernode only delays its own ancestors, never unrelated subtrees.
-With ``workers <= 1`` (or a one-node tree) the tasks run inline in
-ascending index order, which is a valid bottom-up traversal because
-children are always numbered before their parents.
+Each task carries a dependence count (its number of children in the
+task forest); completion of a child decrements the parent's count, and
+the parent is submitted to the thread pool the moment the count hits
+zero.  This is the launch rule of Spatula's supernode scheduler (paper
+§4.4, §5.2) and the CKTSO-style pipelined task-graph numeric phase: a
+slow task only delays its own ancestors, never unrelated subtrees.
+With ``workers <= 1`` the tasks run inline in ascending index order,
+which is a valid bottom-up traversal because children are always
+numbered before their parents.
 
 The stored factor is bitwise equal for every worker count: each
 supernode's computation is a pure function of its assembled front
 (children extend-added in fixed ascending order inside
-:meth:`SupernodeJob.compute`) and the blocked kernels are
-deterministic, so only the execution interleaving changes.
+:meth:`SupernodeJob.compute`) and the kernels are deterministic, so only
+the execution interleaving changes.
 
 A run returns a :class:`ScheduleStats` — the evidence record the
 attribution layer turns into scheduler-idle / load-imbalance buckets
@@ -40,9 +43,9 @@ from repro.numeric.dense import cholesky_front, lu_front
 from repro.obs import span, telemetry
 
 __all__ = [
+    "GroupTasks",
     "ScheduleStats",
     "SupernodeJob",
-    "TaskTimer",
     "WorkerLanes",
     "run_scheduled",
 ]
@@ -50,35 +53,6 @@ __all__ = [
 #: Longest ready-depth / latency series kept verbatim in attribution
 #: output; longer series are decimated (aggregates are exact regardless).
 MAX_SERIES = 256
-
-
-class TaskTimer:
-    """Per-supernode wall-clock accumulator (disjoint slots, no locking)."""
-
-    def __init__(self, n: int) -> None:
-        self.busy = np.zeros(n)
-
-    def time(self, i: int):
-        return _TimeSlot(self.busy, i)
-
-    def total(self) -> float:
-        return float(self.busy.sum())
-
-
-class _TimeSlot:
-    __slots__ = ("_busy", "_i", "_t0")
-
-    def __init__(self, busy: np.ndarray, i: int) -> None:
-        self._busy = busy
-        self._i = i
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self._busy[self._i] += time.perf_counter() - self._t0
-        return False
 
 
 class WorkerLanes:
@@ -181,83 +155,130 @@ class ScheduleStats:
 
 
 class SupernodeJob:
-    """One numeric factorization as schedulable per-supernode tasks.
+    """One numeric factorization as per-supernode steps.
 
     Owns the state of one factorization: the pattern-cached numeric
-    context, the permuted input values, the in-flight update matrices,
-    and the per-supernode outputs — ``fronts[i] = (rows, P, R)`` (``R``
-    is empty for Cholesky) and, for LU, ``perturbed[i]``, the pivots the
+    context; the factor buffer, into which A's values are scattered once
+    and of which every supernode's ``P`` | ``R`` is a slice (the stored
+    factor pins nothing else); per grouped parent, the arena its
+    children's update blocks ``C`` sit in, side by side — allocated by
+    the first child to run and released once the parent has added them;
+    the in-flight update blocks; and the per-supernode outputs —
+    ``fronts[i] = (rows, P, R)`` (``R`` is empty for Cholesky), the solve
+    operands ``operands[i]`` and, for LU, ``perturbed[i]``, the pivots the
     static-pivoting bump replaced.  ``perturb`` is ``None`` for Cholesky
-    and the bump threshold for LU.  :meth:`compute` is the task body the
-    scheduler runs; it is safe to call concurrently for *independent*
-    supernodes (each task writes only its own slots and consumes only
-    its children's — all of which completed first).
+    and the bump threshold for LU.  :meth:`compute` is the step a task
+    runs; it is safe to call concurrently for *independent* supernodes
+    (each writes only its own slots and consumes only its children's —
+    all of which completed first).
     """
 
     def __init__(self, ctx, permuted_data: np.ndarray, block: int,
                  perturb: float | None = None) -> None:
-        tree = ctx.symbolic.tree
+        n_sn = len(ctx.layout)
         self.ctx = ctx
-        self.supernodes = tree.supernodes
-        self.child_maps = tree.child_maps
-        self.n_supernodes = tree.n_supernodes
-        self.sn_parent = ctx.sn_parent
-        self.permuted_data = permuted_data
         self.block = block
         self.perturb = perturb
-        self.updates: list[np.ndarray | None] = [None] * self.n_supernodes
-        self.fronts: list[tuple[np.ndarray, ...] | None] = \
-            [None] * self.n_supernodes
-        self.perturbed = np.zeros(self.n_supernodes, dtype=np.int64)
-        self.timer = TaskTimer(self.n_supernodes)
+        self.buffer = np.zeros(int(ctx.pr_off[-1]))
+        self.buffer[ctx.dst] = permuted_data[ctx.src]
+        self.arenas: list[np.ndarray | None] = [None] * n_sn
+        self._arena_lock = threading.Lock()
+        self.updates: list[np.ndarray | None] = [None] * n_sn
+        self.fronts: list[tuple[np.ndarray, ...] | None] = [None] * n_sn
+        self.operands: list[tuple | None] = [None] * n_sn
+        self.perturbed = np.zeros(n_sn, dtype=np.int64)
+
+    def _arena(self, p: int) -> np.ndarray:
+        """Grouped parent ``p``'s arena, allocated (zeroed) by whichever
+        child gets here first — children in other tasks may race."""
+        arena = self.arenas[p]
+        if arena is None:
+            with self._arena_lock:
+                arena = self.arenas[p]
+                if arena is None:
+                    arena = self.arenas[p] = np.zeros(self.ctx.arena_len[p])
+        return arena
 
     def compute(self, i: int) -> None:
-        """Assemble, extend-add, factor, and store supernode ``i``, its
-        front split as in :mod:`repro.numeric.dense`: ``P`` and (LU)
-        ``R`` in one buffer, the update block ``C`` (passed up) apart."""
-        with self.timer.time(i):
-            sn = self.supernodes[i]
-            k, m = sn.n_cols, sn.n_update_rows
-            size = k + m
-            m_right = 0 if self.perturb is None else m
-            buf = np.zeros(size * k + k * m_right)
-            buf[self.ctx.front_pos[i]] = \
-                self.permuted_data[self.ctx.data_idx[i]]
-            panel = buf[:size * k].reshape(size, k)
-            right = buf[size * k:].reshape(k, m_right)
-            update = np.zeros((m, m))
-            # Extend-add children in fixed (ascending) order so the
-            # result does not depend on which worker computed each child.
-            # A child's sorted positions split at the first update row:
-            # entries in pivot columns go to P, pivot rows right of them
-            # to R (LU only; Cholesky's strict upper is never read), the
-            # rest to C — one flat-index scatter-add each (several times
-            # faster than a 2-D fancy index, no gathered temporary).
-            for child in sn.children:
-                pos = self.child_maps[child]
-                if pos is None:
-                    continue
-                child_update = self.updates[child]
-                self.updates[child] = None
+        """Extend-add, factor, and store supernode ``i``, its front split
+        as in :mod:`repro.numeric.dense`: ``P`` and (LU) ``R`` in the
+        factor buffer, the update block ``C`` (passed up) in its parent's
+        arena or, below a parent too large to be grouped, on its own."""
+        ctx = self.ctx
+        k, m, lo, mid, hi, at, parent = ctx.layout[i]
+        pr = self.buffer[lo:hi]
+        panel = pr[:mid - lo].reshape(-1, k)
+        right = pr[mid - lo:].reshape(k, -1)
+        update = (self._arena(parent)[at:at + m * m].reshape(m, m)
+                  if at >= 0 else np.zeros((m, m)))
+        if ctx.kids[i]:
+            self._extend_add(i, k, m, pr, right, update)
+        if self.perturb is None:
+            cholesky_front(panel, update, self.block)
+            back = panel[k:].T
+        else:
+            self.perturbed[i] = lu_front(panel, right, update, self.perturb,
+                                         self.block)
+            back = right
+        rows = ctx.rows[i]
+        self.fronts[i] = (rows, panel, right)
+        # What the supernodal solve reads, Fortran-contiguous where a dtrsm
+        # takes it: pivot rows, L11^T, L21, update rows, and the backward
+        # update operand (L21^T or U12).
+        self.operands[i] = (ctx.pivots[i], panel[:k].T, panel[k:], rows[k:],
+                            back)
+        if m:
+            self.updates[i] = update
+
+    def _extend_add(self, i: int, k: int, m: int, pr: np.ndarray,
+                    right: np.ndarray, update: np.ndarray) -> None:
+        """Add the children's update blocks into supernode ``i``'s front.
+
+        Children go in fixed ascending order, so the result does not
+        depend on which worker computed each child, and every entry
+        receives the same additions in the same order on both paths.  A
+        grouped parent adds its whole arena with one ``np.add.at``
+        through its cached map into a workspace copy of the front
+        ``[P | R | C]`` (for Cholesky ``R`` is scratch), then copies
+        ``P`` | ``R`` and ``C`` back and releases the arena; the arena is
+        not the target, so ``np.add.at`` takes it as it is (values that
+        alias the target would make it copy the whole target).  A larger
+        parent splits each child's sorted positions at its first update
+        row on the fly: the ``P`` block (pivot columns), for LU the ``R``
+        block (pivot rows right of them; Cholesky's strict upper is never
+        read) and the ``C`` block are outer sums of row and column
+        offsets, one pass per entry — cheaper than building a flat map,
+        and caching one would cost as much memory as the fronts.
+        """
+        ctx = self.ctx
+        kids = ctx.kids[i]
+        maps = ctx.ea_maps[i]
+        if maps is not None:
+            mm = m * m
+            front = np.zeros(len(pr) - right.size + k * m + mm)
+            front[:len(pr)] = pr
+            arena, self.arenas[i] = self.arenas[i], None
+            np.add.at(front, maps, arena)
+            pr[...] = front[:len(pr)]
+            if mm:
+                update.reshape(-1)[...] = front[-mm:]
+        else:
+            child_maps = ctx.symbolic.tree.child_maps
+            for c in kids:
+                pos, child = child_maps[c], self.updates[c]
                 s = int(np.searchsorted(pos, k))
                 top, low = pos[:s], pos[s:] - k
-                np.add.at(buf, (pos[:, None] * k + top).reshape(-1),
-                          child_update[:, :s].reshape(-1))
-                if m_right:
+                np.add.at(pr, (pos[:, None] * k + top).reshape(-1),
+                          child[:, :s].reshape(-1))
+                if right.size:
                     np.add.at(right.reshape(-1),
                               (top[:, None] * m + low).reshape(-1),
-                              child_update[:s, s:].reshape(-1))
+                              child[:s, s:].reshape(-1))
                 np.add.at(update.reshape(-1),
                           (low[:, None] * m + low).reshape(-1),
-                          child_update[s:, s:].reshape(-1))
-            if self.perturb is None:
-                cholesky_front(panel, update, self.block)
-            else:
-                self.perturbed[i] = lu_front(panel, right, update,
-                                             self.perturb, self.block)
-            self.fronts[i] = (sn.rows.copy(), panel, right)
-            if sn.parent >= 0 and m > 0:
-                self.updates[i] = update
+                          child[s:, s:].reshape(-1))
+        for c in kids:
+            self.updates[c] = None
 
     def check_consumed(self) -> None:
         """Every update matrix must have been extend-added exactly once."""
@@ -265,25 +286,50 @@ class SupernodeJob:
             raise AssertionError("unconsumed update matrices remain")
 
 
-def run_scheduled(job: SupernodeJob, workers: int) -> ScheduleStats:
-    """Run every supernode task of ``job`` on ``workers`` threads, each
-    the moment its last child has finished, and return the run's stats.
+class GroupTasks:
+    """A :class:`SupernodeJob` as the scheduler's tasks: task ``t`` runs
+    supernodes ``bounds[t]`` .. ``bounds[t + 1] - 1`` in ascending order
+    (a whole subtree of grouped supernodes, or one larger supernode), and
+    ``sn_parent`` is the task forest — the scheduler's protocol, shared
+    with a job whose tasks are single nodes.  ``busy[t]`` is task
+    ``t``'s wall-clock seconds (disjoint slots, no locking)."""
 
+    def __init__(self, job: SupernodeJob, bounds: np.ndarray,
+                 parent: np.ndarray) -> None:
+        self.job = job
+        self.bounds = bounds.tolist()
+        self.sn_parent = parent
+        self.busy = np.zeros(len(parent))
+
+    def compute(self, t: int) -> None:
+        t0 = time.perf_counter()
+        for i in range(self.bounds[t], self.bounds[t + 1]):
+            self.job.compute(i)
+        self.busy[t] = time.perf_counter() - t0
+
+
+def run_scheduled(job, workers: int) -> ScheduleStats:
+    """Run every task of ``job`` on ``workers`` threads, each the moment
+    its last child has finished, and return the run's stats.
+
+    ``job.sn_parent`` is the task forest (``-1`` for roots, children
+    numbered before parents) and ``job.compute(i)`` runs task ``i``.
     The first task to raise stops further submissions; tasks already
     queued drain without computing and the exception is re-raised here.
     """
-    total = job.n_supernodes
+    parent_of = np.asarray(job.sn_parent)
+    total = len(parent_of)
     stats = ScheduleStats(workers)
     t_start = time.perf_counter()
 
-    if workers <= 1 or total <= 1:
+    if workers <= 1:
         for i in range(total):
             job.compute(i)
         stats.inline_tasks = total
         stats.wall_s = time.perf_counter() - t_start
         return stats
 
-    deps = [len(sn.children) for sn in job.supernodes]
+    deps = np.bincount(parent_of[parent_of >= 0], minlength=total).tolist()
     cond = threading.Condition()
     state = {"submitted": 0, "finished": 0, "error": None, "ready": 0}
     ready_at: dict[int, float] = {}

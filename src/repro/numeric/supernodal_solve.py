@@ -21,15 +21,19 @@ Backward solve (L^T x = y) runs the supernodes in reverse.
 
 A supernode's pivot rows are the contiguous slice
 ``first_col:last_col + 1`` of the working panel, so the triangular solve
-runs in the panel's own memory; only the update rows need a gather.
+runs in the panel's own memory; only the update rows need a gather.  The
+factorization leaves every operand ready (the factor's ``operands``
+table: pivot-row slice, the Fortran-contiguous ``L11^T``, ``L21``, the
+update rows, ``L21^T`` or ``U12``), so a sweep step is one ``dtrsm`` and
+one matrix product with nothing computed around them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.numeric import dense
 from repro.numeric.cholesky import CholeskyFactor
-from repro.numeric.dense import _solve_lower_inplace, _solve_upper_inplace
 from repro.numeric.lu import LUFactors
 
 
@@ -43,30 +47,32 @@ def _as_panel(b: np.ndarray) -> tuple[np.ndarray, bool]:
     return y, False
 
 
-def _supernodal_solve(supernodes, blocks, b: np.ndarray,
-                      lu: bool) -> np.ndarray:
-    """L U X = B over per-supernode ``(rows, P[, R])`` blocks: U = L^T for
+def _supernodal_solve(operands, b: np.ndarray, lu: bool) -> np.ndarray:
+    """L U X = B over the per-supernode operand table: U = L^T for
     Cholesky; for LU, L has a unit diagonal (the stored diagonal holds
     U's pivots and is never read by the unit solve), U11 is the upper
-    triangle of the pivot block and U12 the pivot rows ``R``."""
+    triangle of the pivot block and U12 the pivot rows ``R``.  Every
+    right-hand-side block is a row slice of the C-ordered working panel,
+    so ``dtrsm`` solves its Fortran-contiguous transpose in place."""
     y, was_vector = _as_panel(b)
-    # Forward: L Y = B, supernodes in postorder.
-    for sn, (rows, panel, *_) in zip(supernodes, blocks):
-        k = sn.n_cols
-        y_sn = y[sn.first_col:sn.last_col + 1]
-        _solve_lower_inplace(panel[:k], y_sn, lu)
-        if len(rows) > k:
-            y[rows[k:]] -= panel[k:] @ y_sn
-    # Backward: U X = Y, supernodes in reverse.
-    x = y
-    for sn, (rows, panel, *right) in zip(reversed(supernodes),
-                                         reversed(blocks)):
-        k = sn.n_cols
-        rhs = x[sn.first_col:sn.last_col + 1]
-        if len(rows) > k:
-            rhs -= (right[0] if lu else panel[k:].T) @ x[rows[k:]]
-        _solve_upper_inplace(panel[:k] if lu else panel[:k].T, rhs, False)
-    return x[:, 0] if was_vector else x
+    trsm = dense.dtrsm
+    # Forward: L Y = B, supernodes in postorder (Y^T L11^T = B^T, L11^T
+    # the upper triangle of the L11^T view).
+    for pivots, l11_t, l21, update_rows, _ in operands:
+        y_sn = y[pivots]
+        trsm(1.0, l11_t, y_sn.T, side=1, lower=0, diag=lu, overwrite_b=1)
+        if len(update_rows):
+            y[update_rows] -= l21 @ y_sn
+    # Backward: U X = Y, supernodes in reverse (X^T U11^T = Y^T; for LU
+    # U11^T is the lower triangle of the L11^T view, for Cholesky U11^T
+    # is L11, the transposed upper triangle).
+    for pivots, l11_t, _, update_rows, back in reversed(operands):
+        rhs = y[pivots]
+        if len(update_rows):
+            rhs -= back @ y[update_rows]
+        trsm(1.0, l11_t, rhs.T, side=1, lower=lu, trans_a=not lu,
+             overwrite_b=1)
+    return y[:, 0] if was_vector else y
 
 
 def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
@@ -76,8 +82,7 @@ def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     permutation, as :class:`repro.numeric.solver.SparseSolver` does) and
     may be a vector or an (n, k) panel of right-hand sides.
     """
-    return _supernodal_solve(factor.symbolic.tree.supernodes,
-                             factor.columns, b, lu=False)
+    return _supernodal_solve(factor.operands, b, lu=False)
 
 
 def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
@@ -86,5 +91,4 @@ def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
     Same conventions as :func:`cholesky_solve`; ``b`` may be a vector or
     an (n, k) panel.
     """
-    return _supernodal_solve(factors.symbolic.tree.supernodes,
-                             factors.fronts, b, lu=True)
+    return _supernodal_solve(factors.operands, b, lu=True)

@@ -12,6 +12,10 @@ factorization-in-the-loop studies sweep:
   the pattern);
 * **structurally singular** — an empty row/column or missing diagonal
   (every configuration must fail *consistently*);
+* **non-finite** — one ±Inf entry in an otherwise well-posed LU input
+  (must be rejected everywhere, never factored into garbage);
+* **circuit LU** — the power-law circuit generator at a few hundred
+  rows, where small and large supernodes meet;
 * **duplicate-entry COO** — assembly-style input where each logical
   nonzero is split across several coordinate entries, including pairs
   that sum to exactly zero;
@@ -34,6 +38,7 @@ import numpy as np
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.generators import circuit_like
 
 
 # -- shared low-level builders (also used by hypothesis strategies) ------------
@@ -106,6 +111,18 @@ def random_unsym_dd(rng: np.random.Generator, n: int,
     np.fill_diagonal(dense, np.abs(dense).sum(axis=1)
                      + np.abs(dense).sum(axis=0) + 1.0)
     return CSCMatrix.from_dense(dense)
+
+
+def with_nonfinite_entry(rng: np.random.Generator,
+                         matrix: CSCMatrix) -> CSCMatrix:
+    """``matrix`` with one stored entry replaced by +Inf or -Inf — an
+    input every configuration must reject.  (NaN is left to the unit
+    tests: a NaN compares unequal to itself, which the value-equality
+    checks on generated cases cannot tell from nondeterminism.)"""
+    data = matrix.data.copy()
+    data[int(rng.integers(0, len(data)))] = rng.choice([np.inf, -np.inf])
+    return CSCMatrix(matrix.n_rows, matrix.n_cols, matrix.indptr.copy(),
+                     matrix.indices.copy(), data)
 
 
 def dense_block_spd(rng: np.random.Generator, n: int) -> CSCMatrix:
@@ -299,6 +316,8 @@ _FAMILIES: list[tuple[str, str]] = [
     # from the family *index*, so adding at the end keeps every existing
     # (family, seed) case byte-identical.
     ("spd_mesh", "cholesky"),
+    ("lu_circuit", "lu"),
+    ("lu_nonfinite", "lu"),
 ]
 
 
@@ -348,6 +367,16 @@ def build_case(family: str, seed: int, max_n: int = 48) -> FuzzCase:
         matrix = random_unsym_dd(rng, n)
     elif family == "struct_singular_lu":
         matrix = structurally_singular(rng, n, "lu")
+        expect = "singular"
+    elif family == "lu_circuit":
+        # Sized by itself, not by max_n: a few hundred rows with dense
+        # hubs put fronts on both sides of the numeric engine's
+        # GROUP_FRONT_MAX (128), so both extend-add paths and several
+        # scheduler tasks run.
+        matrix = circuit_like(int(rng.integers(400, 701)), hub_fraction=0.8,
+                              aspect=8, seed=int(rng.integers(2**31)))
+    elif family == "lu_nonfinite":
+        matrix = with_nonfinite_entry(rng, random_unsym_dd(rng, n))
         expect = "singular"
     else:
         raise ValueError(f"unknown fuzz family {family!r}")

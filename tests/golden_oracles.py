@@ -12,9 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.numeric.engine import _arange_csc, _as_int_index
+from repro.sparse.coo import COOMatrix
+from repro.sparse.csc import CSCMatrix
 from repro.symbolic.etree import etree_children
 from repro.symbolic.supernodes import Supernode
+
+
+def _arange_csc(n_rows, n_cols, rows, cols):
+    """CSC of the given pattern whose values are the source entry indices
+    (the tagging trick the old ``NumericContext`` used)."""
+    vals = np.arange(len(rows), dtype=np.float64)
+    return CSCMatrix.from_coo(COOMatrix(n_rows, n_cols, rows, cols, vals))
 
 
 def column_structures(matrix, parent):
@@ -166,7 +174,7 @@ def build_row_maps(supernodes, analyzed):
     cols = np.repeat(np.arange(n, dtype=np.int64),
                      np.diff(analyzed.indptr))
     t = _arange_csc(n, n, cols, analyzed.indices.copy())
-    t_src = _as_int_index(t.data)
+    t_src = np.asarray(t.data, dtype=np.int64)
     maps = []
     for sn in supernodes:
         size = sn.front_size

@@ -329,6 +329,45 @@ class TestErrorContract:
                 partial_lu(a.copy(), 20, block=block)
             partial_lu(a.copy(), 20, perturb=1e-8, block=block)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_non_finite_lu_pivot_raises_on_both_paths(self, rng, value,
+                                                      position):
+        a = _decoupled_pivot(rng, 24, position, value)
+        messages = []
+        for block in (1, 8, None):
+            with pytest.raises(ValueError, match="non-finite pivot") as info:
+                partial_lu(a.copy(), 20, block=block)
+            messages.append(str(info.value))
+        assert messages[0] == (f"non-finite pivot {value} at front "
+                               f"position {position}")
+        assert messages[1] == messages[0] == messages[2]
+
+    def test_first_bad_lu_pivot_wins(self, rng):
+        # A NaN pivot ahead of an exact zero: the NaN is reported.
+        a = _decoupled_pivot(rng, 24, 9, np.nan)
+        a[14] = a[:, 14] = 0.0
+        for block in (1, 8, None):
+            with pytest.raises(ValueError, match="front position 9$"):
+                partial_lu(a.copy(), 20, block=block)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_lu_solver_rejects_a_non_finite_entry(self, value):
+        # These used to factor without an error: the NaN into an all-NaN
+        # solution, +Inf with 599 of the 600 pivots bumped.
+        matrix = circuit_like(600, hub_fraction=0.02, aspect=12, seed=1)
+        data = matrix.data.copy()
+        data[5] = value
+        bad = CSCMatrix(matrix.n_rows, matrix.n_cols, matrix.indptr,
+                        matrix.indices, data)
+        for block in (1, None):
+            with pytest.raises(ValueError, match="non-finite pivot"):
+                SparseSolver(bad, kind="lu", block_size=block,
+                             use_cache=False)
+        solver = SparseSolver(matrix, kind="lu", use_cache=False)
+        with pytest.raises(ValueError, match="non-finite pivot"):
+            solver.refactorize(bad)
+
     @pytest.mark.parametrize("family", family_names())
     def test_perturbed_pivot_count_matches_reference(self, family):
         for seed in range(3):
