@@ -562,7 +562,6 @@ def cmd_serve(args) -> int:
     from repro.serve.server import ServeConfig, SolveServer, run_unix_server
 
     config = ServeConfig(
-        coalesce_window_s=args.window / 1e3,
         max_batch=args.max_batch,
         max_patterns=args.max_patterns,
         io_threads=args.io_threads,
@@ -593,8 +592,8 @@ def cmd_serve(args) -> int:
         finally:
             probe.close()
     print(f"serving on {args.socket} "
-          f"(coalesce window {args.window:g}ms, max batch "
-          f"{config.max_batch}, rhs_pad {config.effective_rhs_pad()}); "
+          f"(max batch {config.max_batch}, "
+          f"rhs_pad {config.effective_rhs_pad()}); "
           f"send {{\"op\": \"shutdown\"}} or Ctrl-C to stop")
     try:
         run_unix_server(server, args.socket, ready=ready)
@@ -892,10 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH",
                        help="unix socket path (default: "
                             "repro-serve.sock)")
-    p_srv.add_argument("--window", type=float, default=2.0,
-                       help="coalescing window in milliseconds; 0 "
-                            "drains the backlog without waiting "
-                            "(default 2)")
     p_srv.add_argument("--max-batch", type=int, default=32,
                        help="largest blocked panel one solve sweep "
                             "carries; 1 disables coalescing "

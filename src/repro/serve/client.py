@@ -4,7 +4,8 @@
 :class:`~repro.serve.server.SolveServer` in the same process — the path
 tests use, where wire encoding would only add noise.
 :class:`SocketClient` speaks the NDJSON protocol over the unix socket
-like an external tenant would.
+like an external tenant would, shipping arrays packed (base64 inside
+the JSON line, see :mod:`repro.serve.protocol`).
 
 Both expose the same calls: ``factor`` (returns the pattern handle),
 ``solve`` (vector or panel in, array out), ``refactorize``, ``stats``
@@ -69,7 +70,11 @@ class SocketClient:
     def __init__(self, path: str, timeout: float = 60.0) -> None:
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.settimeout(timeout)
-        self._sock.connect(path)
+        try:
+            self._sock.connect(path)
+        except OSError:
+            self._sock.close()
+            raise
         self._file = self._sock.makefile("rb")
         self._next_id = 0
 
@@ -97,18 +102,13 @@ class SocketClient:
         return response["pattern"]
 
     def solve(self, pattern: str, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim == 1:
-            response = self.request({"op": "solve", "pattern": pattern,
-                                     "b": b.tolist()})
-            return np.asarray(response["x"], dtype=np.float64)
         response = self.request({"op": "solve", "pattern": pattern,
-                                 "bs": b.T.tolist()})
-        return np.asarray(response["xs"], dtype=np.float64).T
+                                 "b": np.asarray(b, dtype=np.float64)})
+        return response["x"]
 
     def refactorize(self, pattern: str, data: np.ndarray) -> None:
         self.request({"op": "refactorize", "pattern": pattern,
-                      "data": np.asarray(data, dtype=np.float64).tolist()})
+                      "data": np.asarray(data, dtype=np.float64)})
 
     def stats(self, window_s: float | None = None,
               format: str | None = None) -> dict | str:

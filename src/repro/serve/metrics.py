@@ -57,8 +57,8 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 REQUEST_PHASE = "request"
 
 #: Per-request sub-phases the solve server records (docs/SERVING.md):
-#: time queued behind earlier work, time spent waiting for the coalesce
-#: window to fill, and the blocked panel solve itself.
+#: time queued behind earlier work, time from dequeue to solve start
+#: (draining the batch), and the blocked panel solve itself.
 SUB_PHASES = ("queue_wait", "coalesce_wait", "solve")
 
 #: Per-phase sample-ring capacity.  Large enough that every test run

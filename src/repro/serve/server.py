@@ -8,14 +8,14 @@ against the *same* pattern share one warm
 :class:`~repro.numeric.engine.NumericContext` and are serialized by
 their worker — which is what lets it coalesce them.
 
-Coalescing: when a worker dequeues a solve request it keeps draining the
-*contiguous* run of solve requests behind it (never past a factor /
-refactorize barrier, so values can never be mixed across a
-refactorization) and waits up to ``coalesce_window_s`` for more to
-arrive, bounded by ``max_batch`` columns.  The batch is stacked into one
-blocked (n, k) panel and solved in a single sweep — concurrent
-single-RHS traffic rides the multi-RHS path that is ~29x faster than
-k separate solves.  Workers are built with
+Coalescing: when a worker dequeues a solve request it drains the
+*contiguous* run of solve requests already queued behind it (never past
+a factor / refactorize barrier, so values can never be mixed across a
+refactorization), bounded by ``max_batch`` columns, and never waits for
+more: the backlog that built up during the previous solve is the batch.
+The batch is stacked into one blocked (n, k) panel and solved in a
+single sweep — concurrent single-RHS traffic rides the multi-RHS path
+that is ~29x faster than k separate solves.  Workers are built with
 ``SparseSolver(rhs_pad=max_batch)``, so every dense kernel runs at
 batch-size-independent shapes and each response is **bit-identical** no
 matter which requests happened to share its panel (docs/SERVING.md).
@@ -75,10 +75,6 @@ logger = logging.getLogger(__name__)
 class ServeConfig:
     """Tuning knobs of the solve server (see docs/SERVING.md)."""
 
-    #: How long a worker holds a solve batch open waiting for more
-    #: same-pattern requests.  0.0 is *opportunistic* coalescing: drain
-    #: whatever is already queued, never wait.
-    coalesce_window_s: float = 0.002
     #: Largest blocked panel (columns) one solve sweep carries.
     #: ``max_batch=1`` disables coalescing entirely.
     max_batch: int = 32
@@ -114,6 +110,14 @@ class ServeConfig:
         return max(1, self.max_batch)
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Reject NaN/Inf at submission: a non-finite right-hand side solves
+    to an all-NaN reply, and non-finite values occupy the worker for a
+    whole factorization before it fails."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains NaN or Inf")
+
+
 @dataclass
 class _Ticket:
     """One queued request; ``future`` resolves to the op's payload.
@@ -121,8 +125,8 @@ class _Ticket:
     The three timestamps are the request's span skeleton: ``t_submit``
     (enqueue), ``t_dequeue`` (its worker picked it out of the queue —
     for batch riders, the moment they were drained into the batch), and
-    ``t_start`` (the factor/solve actually began, i.e. the coalesce
-    window closed).  :meth:`phases_ms` turns them into the breakdown
+    ``t_start`` (the factor/solve actually began, i.e. the batch was
+    assembled).  :meth:`phases_ms` turns them into the breakdown
     that exemplars, telemetry spans, and the latency recorder share.
     """
 
@@ -166,10 +170,11 @@ class PatternWorker(threading.Thread):
         self.config = server.config
         self.solver: SparseSolver | None = None
         self.matrix: CSCMatrix | None = None
-        #: Matrix size, pinned at registration so ``submit_solve`` can
-        #: reject wrong-length right-hand sides before they reach (and
-        #: poison) a coalesced batch.
+        #: Matrix size and nonzero count, pinned at registration so
+        #: ``submit_solve`` / ``submit_refactorize`` can reject
+        #: wrong-length inputs before they reach (and poison) the queue.
         self.n: int | None = None
+        self.nnz: int | None = None
         self._queue: deque[_Ticket] = deque()
         self._cond = threading.Condition()
         self._stopping = False
@@ -255,38 +260,25 @@ class PatternWorker(threading.Thread):
     def _coalesce(self, first: _Ticket) -> list[_Ticket]:
         """Collect the solve batch starting at ``first``.
 
-        Drains only the *contiguous* prefix of solve requests (a
-        factor/refactorize request is a barrier: requests behind it see
-        the new values, never the old ones), waiting up to the window
-        for the queue to refill, until ``max_batch`` columns are held.
-        A queued panel that would push the batch past ``max_batch``
-        columns is left for the next batch, so the assembled panel never
-        exceeds ``max_batch`` (``first`` itself may — an oversized single
-        request — and :meth:`_solve_panel` chunks it back down).
+        Drains the *contiguous* prefix of solve requests already queued
+        (a factor/refactorize request is a barrier: requests behind it
+        see the new values, never the old ones) and never waits for
+        more.  A queued panel that would push the batch past
+        ``max_batch`` columns is left for the next batch, so the
+        assembled panel never exceeds ``max_batch`` (``first`` itself
+        may — an oversized single request — and :meth:`_solve_panel`
+        chunks it back down).
         """
         batch = [first]
         columns = first.b.shape[1]
         max_batch = self.config.max_batch
-        if max_batch <= 1:
-            return batch
-        deadline = time.perf_counter() + self.config.coalesce_window_s
-        while columns < max_batch:
-            with self._cond:
-                while (self._queue and self._queue[0].op == "solve"
-                        and columns + self._queue[0].b.shape[1]
-                        <= max_batch):
-                    ticket = self._queue.popleft()
-                    ticket.t_dequeue = time.perf_counter()
-                    batch.append(ticket)
-                    columns += ticket.b.shape[1]
-                if columns >= max_batch or self._stopping:
-                    break
-                if self._queue:
-                    break           # barrier op, or next panel won't fit
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
+        with self._cond:
+            while (self._queue and self._queue[0].op == "solve"
+                    and columns + self._queue[0].b.shape[1] <= max_batch):
+                ticket = self._queue.popleft()
+                ticket.t_dequeue = time.perf_counter()
+                batch.append(ticket)
+                columns += ticket.b.shape[1]
         return batch
 
     def _solve_panel(self, panel: np.ndarray) -> np.ndarray:
@@ -522,6 +514,7 @@ class SolveServer:
             raise RuntimeError("server is shutting down")
         if matrix.n_rows != matrix.n_cols:
             raise ValueError("factor requires a square matrix")
+        _check_finite("matrix data", matrix.data)
         if kind is None:
             kind = "cholesky" if matrix.is_symmetric() else "lu"
         pattern = self.pattern_key(matrix, kind, ordering)
@@ -535,6 +528,7 @@ class SolveServer:
                         "shut down idle tenants or raise max_patterns")
                 worker = PatternWorker(pattern, self)
                 worker.n = int(matrix.n_rows)
+                worker.nnz = int(matrix.nnz)
                 self._workers[pattern] = worker
                 worker.start()
         global_registry().counter("serve.requests.factor").inc()
@@ -558,6 +552,7 @@ class SolveServer:
             raise ValueError(
                 f"b has {b.shape[0]} rows but pattern {pattern!r} is "
                 f"{worker.n}x{worker.n}")
+        _check_finite("b", b)
         global_registry().counter("serve.requests.solve").inc()
         return worker.submit(_Ticket(
             op="solve", b=b, vector=vector,
@@ -565,9 +560,17 @@ class SolveServer:
 
     def submit_refactorize(self, pattern: str, data: np.ndarray,
                            request_id: str | None = None) -> Future:
+        worker = self._worker(pattern)
         data = np.asarray(data, dtype=np.float64)
+        # A wrong-length data vector would build a CSC whose values no
+        # longer line up with its indices: reject it here, not mid-factor.
+        if data.ndim != 1 or data.shape[0] != worker.nnz:
+            raise ValueError(
+                f"data has {data.size} values but pattern {pattern!r} has "
+                f"{worker.nnz} nonzeros")
+        _check_finite("data", data)
         global_registry().counter("serve.requests.refactorize").inc()
-        return self._worker(pattern).submit(_Ticket(
+        return worker.submit(_Ticket(
             op="refactorize", data=data,
             request_id=request_id or self.next_request_id()))
 
@@ -724,23 +727,14 @@ class SolveServer:
                 ).result()
                 return protocol.ok_response(request_id, **result)
             if op == "solve":
-                if "bs" in message:
-                    b = np.asarray(message["bs"], dtype=np.float64).T
-                else:
-                    b = np.asarray(message["b"], dtype=np.float64)
                 result = self.submit_solve(
-                    message["pattern"], b).result()
-                x = result["x"]
+                    message["pattern"], message["b"]).result()
                 return protocol.ok_response(
-                    request_id, batch_k=result["batch_k"],
-                    request_id=result["request_id"],
-                    **({"xs": x.T.tolist()} if x.ndim == 2
-                       else {"x": x.tolist()}))
+                    request_id, x=result["x"], batch_k=result["batch_k"],
+                    request_id=result["request_id"])
             if op == "refactorize":
                 result = self.submit_refactorize(
-                    message["pattern"],
-                    np.asarray(message["data"], dtype=np.float64),
-                ).result()
+                    message["pattern"], message["data"]).result()
                 return protocol.ok_response(request_id, **result)
             if op == "stats":
                 # Read-only on the wire: never export gauges from a
@@ -792,7 +786,8 @@ async def serve_unix(server: SolveServer, path: str,
             try:
                 request = protocol.decode(line)
             except protocol.ProtocolError as exc:
-                response = protocol.error_response(None, str(exc))
+                global_registry().counter("serve.errors").inc()
+                response = protocol.error_response(exc.req_id, str(exc))
             else:
                 response = await loop.run_in_executor(
                     pool, server.handle, request)

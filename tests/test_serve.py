@@ -221,7 +221,7 @@ class TestProtocol:
 
 @pytest.fixture
 def server():
-    srv = SolveServer(ServeConfig(coalesce_window_s=0.002, max_batch=8))
+    srv = SolveServer(ServeConfig(max_batch=8))
     yield srv
     srv.shutdown()
 
@@ -430,8 +430,7 @@ class TestSolveServer:
         assert st["ok"] and st["stats"]["patterns"] == 1
 
     def test_uncoalesced_config_batches_of_one(self):
-        srv = SolveServer(ServeConfig(coalesce_window_s=0.0, max_batch=1,
-                                      rhs_pad=1))
+        srv = SolveServer(ServeConfig(max_batch=1, rhs_pad=1))
         try:
             matrix = grid_laplacian_2d(5, seed=10)
             pattern = srv.factor(matrix)["pattern"]
@@ -649,8 +648,7 @@ class TestLiveObservability:
 
         telemetry.start(tmp_path, run_id="run-serve-trace",
                         heartbeat_s=None)
-        srv = SolveServer(ServeConfig(coalesce_window_s=0.005,
-                                      max_batch=8))
+        srv = SolveServer(ServeConfig(max_batch=8))
         try:
             matrix = grid_laplacian_2d(6, seed=5)
             pattern = srv.factor(matrix)["pattern"]
@@ -902,3 +900,244 @@ class TestObservabilityCli:
             client.shutdown()
             client.close()
             thread.join(timeout=10.0)
+
+
+# -- packed arrays on the wire --------------------------------------------
+
+
+def _packed(array="<f8", shape=(2,), payload=None, **extra):
+    import base64
+
+    if payload is None:
+        payload = base64.b64encode(bytes(8 * int(np.prod(shape)))).decode()
+    return {"array": array, "shape": list(shape), "base64": payload,
+            **extra}
+
+
+#: Each malformed packed object and the words its error must contain.
+MALFORMED_PACKED = [
+    pytest.param(_packed(payload="not*base64"), "base64", id="bad-base64"),
+    pytest.param(_packed(payload="AAAA"), "bytes", id="short-bytes"),
+    pytest.param(_packed(shape=(3,), payload="A" * 44), "bytes",
+                 id="long-bytes"),
+    pytest.param({**_packed(), "shape": [-2]}, "non-negative",
+                 id="negative-shape"),
+    pytest.param({**_packed(), "shape": [2.0]}, "non-negative integers",
+                 id="float-shape"),
+    pytest.param({**_packed(), "shape": 2}, "list", id="scalar-shape"),
+    pytest.param(_packed(array="<f4"), "dtype", id="unknown-dtype"),
+    pytest.param(_packed(array=["<f8"]), "dtype", id="list-dtype"),
+    pytest.param(_packed(order="F"), "exactly the keys", id="extra-key"),
+    pytest.param({"array": "<f8", "shape": [0]}, "exactly the keys",
+                 id="missing-key"),
+]
+
+
+class TestPackedCodec:
+    SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+               -1.5, 1e308]
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 3), (0,), (4, 0)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_round_trip_is_bit_exact(self, shape, dtype):
+        rng = np.random.default_rng(0)
+        size = int(np.prod(shape))
+        if dtype is np.float64:
+            values = np.resize(np.array(self.SPECIAL), size)
+            # A NaN with a payload, to show the bits are not renormalised.
+            if size:
+                values.view(np.uint64)[0] = 0x7FF8_0000_DEAD_BEEF
+        else:
+            values = rng.integers(-2**62, 2**62, size=size)
+        array = values.astype(dtype).reshape(shape)
+        frame = protocol.encode({"x": array})
+        assert frame.endswith(b"\n") and frame.count(b"\n") == 1
+        back = protocol.decode(frame)["x"]
+        assert back.dtype == np.dtype(dtype) and back.shape == shape
+        assert back.tobytes() == array.tobytes()
+
+    def test_wire_object_is_exactly_the_packed_form(self):
+        import base64
+        import json
+
+        array = np.arange(6.0).reshape(2, 3)
+        packed = json.loads(protocol.encode({"x": array}))["x"]
+        assert packed == {"array": "<f8", "shape": [2, 3],
+                          "base64": base64.b64encode(
+                              array.astype("<f8").tobytes()).decode()}
+        # Non-contiguous views, int32 and bool pack by value.
+        view = np.arange(12.0).reshape(3, 4)[:, 1]
+        assert np.array_equal(
+            protocol.decode(protocol.encode({"v": view}))["v"], view)
+        small = np.array([3, -1], dtype=np.int32)
+        back = protocol.decode(protocol.encode({"v": small}))["v"]
+        assert back.dtype == np.int64 and back.tolist() == [3, -1]
+
+    def test_decoded_arrays_are_writeable(self):
+        frame = protocol.encode({"b": np.ones((4, 2)),
+                                 "i": np.arange(3)})
+        message = protocol.decode(frame)
+        for array in (message["b"], message["i"]):
+            assert array.flags.writeable
+            array[0] = 7
+        assert message["b"][0].tolist() == [7.0, 7.0]
+
+    def test_lists_still_decode_as_lists(self):
+        msg = {"op": "solve", "id": 7, "pattern": "p",
+               "b": [1.0, 2.0], "nested": {"array_like": [1]}}
+        assert protocol.decode(protocol.encode(msg)) == msg
+
+    @pytest.mark.parametrize("bad,match", MALFORMED_PACKED)
+    def test_malformed_packed_object_is_a_protocol_error(self, bad, match):
+        frame = protocol.encode({"op": "solve", "id": 41, "pattern": "p",
+                                 "b": bad})
+        with pytest.raises(protocol.ProtocolError, match=match) as info:
+            protocol.decode(frame)
+        assert info.value.req_id == 41
+
+    def test_unpackable_array_is_an_encode_error(self):
+        with pytest.raises(TypeError, match="pack"):
+            protocol.encode({"x": np.array(["a"])})
+
+    def test_list_and_packed_b_give_bit_identical_replies(self, server):
+        matrix = grid_laplacian_2d(6, seed=31)
+        pattern = server.factor(matrix)["pattern"]
+        for b in (_rhs(matrix, seed=32), _rhs(matrix, seed=33, k=3)):
+            as_list = server.handle({"op": "solve", "id": 1,
+                                     "pattern": pattern, "b": b.tolist()})
+            as_packed = server.handle(protocol.decode(protocol.encode(
+                {"op": "solve", "id": 2, "pattern": pattern, "b": b})))
+            assert as_list["ok"] and as_packed["ok"]
+            assert as_list["x"].shape == b.shape
+            assert as_list["x"].tobytes() == as_packed["x"].tobytes()
+            # ...and the reply survives its own frame bit for bit.
+            wire = protocol.decode(protocol.encode(as_packed))["x"]
+            assert wire.tobytes() == as_packed["x"].tobytes()
+
+    def test_malformed_frames_over_a_live_socket(self, tmp_path):
+        import socket
+
+        path = str(tmp_path / "serve.sock")
+        srv = SolveServer(ServeConfig(max_batch=4))
+        ready = threading.Event()
+        thread = threading.Thread(target=run_unix_server,
+                                  args=(srv, path, ready), daemon=True)
+        thread.start()
+        assert ready.wait(10.0)
+        matrix = grid_laplacian_2d(5, seed=34)
+        b = _rhs(matrix, seed=35)
+        reference = SparseSolver(matrix, rhs_pad=4).solve(b)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(30.0)
+        sock.connect(path)
+        rfile = sock.makefile("rb")
+
+        def call(message: dict) -> dict:
+            sock.sendall(protocol.encode(message))
+            return protocol.decode(rfile.readline())
+
+        try:
+            pattern = call({"op": "factor", "id": 0,
+                            "matrix": protocol.matrix_to_wire(matrix)}
+                           )["pattern"]
+            for i, case in enumerate(MALFORMED_PACKED, start=1):
+                bad, match = case.values
+                reply = call({"op": "solve", "id": i, "pattern": pattern,
+                              "b": bad})
+                assert reply["ok"] is False and reply["id"] == i
+                assert match in reply["error"], (case.id, reply)
+                # The connection keeps serving, bit-exactly.
+                good = call({"op": "solve", "id": 100 + i,
+                             "pattern": pattern, "b": b})
+                assert good["ok"] and good["id"] == 100 + i
+                assert good["x"].tobytes() == reference.tobytes()
+            call({"op": "shutdown", "id": 999})
+        finally:
+            rfile.close()
+            sock.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+# -- submission-time input checks -----------------------------------------
+
+
+class TestSubmissionChecks:
+    @pytest.mark.parametrize("delta", [-1, +1])
+    def test_refactorize_wrong_length_rejected(self, server, delta):
+        matrix = grid_laplacian_2d(5, seed=36)
+        assert matrix.nnz == 105
+        pattern = server.factor(matrix)["pattern"]
+        data = np.resize(matrix.data, matrix.nnz + delta)
+        match = f"{matrix.nnz + delta} values .* 105 nonzeros"
+        with pytest.raises(ValueError, match=match):
+            server.submit_refactorize(pattern, data)
+        reply = server.handle({"op": "refactorize", "id": 5,
+                               "pattern": pattern, "data": data.tolist()})
+        assert reply["ok"] is False
+        assert f"{matrix.nnz + delta} values" in reply["error"]
+        assert "105 nonzeros" in reply["error"]
+        # Nothing reached the worker: the solver still holds 105 values
+        # and serves the original matrix.
+        worker = server._workers[pattern]
+        assert worker.solver._matrix.nnz == 105
+        b = _rhs(matrix, seed=37)
+        assert np.array_equal(server.solve(pattern, b),
+                              SparseSolver(matrix, rhs_pad=8).solve(b))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b_rejected(self, server, bad):
+        matrix = grid_laplacian_2d(5, seed=38)
+        pattern = server.factor(matrix)["pattern"]
+        b = _rhs(matrix, seed=39)
+        b[7] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            server.submit_solve(pattern, b)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            server.submit_solve(pattern, np.column_stack([b, b]))
+        for wire_b in (b.tolist(), b):
+            reply = server.handle({"op": "solve", "id": 6,
+                                   "pattern": pattern, "b": wire_b})
+            assert reply["ok"] is False and "NaN or Inf" in reply["error"]
+        assert np.isfinite(server.solve(pattern, np.ones(25))).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refactorize_data_rejected(self, server, bad):
+        matrix = grid_laplacian_2d(5, seed=40)
+        pattern = server.factor(matrix)["pattern"]
+        data = matrix.data.copy()
+        data[3] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            server.submit_refactorize(pattern, data)
+        reply = server.handle({"op": "refactorize", "id": 8,
+                               "pattern": pattern, "data": data.tolist()})
+        assert reply["ok"] is False and "NaN or Inf" in reply["error"]
+        assert server._workers[pattern].served == 1   # the factor only
+
+    def test_non_finite_factor_rejected(self, server):
+        matrix = grid_laplacian_2d(5, seed=41)
+        matrix.data[0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            server.submit_factor(matrix)
+        assert server.stats(export=False)["patterns"] == 0
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda w: w.update(indptr=w["indptr"][:-1]),
+         "indptr has wrong length"),
+        (lambda w: w["indices"].__setitem__(3, 99),
+         "row index out of bounds in column"),
+        (lambda w: w["indices"].__setitem__(
+            slice(0, 2), w["indices"][1::-1].copy()),
+         "row indices not strictly increasing in column 0"),
+    ], ids=["short-indptr", "row-out-of-range", "unsorted-rows"])
+    def test_matrix_from_wire_validates_csc(self, server, mutate, match):
+        wire = protocol.matrix_to_wire(grid_laplacian_2d(5, seed=42))
+        wire = {k: (v.copy() if isinstance(v, np.ndarray) else v)
+                for k, v in wire.items()}
+        mutate(wire)
+        with pytest.raises(protocol.ProtocolError,
+                           match=f"bad matrix payload: {match}"):
+            protocol.matrix_from_wire(wire)
+        reply = server.handle({"op": "factor", "id": 9, "matrix": wire})
+        assert reply["ok"] is False
+        assert reply["error"].startswith(f"bad matrix payload: {match}")
