@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sparse.coo import compress
 from repro.sparse.csc import CSCMatrix
 
 
@@ -22,15 +23,10 @@ def pattern_graph(matrix: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
     off = coo.rows != coo.cols
     rows = np.concatenate([coo.rows[off], coo.cols[off]])
     cols = np.concatenate([coo.cols[off], coo.rows[off]])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    if len(rows):
-        keys = rows * matrix.n_cols + cols
-        keep = np.concatenate(([True], keys[1:] != keys[:-1]))
-        rows, cols = rows[keep], cols[keep]
-    indptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=matrix.n_rows), out=indptr[1:])
-    return indptr, cols
+    # Grouped by vertex (``rows``), neighbours ascending: the CSC
+    # compression with the roles of rows and columns swapped.
+    indptr, indices, _ = compress(matrix.n_cols, matrix.n_rows, cols, rows)
+    return indptr, indices
 
 
 def bfs_levels(

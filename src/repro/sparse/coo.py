@@ -11,6 +11,35 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def compress(
+    n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
+    vals: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Canonical CSC ``(indptr, indices, data)`` of a coordinate list.
+
+    One stable sort of the keys ``col * n_rows + row`` puts entries in
+    column-major order with duplicates adjacent, in input order; each
+    run of duplicates is summed from 0.0 in that order by
+    ``np.bincount(weights=)`` (so ``-0.0`` alone becomes ``+0.0``, and a
+    run summing to zero stays as an explicit zero).  ``vals=None`` gives
+    the pattern only, with ``data`` None.
+    """
+    keys = cols * n_rows + rows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pick = order[first]
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[pick], minlength=n_cols), out=indptr[1:])
+    data = None
+    if vals is not None:
+        data = np.bincount(np.cumsum(first) - 1, weights=vals[order],
+                           minlength=len(pick))
+    return indptr, rows[pick], data
+
+
 @dataclass
 class COOMatrix:
     """A sparse matrix in coordinate format.
@@ -70,18 +99,11 @@ class COOMatrix:
 
     def deduplicated(self) -> "COOMatrix":
         """Return a copy with duplicate coordinates summed and sorted."""
-        order = np.lexsort((self.rows, self.cols))
-        rows, cols, vals = self.rows[order], self.cols[order], self.vals[order]
-        if len(rows) == 0:
-            return COOMatrix(self.n_rows, self.n_cols, rows, cols, vals)
-        keys = cols * self.n_rows + rows
-        first = np.concatenate(([True], keys[1:] != keys[:-1]))
-        idx = np.cumsum(first) - 1
-        summed = np.zeros(first.sum())
-        np.add.at(summed, idx, vals)
-        return COOMatrix(
-            self.n_rows, self.n_cols, rows[first], cols[first], summed
-        )
+        indptr, rows, vals = compress(
+            self.n_rows, self.n_cols, self.rows, self.cols, self.vals)
+        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64),
+                         np.diff(indptr))
+        return COOMatrix(self.n_rows, self.n_cols, rows, cols, vals)
 
     def to_csc(self):
         """Canonical COO -> CSC conversion.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, compress
 
 
 class CSCMatrix:
@@ -39,12 +39,10 @@ class CSCMatrix:
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
-        """Convert from COO, summing duplicates and sorting row indices."""
-        dedup = coo.deduplicated()
-        indptr = np.zeros(coo.n_cols + 1, dtype=np.int64)
-        np.add.at(indptr, dedup.cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(coo.n_rows, coo.n_cols, indptr, dedup.rows, dedup.vals)
+        """Convert from COO, summing duplicates and sorting row indices
+        (:func:`repro.sparse.coo.compress`)."""
+        return cls(coo.n_rows, coo.n_cols, *compress(
+            coo.n_rows, coo.n_cols, coo.rows, coo.cols, coo.vals))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":
@@ -76,12 +74,25 @@ class CSCMatrix:
             raise ValueError("indptr must be nondecreasing")
         if len(self.indices) != len(self.data):
             raise ValueError("indices and data length mismatch")
-        for j in range(self.n_cols):
-            rows = self.col_rows(j)
-            if len(rows) and (rows.min() < 0 or rows.max() >= self.n_rows):
-                raise ValueError(f"row index out of bounds in column {j}")
-            if np.any(np.diff(rows) <= 0):
-                raise ValueError(f"row indices not strictly increasing in column {j}")
+        # One pass over all entries; the first offending column is named,
+        # and within a column a bound violation is reported first.
+        rows, starts = self.indices, self.indptr[:-1]
+        out = (rows < 0) | (rows >= self.n_rows)
+        unordered = np.zeros(len(rows), dtype=bool)
+        np.less_equal(rows[1:], rows[:-1], out=unordered[1:])
+        unordered[starts[starts < len(rows)]] = False
+
+        def first_column(mask: np.ndarray) -> int:
+            if not mask.any():
+                return self.n_cols
+            return int(np.searchsorted(self.indptr, mask.argmax(), "right")) - 1
+
+        bounds, order = first_column(out), first_column(unordered)
+        if bounds < self.n_cols and bounds <= order:
+            raise ValueError(f"row index out of bounds in column {bounds}")
+        if order < self.n_cols:
+            raise ValueError(
+                f"row indices not strictly increasing in column {order}")
 
     # -- access ------------------------------------------------------------
 

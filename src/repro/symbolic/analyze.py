@@ -22,10 +22,10 @@ from repro.symbolic.assembly import AssemblyTree, build_assembly_tree
 from repro.symbolic.etree import elimination_tree, postorder
 from repro.symbolic.structure import (
     cholesky_flops_from_counts,
-    column_structures,
+    column_counts,
     lu_flops_from_counts,
 )
-from repro.symbolic.supernodes import find_supernodes
+from repro.symbolic.supernodes import supernodes_from_counts
 
 if TYPE_CHECKING:
     from repro.ordering.quality import OrderingScore
@@ -138,12 +138,13 @@ def symbolic_factorize(
             parent = np.where(up >= 0, rank[up], up)
             pattern = base.permuted(perm)
     permuted = pattern if base is matrix else matrix.permuted(perm)
+    # Count-only from here: no per-column structure is built.  The tree
+    # is postordered, so its postorder is range(n).
     with span("symbolic.structure"):
-        structs = column_structures(pattern, parent)
-        counts = np.array([len(s) for s in structs], dtype=np.int64)
+        counts = column_counts(pattern, parent, post=range(len(parent)))
     with span("symbolic.supernodes"):
-        supernodes = find_supernodes(
-            parent, structs, relax_small=relax_small,
+        supernodes = supernodes_from_counts(
+            pattern, parent, counts, relax_small=relax_small,
             relax_ratio=relax_ratio, force_small=force_small,
         )
         tree = build_assembly_tree(matrix.n_rows, supernodes)

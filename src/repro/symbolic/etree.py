@@ -73,7 +73,9 @@ def postorder(parent: np.ndarray, child_key=None) -> np.ndarray:
     the correctness requirement of Listing 2.  Siblings go in ascending
     index order, or ascending ``child_key(vertex)`` when given.
     """
-    children = [sorted(c, key=child_key) for c in etree_children(parent)]
+    children = etree_children(parent)  # each list ascending already
+    if child_key is not None:
+        children = [sorted(c, key=child_key) for c in children]
     post: list[int] = []
     # Iterative DFS over every root in ascending order.
     for root in np.flatnonzero(np.asarray(parent) == NO_PARENT).tolist():
@@ -122,11 +124,19 @@ def etree_heights(parent: np.ndarray) -> np.ndarray:
     """Height of each vertex above the leaves (leaves at height 0).
 
     This is the batching key used by GPU implementations: all vertices of
-    height h can be factored once heights < h are done.
+    height h can be factored once heights < h are done.  An elimination
+    tree's parents follow their children, so that is one ascending pass.
+
+    Raises:
+        ValueError: if some ``parent[j]`` is neither ``NO_PARENT`` nor
+            greater than j.
     """
-    up = np.asarray(parent).tolist()
+    up = np.asarray(parent, dtype=np.int64)
+    if not np.all((up > np.arange(len(up))) | (up == NO_PARENT)):
+        raise ValueError("parent array is not an elimination tree")
+    up = up.tolist()
     heights = [0] * len(up)
-    for j in postorder(parent).tolist():
+    for j in range(len(up)):
         p = up[j]
         if p != NO_PARENT and heights[p] <= heights[j]:
             heights[p] = heights[j] + 1
@@ -136,8 +146,9 @@ def etree_heights(parent: np.ndarray) -> np.ndarray:
 def etree_level_sets(parent: np.ndarray) -> list[np.ndarray]:
     """Height-grouped level sets for level-scheduled parallel traversal.
 
-    ``result[h]`` holds the vertices at height ``h`` above the leaves, in
-    ascending index order.  Every vertex's children live in strictly lower
+    ``parent`` must be an elimination tree (every parent index above its
+    child), as ``etree_heights`` requires.  ``result[h]`` holds the vertices
+    at height ``h`` above the leaves, in ascending index order.  Every vertex's children live in strictly lower
     levels, so processing levels in order with a barrier between them
     satisfies all elimination-tree dependences; vertices *within* a level
     are mutually independent and may run concurrently.  This is the

@@ -17,9 +17,16 @@ reproduce a child: ``struct(c) \\ {c}`` lies inside ``struct(j)``, so at
 equal size column j is a *view* of the child's array.  One ``np.unique``
 remains per column where subtrees meet (about a quarter of them on the
 ladder matrices); memory is one array per chain of nested columns.
+
+``symbolic_factorize`` needs only the counts: it builds supernode rows
+with one union per supernode
+(:func:`repro.symbolic.supernodes.supernodes_from_counts`), so
+:func:`column_structures` serves the tests and the per-column replay.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -69,18 +76,21 @@ def column_structures(
     return structs
 
 
-def column_counts(matrix: CSCMatrix, parent: np.ndarray) -> np.ndarray:
+def column_counts(matrix: CSCMatrix, parent: np.ndarray,
+                  post: Sequence[int] | None = None) -> np.ndarray:
     """nnz of each column of L (including the diagonal).
 
     Gilbert-Ng-Peyton: A(i, j), i > j, adds row i to column j only when
     j is a leaf of row i's subtree (a *skeleton* entry); where two such
     leaves' paths meet — their least common ancestor, by union-find over
     the postorder — the row was counted twice and is taken back.
-    Summing the deltas up the tree gives the counts.
+    Summing the deltas up the tree gives the counts.  ``post`` is a
+    postorder of ``parent`` when the caller has one (``range(n)`` for a
+    postordered tree); by default it is computed.
     """
     n = matrix.n_cols
     up = np.asarray(parent).tolist()
-    post = postorder(parent).tolist()
+    post = postorder(parent).tolist() if post is None else post
     # first[j]: postorder rank of j's first descendant (unranked at its
     # own turn = a leaf, which owns its diagonal).
     first = [-1] * n

@@ -18,9 +18,11 @@ which siblings can fold depends on the postorder the ordering came in;
 ``repro.ordering.mindeg`` relies on this and emits small subtrees last.
 
 Only column counts and parent pointers decide the partition, so detection
-and amalgamation run on integers — O(n) plus one pass over the surviving
-candidates per cascade round — and a row array is built once per
-*surviving* supernode.
+and amalgamation (:func:`amalgamate`) run on integers — O(n) plus one pass
+over the surviving candidates per cascade round — and a row array is built
+once per *surviving* supernode: from per-column structures in
+:func:`find_supernodes`, or by one union per supernode in
+:func:`supernodes_from_counts`, which is what ``symbolic_factorize`` runs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.sparse.csc import CSCMatrix
 
 
 @dataclass
@@ -91,11 +95,76 @@ def find_supernodes(
         supernodes in postorder (children precede parents), with parent /
         children links filled in.
     """
+    counts = np.fromiter(map(len, structs), dtype=np.int64, count=len(parent))
+    first, last, sn_parent = amalgamate(
+        parent, counts, relax_small, relax_ratio, force_small)
+    return _link(first, last, sn_parent,
+                 [structs[c1][1:] for c1 in last.tolist()])
+
+
+def supernodes_from_counts(
+    pattern: CSCMatrix,
+    parent: np.ndarray,
+    counts: np.ndarray,
+    relax_small: int = 8,
+    relax_ratio: float = 0.3,
+    force_small: int = 0,
+) -> list[Supernode]:
+    """:func:`find_supernodes` without per-column structures.
+
+    The partition needs only the column counts.  A supernode's rows
+    below its last column c1 are then one union, built bottom-up: its
+    columns' strict-lower rows of A (one slice, the columns are
+    contiguous) plus its children's update rows, keeping the rows above
+    c1.  That is ``struct(c1) \\ {c1}``: every descendant of c1 is one of
+    the supernode's columns or lies in a child supernode's subtree.
+
+    Args:
+        pattern: square matrix with symmetric pattern, postordered (only
+            the strict lower triangle is read).
+        parent: its elimination tree, parents after children.
+        counts: :func:`repro.symbolic.structure.column_counts` of both.
+    """
+    first, last, sn_parent = amalgamate(
+        parent, counts, relax_small, relax_ratio, force_small)
+    n = len(parent)
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+    below = pattern.indices > cols
+    lower = pattern.indices[below]
+    lptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[below], minlength=n), out=lptr[1:])
+    lptr = lptr.tolist()
+    pending: list[list[np.ndarray]] = [[] for _ in range(len(first))]
+    tails: list[np.ndarray] = []
+    for k, (c0, c1, up) in enumerate(zip(
+            first.tolist(), last.tolist(), sn_parent.tolist())):
+        union = np.unique(np.concatenate(
+            (lower[lptr[c0]:lptr[c1 + 1]], *pending[k])))
+        tail = union[np.searchsorted(union, c1, "right"):]
+        if up >= 0:
+            pending[up].append(tail)
+        tails.append(tail)
+    return _link(first, last, sn_parent, tails)
+
+
+def amalgamate(
+    parent: np.ndarray,
+    counts: np.ndarray,
+    relax_small: int = 8,
+    relax_ratio: float = 0.3,
+    force_small: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The supernode partition, on integers only.
+
+    Returns ``(first, last, sn_parent)``: each supernode's column range
+    and its parent supernode (-1 for roots), in column order.  The knobs
+    are :func:`find_supernodes`'s.
+    """
     n = len(parent)
     if n == 0:
-        return []
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     parent = np.asarray(parent, dtype=np.int64)
-    counts = np.fromiter(map(len, structs), dtype=np.int64, count=n)
 
     # Step 1: fundamental supernodes — runs of columns where each is the
     # etree parent of its predecessor with one row fewer (the parent's
@@ -154,15 +223,21 @@ def find_supernodes(
         candidates = [k for k in candidates if merged[k] == k]
 
     # Step 4: surviving supernodes in column order (a valid postorder:
-    # children's columns precede their parents'), their rows and links.
+    # children's columns precede their parents') and their links.
     keep = [k for k in range(len(lo)) if merged[k] == k]
-    first, last = np.array(lo)[keep], last[keep]
+    first, last = np.array(lo, dtype=np.int64)[keep], last[keep]
+    return first, last, tree_links(first, last)
+
+
+def _link(first: np.ndarray, last: np.ndarray, sn_parent: np.ndarray,
+          tails: list[np.ndarray]) -> list[Supernode]:
+    """Supernodes with rows = own columns ++ ``tails[k]``, and links."""
     supernodes = [
         Supernode(index=k, first_col=c0, last_col=c1, parent=p,
                   rows=np.concatenate((np.arange(c0, c1 + 1, dtype=np.int64),
-                                       structs[c1][1:])))
-        for k, (c0, c1, p) in enumerate(zip(
-            first.tolist(), last.tolist(), tree_links(first, last).tolist()))
+                                       tail)))
+        for k, (c0, c1, p, tail) in enumerate(zip(
+            first.tolist(), last.tolist(), sn_parent.tolist(), tails))
     ]
     for sn in supernodes:
         if sn.parent >= 0:

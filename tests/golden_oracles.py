@@ -1,11 +1,15 @@
-"""Frozen reference implementations of the analysis layers PR 21 rewrote.
+"""Frozen reference implementations of rewritten analysis layers.
 
 These are the per-column / per-merge-union versions as they stood at
 commit dd7037e (``column_structures``, ``find_supernodes`` and
-``NumericContext._build_column_maps`` / ``_build_row_maps``), kept here —
-under ``tests/``, never imported by ``src/`` — as the oracles
-``tests/test_symbolic_golden.py`` compares the fast code against.  Do not
-"optimise" them: their only job is to stay what they were.
+``NumericContext._build_column_maps`` / ``_build_row_maps``), and at
+commit 71419bf the ``lexsort`` + ``np.add.at`` COO→CSC conversion
+(``from_coo``) and the per-column greedy static pivoting with recursive
+augmentation (``static_pivoting``), kept here — under ``tests/``, never
+imported by ``src/`` — as the oracles ``tests/test_symbolic_golden.py``,
+``tests/test_pivoting_golden.py`` and ``tests/test_coo.py`` compare the
+fast code against.  Do not "optimise" them: their only job is to stay
+what they were.
 """
 
 from __future__ import annotations
@@ -245,6 +249,72 @@ def pattern_graph(matrix):
     np.add.at(indptr, rows + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, cols
+
+
+def from_coo(coo):
+    """``CSCMatrix.from_coo`` before the one-sort compression: ``lexsort``
+    by (column, row), duplicates summed by ``np.add.at``."""
+    order = np.lexsort((coo.rows, coo.cols))
+    rows, cols, vals = coo.rows[order], coo.cols[order], coo.vals[order]
+    if len(rows):
+        keys = cols * coo.n_rows + rows
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        idx = np.cumsum(first) - 1
+        summed = np.zeros(first.sum())
+        np.add.at(summed, idx, vals)
+        rows, cols, vals = rows[first], cols[first], summed
+    indptr = np.zeros(coo.n_cols + 1, dtype=np.int64)
+    np.add.at(indptr, cols + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return CSCMatrix(coo.n_rows, coo.n_cols, indptr, rows, vals)
+
+
+def static_pivoting(matrix):
+    """The per-column greedy matching with recursive Kuhn augmentation
+    (which raises the process-wide recursion limit while it runs)."""
+    import sys
+
+    n = matrix.n_rows
+    if matrix.n_rows != matrix.n_cols:
+        raise ValueError("static pivoting requires a square matrix")
+    match_col = np.full(n, -1, dtype=np.int64)
+    match_row = np.full(n, -1, dtype=np.int64)
+    best = np.zeros(n)
+    for j in range(n):
+        vals = matrix.col_vals(j)
+        best[j] = np.abs(vals).max() if len(vals) else 0.0
+    for j in np.argsort(-best):
+        j = int(j)
+        rows = matrix.col_rows(j)
+        vals = np.abs(matrix.col_vals(j))
+        for k in np.argsort(-vals):
+            i = int(rows[k])
+            if match_row[i] < 0:
+                match_row[i] = j
+                match_col[j] = i
+                break
+
+    def augment(j, seen_rows):
+        for i in matrix.col_rows(j):
+            i = int(i)
+            if i in seen_rows:
+                continue
+            seen_rows.add(i)
+            if match_row[i] < 0 or augment(int(match_row[i]), seen_rows):
+                match_row[i] = j
+                match_col[j] = i
+                return True
+        return False
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, n + 100))
+    try:
+        for j in range(n):
+            if match_col[j] < 0 and not augment(j, set()):
+                raise ValueError("matrix is structurally singular")
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return match_col.copy()
 
 
 def bfs_levels(indptr, indices, start, mask=None):

@@ -222,6 +222,62 @@ class TestDuplicateSemantics:
         assert np.allclose(back.to_dense(), reference.to_dense(),
                            rtol=0.0, atol=1e-13)
 
+    @staticmethod
+    def assert_same_bits(ours, theirs):
+        assert np.array_equal(ours.indptr, theirs.indptr)
+        assert np.array_equal(ours.indices, theirs.indices)
+        assert ours.data.dtype == theirs.data.dtype == np.float64
+        assert np.array_equal(ours.data.view(np.uint64),
+                              theirs.data.view(np.uint64))
+
+    def test_from_coo_bits_match_lexsort_add_at(self):
+        """The one-sort compression sums the same values in the same
+        order as ``lexsort`` + ``np.add.at``: duplicates, a lone -0.0
+        (which both turn into +0.0), -0.0 + -0.0, a run summing to an
+        explicit zero, an empty column, entries given out of order."""
+        from repro.sparse.csc import CSCMatrix
+
+        from . import golden_oracles as golden
+
+        # (3, 0) sums 1e16 + 1 + 1 in input order: 1e16, where summing
+        # the ones first would give 1e16 + 2.
+        coo = COOMatrix(
+            4, 5,
+            [3, 0, 0, 1, 1, 1, 2, 2, 0, 3, 2, 3, 3],
+            [0, 0, 0, 0, 0, 2, 2, 2, 4, 4, 1, 0, 0],
+            [1e16, 1.0, -1e16, 5.0, -5.0, -0.0, -0.0, -0.0, 0.1, 0.2,
+             np.inf, 1.0, 1.0])
+        ours, theirs = CSCMatrix.from_coo(coo), golden.from_coo(coo)
+        self.assert_same_bits(ours, theirs)
+        dense = ours.to_dense()
+        assert ours.nnz == 8
+        assert 1 in ours.col_rows(0) and dense[1, 0] == 0.0  # explicit zero
+        assert dense[3, 0] == 1e16
+        assert not np.signbit(ours.col_vals(2)).any()
+        assert ours.col_nnz(3) == 0 and dense[2, 1] == np.inf
+
+    def test_from_coo_bits_match_on_random_duplicates(self):
+        from repro.sparse.csc import CSCMatrix
+        from repro.verify.generators import duplicate_entry_coo
+
+        from . import golden_oracles as golden
+
+        rng = np.random.default_rng(25)
+        for n in (1, 2, 7, 30):
+            coo, _ = duplicate_entry_coo(rng, n)
+            self.assert_same_bits(CSCMatrix.from_coo(coo),
+                                  golden.from_coo(coo))
+            k = 4 * n * n
+            coo = COOMatrix(n, n + 3, rng.integers(0, n, k),
+                            rng.integers(0, n + 3, k),
+                            rng.standard_normal(k) * 10.0 ** rng.integers(
+                                -8, 8, k))
+            self.assert_same_bits(CSCMatrix.from_coo(coo),
+                                  golden.from_coo(coo))
+        empty = COOMatrix(3, 2, [], [], [])
+        self.assert_same_bits(CSCMatrix.from_coo(empty),
+                              golden.from_coo(empty))
+
     def test_solver_agrees_with_deduplicated_reference(self):
         from repro.numeric import SparseSolver
         from repro.verify.generators import duplicate_entry_coo

@@ -55,6 +55,60 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.validate()
 
+    @pytest.mark.parametrize("n_rows,indptr,indices,message", [
+        # the first offending column is named, whichever check fails
+        (4, [0, 2, 2, 4, 6], [0, 3, 2, 1, 0, 9],
+         "row indices not strictly increasing in column 2"),
+        (4, [0, 2, 2, 4, 6], [0, 3, 1, 2, 0, 9],
+         "row index out of bounds in column 3"),
+        (4, [0, 0, 0, 2, 3], [1, -1, 0],
+         "row index out of bounds in column 2"),
+        # within one column, bounds are reported before order
+        (4, [0, 3], [2, 1, 7], "row index out of bounds in column 0"),
+        # a column boundary is not a descent; a repeat is
+        (4, [0, 2, 4], [2, 3, 0, 1], None),
+        (4, [0, 2, 4], [2, 3, 1, 1],
+         "row indices not strictly increasing in column 1"),
+        (0, [0, 0, 0], [], None),
+    ])
+    def test_validate_names_first_offending_column(self, n_rows, indptr,
+                                                   indices, message):
+        m = CSCMatrix(n_rows, len(indptr) - 1, indptr, indices,
+                      np.ones(len(indices)))
+        if message is None:
+            m.validate()
+            return
+        with pytest.raises(ValueError) as err:
+            m.validate()
+        assert str(err.value) == message
+
+    def test_validate_agrees_with_a_per_column_scan(self, rng):
+        """Random corruptions of a valid matrix: the message is what a
+        column-by-column scan (bounds first) reports."""
+        def scan(m):
+            for j in range(m.n_cols):
+                rows = m.col_rows(j)
+                if len(rows) and (rows.min() < 0 or rows.max() >= m.n_rows):
+                    return f"row index out of bounds in column {j}"
+                if np.any(np.diff(rows) <= 0):
+                    return ("row indices not strictly increasing in "
+                            f"column {j}")
+            return None
+
+        base, _ = random_csc(rng, 12, 15, density=0.4)
+        for _ in range(200):
+            indices = base.indices.copy()
+            hits = rng.integers(0, len(indices), rng.integers(1, 4))
+            indices[hits] = rng.integers(-2, 14, len(hits))
+            m = CSCMatrix(12, 15, base.indptr, indices, base.data)
+            want = scan(m)
+            if want is None:
+                m.validate()
+                continue
+            with pytest.raises(ValueError) as err:
+                m.validate()
+            assert str(err.value) == want
+
 
 class TestAccess:
     def test_col_rows_and_vals(self):

@@ -139,3 +139,9 @@ class TestLevelsHeights:
         parent = np.array([1, 2, 3, NO_PARENT], dtype=np.int64)
         assert list(etree_heights(parent)) == [0, 1, 2, 3]
         assert list(etree_levels(parent)) == [3, 2, 1, 0]
+
+    def test_heights_reject_descending_parent(self):
+        # A forest, but vertex 2's parent precedes it.
+        parent = np.array([NO_PARENT, 0, 0], dtype=np.int64)
+        with pytest.raises(ValueError, match="not an elimination tree"):
+            etree_heights(parent)
