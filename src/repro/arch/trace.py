@@ -156,7 +156,7 @@ def export_chrome_trace(events: list[TraceEvent], path: str | Path,
     other = {"source": "repro (Spatula reproduction)"}
     # Cross-reference the wall-clock telemetry run (if one is recording)
     # so a simulated-cycle trace can be matched to the telemetry
-    # streams/trace of the `repro simulate --telemetry-dir` invocation
+    # stream/trace of the `repro simulate --telemetry-dir` invocation
     # that produced it.
     from repro.obs import telemetry
     context = telemetry.current_context()

@@ -16,10 +16,6 @@ Commands:
   (cross-configuration agreement + oracle checks; failing cases are
   shrunk to replayable JSON repros, replayed with ``--replay``;
   ``--jobs N`` fans cases out over a process pool);
-* ``telemetry`` — merge the per-process JSONL streams of a
-  ``--telemetry-dir`` run into one clock-aligned timeline
-  (``collect``: summary + optional Chrome trace / HTML / JSON exports;
-  ``list``: enumerate runs in a directory);
 * ``serve``    — long-lived multi-tenant solve server on a unix socket
   (NDJSON protocol, request coalescing into blocked multi-RHS panels;
   see docs/SERVING.md);
@@ -37,8 +33,8 @@ Commands:
 
 ``solve``, ``simulate``, and ``verify`` share the runtime
 observability flags: ``--telemetry-dir DIR`` records run-scoped
-telemetry (per-process JSONL event streams, merged on exit into a
-Chrome trace + HTML lane report + ``latency.*`` percentile gauges) and
+telemetry (one JSONL event stream, read back on exit into a Chrome
+trace + ``latency.*`` percentile gauges) and
 ``--profile`` adds wall-clock profiling (cProfile + sampling profiler,
 top-function table + flamegraph).  See docs/OBSERVABILITY.md.
 
@@ -81,10 +77,8 @@ from repro.obs import (
     setup_logging,
     span,
     telemetry,
-    timeline_chrome_trace,
     verbosity_to_level,
     write_html_report,
-    write_timeline_report,
 )
 from repro.obs.profile import PROFILE_MODES
 from repro.ordering.autotune import BUDGETS
@@ -154,20 +148,18 @@ class ObsSession:
 
     Entering enables + resets the global tracer when the command embeds
     spans in an artifact (``trace``) or telemetry is on (:attr:`tracer`
-    stays ``None`` otherwise), opens the telemetry run (publishing the
-    env handshake so worker processes can join via
-    ``telemetry.init_worker``) and starts the wall-clock profiler.
-    Leaving runs ``finish()`` and disables the tracer.
+    stays ``None`` otherwise), opens the telemetry run and starts the
+    wall-clock profiler.  Leaving runs ``finish()`` and disables the
+    tracer.
 
     ``finish()`` — idempotent; commands call it before they snapshot an
-    artifact — stops profiler and telemetry, merges the per-process
-    JSONL streams into one timeline, exports ``latency.*`` percentile
-    gauges into the global registry (so the artifact and ``report
-    --diff`` see wall-clock latency), and writes the merged outputs next
-    to the streams: ``<run>.trace.json`` (Chrome trace),
-    ``<run>.report.html`` (per-process lane view), ``<run>.timeline.json``
-    and, with ``--profile``, ``<run>.profile.txt`` + ``<run>.flame.svg``.
-    With nothing asked for every step is a no-op.
+    artifact — stops profiler and telemetry, reads the run's JSONL
+    stream back once, exports ``latency.*`` percentile gauges into the
+    global registry (so the artifact and ``report --diff`` see
+    wall-clock latency), and writes next to the stream
+    ``<run>.trace.json`` (Chrome trace) and, with ``--profile``,
+    ``<run>.profile.txt`` + ``<run>.flame.svg``.  With nothing asked for
+    every step is a no-op.
     """
 
     def __init__(self, args, command: str, trace: bool = False) -> None:
@@ -180,7 +172,7 @@ class ObsSession:
                          if args.profile else None)
         self.tracer = None
         self.context = None
-        self.timeline = None
+        self.latency = None
         self.profile_result = None
         self._done = False
 
@@ -207,32 +199,17 @@ class ObsSession:
         if self.profiler is not None:
             self.profile_result = self.profiler.stop()
         if self.context is not None:
+            root = Path(self.telemetry_dir)
             run_id = self.context.run_id
             telemetry.stop()
-            try:
-                self.timeline = telemetry.collect(self.telemetry_dir,
-                                                  run_id=run_id)
-            except FileNotFoundError:
-                self.timeline = None
-        if self.timeline is not None:
-            telemetry.export_latency_metrics(
-                self.timeline.latency_summary())
-            root = Path(self.telemetry_dir)
-            run_id = self.timeline.run_id
+            events = telemetry.read_stream(self.context.stream_path)
+            self.latency = telemetry.latency_summary(events)
+            telemetry.export_latency_metrics(self.latency)
             trace_path = root / f"{run_id}.trace.json"
-            timeline_chrome_trace(self.timeline, trace_path)
-            html_path = root / f"{run_id}.report.html"
-            write_timeline_report(self.timeline, html_path,
-                                  profile=self.profile_result)
-            with open(root / f"{run_id}.timeline.json", "w") as f:
-                json.dump(self.timeline.to_dict(), f, indent=2)
-            print(f"telemetry: run {run_id}, "
-                  f"{len(self.timeline.streams)} process stream(s) -> "
-                  f"{trace_path}, {html_path}")
+            telemetry.chrome_trace(events, trace_path)
+            print(f"telemetry: run {run_id} -> {trace_path}")
         if self.profile_result is not None:
-            if self.timeline is not None:
-                root = Path(self.telemetry_dir)
-                run_id = self.timeline.run_id
+            if self.context is not None:
                 top_path = root / f"{run_id}.profile.txt"
                 with open(top_path, "w") as f:
                     f.write(self.profile_result.render_top(limit=40)
@@ -249,13 +226,12 @@ class ObsSession:
 
     def telemetry_dict(self) -> dict | None:
         """The artifact's ``telemetry`` section (``None`` when off)."""
-        if self.timeline is None:
+        if self.context is None:
             return None
         return {
-            "run_id": self.timeline.run_id,
-            "dir": self.timeline.telemetry_dir,
-            "n_processes": len(self.timeline.streams),
-            "latency_ms": self.timeline.latency_summary(),
+            "run_id": self.context.run_id,
+            "dir": self.context.telemetry_dir,
+            "latency_ms": self.latency,
         }
 
     def profile_dict(self) -> dict | None:
@@ -498,44 +474,6 @@ def cmd_verify(args) -> int:
         return 0 if summary.ok else 1
 
 
-def cmd_telemetry(args) -> int:
-    if args.action == "list":
-        runs = telemetry.list_runs(args.dir)
-        if not runs:
-            print(f"no telemetry runs under {args.dir}")
-            return 0
-        for run in runs:
-            streams = sorted(Path(args.dir).glob(f"{run}.*.jsonl"))
-            print(f"{run}  ({len(streams)} stream(s))")
-        return 0
-    timeline = telemetry.collect(args.dir, run_id=args.run)
-    n_spans = sum(len(s.spans) for s in timeline.streams)
-    print(f"run {timeline.run_id}: {len(timeline.streams)} process "
-          f"stream(s), {n_spans} spans")
-    for s in timeline.streams:
-        print(f"  {s.label:<20}{len(s.spans):>6} spans  "
-              f"{len(s.heartbeats):>3} heartbeat(s)  "
-              f"{Path(s.path).name}")
-    latency = timeline.latency_summary()
-    if latency:
-        print(f"  {'phase':<26}{'count':>7}{'p50 ms':>10}"
-              f"{'p95 ms':>10}{'p99 ms':>10}")
-        for phase, st in latency.items():
-            print(f"  {phase:<26}{st['count']:>7}{st['p50_ms']:>10.3f}"
-                  f"{st['p95_ms']:>10.3f}{st['p99_ms']:>10.3f}")
-    if args.trace:
-        timeline_chrome_trace(timeline, args.trace)
-        print(f"wrote Chrome trace to {args.trace}")
-    if args.html:
-        write_timeline_report(timeline, args.html)
-        print(f"wrote HTML timeline to {args.html}")
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(timeline.to_dict(), f, indent=2)
-        print(f"wrote timeline JSON to {args.json}")
-    return 0
-
-
 def cmd_compare(args) -> int:
     matrix, kind, ordering = load_matrix(args.matrix)
     kind = args.kind or kind
@@ -748,10 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_obs_args(p):
         p.add_argument("--telemetry-dir", metavar="DIR", default=None,
-                       help="record run-scoped telemetry: per-process "
-                            "JSONL event streams in DIR, merged on exit "
-                            "into a Chrome trace + HTML lane report + "
-                            "latency.* percentile gauges")
+                       help="record run-scoped telemetry: one JSONL "
+                            "event stream in DIR, read back on exit into "
+                            "a Chrome trace + latency.* percentile "
+                            "gauges")
         p.add_argument("--profile", action="store_true",
                        help="wall-clock profiling (cProfile + sampling "
                             "profiler); writes a top-function table and "
@@ -858,8 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a run-artifact JSON (verify.* counters)")
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="process-pool workers for case execution; "
-                            "each joins the telemetry run and emits "
-                            "verify.case spans (default 1)")
+                            "each hands its verify.case span and counters "
+                            "back to this process (default 1)")
     p_ver.add_argument("--replay", metavar="FILE", default=None,
                        help="re-run a shrunk failing-case JSON instead of "
                             "fuzzing")
@@ -975,23 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "ordering.quality.* gauges for the winning "
                              "ordering)")
 
-    p_tel = sub.add_parser(
-        "telemetry", help="merge per-process telemetry streams of a "
-                          "--telemetry-dir run into one timeline"
-    )
-    p_tel.add_argument("action", choices=["collect", "list"])
-    p_tel.add_argument("--dir", default="telemetry", metavar="DIR",
-                       help="directory holding the JSONL streams "
-                            "(default: telemetry/)")
-    p_tel.add_argument("--run", default=None, metavar="RUN_ID",
-                       help="which run to collect (default: latest)")
-    p_tel.add_argument("--trace", metavar="FILE", default=None,
-                       help="with collect, write a Chrome trace JSON")
-    p_tel.add_argument("--html", metavar="FILE", default=None,
-                       help="with collect, write the HTML lane report")
-    p_tel.add_argument("--json", metavar="FILE", default=None,
-                       help="with collect, write the merged timeline "
-                            "summary JSON")
     return parser
 
 
@@ -1003,7 +924,6 @@ _COMMANDS = {
     "compare": cmd_compare,
     "report": cmd_report,
     "verify": cmd_verify,
-    "telemetry": cmd_telemetry,
     "serve": cmd_serve,
     "serve-stats": cmd_serve_stats,
     "serve-top": cmd_serve_top,

@@ -18,13 +18,10 @@ Dependency-free observability primitives used across the whole stack:
   critical-path extraction over the executed trace;
 * :mod:`repro.obs.html` — self-contained HTML report
   (``repro report --html``);
-* :mod:`repro.obs.telemetry` — run-scoped runtime telemetry: a run
-  context propagated to ``multiprocessing`` workers via an
-  env/initializer handshake, crash-safe per-process JSONL event sinks
-  (spans, counters, logs, heartbeats), and a collector merging the
-  streams into one clock-aligned :class:`Timeline` with wall-clock
-  latency percentiles (``repro <cmd> --telemetry-dir`` /
-  ``repro telemetry collect``);
+* :mod:`repro.obs.telemetry` — run-scoped runtime telemetry: one
+  crash-safe JSONL event stream per run (spans, counters, logs,
+  heartbeats), read back on exit into wall-clock latency percentiles
+  and a Chrome trace (``repro <cmd> --telemetry-dir``);
 * :mod:`repro.obs.profile` — opt-in wall-clock profiling (cProfile +
   a sampling signal profiler) with top-function tables and
   self-contained SVG flamegraphs (``--profile``);
@@ -57,12 +54,7 @@ from repro.obs.attribution import (
     attribute_cycles,
     critical_path,
 )
-from repro.obs.html import (
-    render_html_report,
-    render_timeline_html,
-    write_html_report,
-    write_timeline_report,
-)
+from repro.obs.html import render_html_report, write_html_report
 from repro.obs.live import (
     ExemplarRing,
     RollingWindow,
@@ -75,10 +67,7 @@ from repro.obs.profile import Profiler, ProfileResult, flamegraph_svg
 from repro.obs.telemetry import (
     RunContext,
     TelemetrySink,
-    Timeline,
-    collect,
     latency_percentiles,
-    timeline_chrome_trace,
 )
 from repro.obs.metrics import (
     Counter,
@@ -126,14 +115,9 @@ __all__ = [
     "critical_path",
     "render_html_report",
     "write_html_report",
-    "render_timeline_html",
-    "write_timeline_report",
     "RunContext",
     "TelemetrySink",
-    "Timeline",
-    "collect",
     "latency_percentiles",
-    "timeline_chrome_trace",
     "Profiler",
     "ProfileResult",
     "flamegraph_svg",

@@ -262,9 +262,7 @@ def render_artifact(artifact: RunArtifact) -> str:
                 artifact.attribution["critical_path"]).render())
     if artifact.telemetry:
         lines.append("-- telemetry " + "-" * 42)
-        run = artifact.telemetry.get("run_id", "?")
-        n_procs = artifact.telemetry.get("n_processes", 1)
-        lines.append(f"  run {run} ({n_procs} process(es))")
+        lines.append(f"  run {artifact.telemetry.get('run_id', '?')}")
         for phase, st in sorted(
                 artifact.telemetry.get("latency_ms", {}).items()):
             lines.append(

@@ -9,12 +9,6 @@ tree (nested horizontal bars), what-if estimates, critical-path summary,
 PE-utilization timeline (SVG area chart), the span waterfall, and — for
 schema-v3 artifacts — the wall-clock latency percentiles and profile
 (top functions + flamegraph).
-
-:func:`write_timeline_report` renders a *collected telemetry timeline*
-(:class:`repro.obs.telemetry.Timeline`) instead: process table with
-heartbeat liveness, a per-process/per-thread span lane view (SVG
-swimlanes on the shared wall clock), phase latency percentiles, merged
-counters, and the log tail.
 """
 
 from __future__ import annotations
@@ -169,8 +163,7 @@ def render_html_report(artifact: RunArtifact) -> str:
         parts.append(
             "<h2>Runtime telemetry</h2>"
             f"<p>run <code>{_esc(tel.get('run_id', '?'))}</code> &middot; "
-            f"{tel.get('n_processes', 1)} process(es) &middot; dir "
-            f"<code>{_esc(tel.get('dir', ''))}</code></p>"
+            f"dir <code>{_esc(tel.get('dir', ''))}</code></p>"
         )
         parts.append(_latency_table(tel.get("latency_ms", {})))
 
@@ -222,12 +215,6 @@ def write_html_report(artifact: RunArtifact, path: str | Path) -> None:
     Path(path).write_text(render_html_report(artifact))
 
 
-# -- telemetry timeline report ------------------------------------------------
-
-_LANE_COLORS = ("#4c72b0", "#55a868", "#c44e52", "#8172b2", "#ccb974",
-                "#64b5cd", "#937860", "#da8bc3")
-
-
 def _latency_table(latency_ms: dict) -> str:
     if not latency_ms:
         return "<p class='muted'>(no phase latency samples)</p>"
@@ -244,142 +231,3 @@ def _latency_table(latency_ms: dict) -> str:
         )
     rows.append("</table>")
     return "".join(rows)
-
-
-def _svg_span_lanes(timeline, width: int = 960, lane_h: int = 18,
-                    max_rects: int = 2500) -> str:
-    """Swimlane view: one lane per (process, thread), spans as rects on
-    the shared wall clock.  When a run has more spans than ``max_rects``
-    the shortest ones are dropped (noted in the caption) so the report
-    stays loadable."""
-    spans = timeline.spans()
-    if not spans:
-        return "<p class='muted'>(no spans recorded)</p>"
-    lanes = timeline.lanes()
-    lane_of = {lane: i for i, lane in enumerate(lanes)}
-    # Label lanes p<pid>/w<thread-ordinal-within-pid> (w0 = first seen).
-    ordinal: dict[tuple, int] = {}
-    per_pid: dict[int, int] = {}
-    for pid, tid in lanes:
-        ordinal[(pid, tid)] = per_pid.get(pid, 0)
-        per_pid[pid] = per_pid.get(pid, 0) + 1
-    t_end = max(s["wall_start_s"] + s["dur"] for s in spans) or 1e-9
-    dropped = 0
-    if len(spans) > max_rects:
-        dropped = len(spans) - max_rects
-        spans = sorted(spans, key=lambda s: -s["dur"])[:max_rects]
-    label_w = 110
-    scale = (width - label_w) / t_end
-    height = len(lanes) * lane_h + 18
-    parts = [f'<svg width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}" font-family="monospace">']
-    for (pid, tid), i in lane_of.items():
-        y = i * lane_h
-        fill = "#f4f4f6" if i % 2 else "#fafafc"
-        parts.append(f'<rect x="0" y="{y}" width="{width}" '
-                     f'height="{lane_h}" fill="{fill}"/>')
-        parts.append(f'<text x="4" y="{y + lane_h - 5}" font-size="10" '
-                     f'fill="#555">p{pid}/w{ordinal[(pid, tid)]}</text>')
-    for s in spans:
-        i = lane_of[(s["pid"], s.get("tid", 0))]
-        x = label_w + s["wall_start_s"] * scale
-        w = max(s["dur"] * scale, 0.8)
-        color = _LANE_COLORS[hash(s["name"]) % len(_LANE_COLORS)]
-        parts.append(
-            f'<g><title>{_esc(s["name"])} — {1e3 * s["dur"]:.3f} ms '
-            f'(pid {s["pid"]})</title>'
-            f'<rect x="{x:.1f}" y="{i * lane_h + 2}" width="{w:.1f}" '
-            f'height="{lane_h - 4}" fill="{color}" fill-opacity="0.85" '
-            'rx="1"/></g>'
-        )
-    axis_y = len(lanes) * lane_h + 12
-    parts.append(f'<text x="{label_w}" y="{axis_y}" font-size="10" '
-                 'fill="#555">0 s</text>')
-    parts.append(f'<text x="{width - 60}" y="{axis_y}" font-size="10" '
-                 f'fill="#555">{t_end:.3f} s</text>')
-    parts.append("</svg>")
-    caption = (f"<p class='muted'>{dropped} shortest span(s) not drawn "
-               "(cap for report size)</p>" if dropped else "")
-    return "".join(parts) + caption
-
-
-def render_timeline_html(timeline, profile: dict | None = None) -> str:
-    """Render a collected telemetry timeline (and optional profile dict
-    from :class:`repro.obs.profile.ProfileResult`) to HTML."""
-    parts = [
-        "<!doctype html><html><head><meta charset='utf-8'>",
-        f"<title>telemetry: {_esc(timeline.run_id)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>Telemetry run <code>{_esc(timeline.run_id)}</code></h1>",
-        f"<p class='muted'>{len(timeline.streams)} process stream(s) "
-        f"from <code>{_esc(timeline.telemetry_dir)}</code></p>",
-        "<h2>Processes</h2>",
-        "<table><tr><th>pid</th><th>role</th><th>spans</th>"
-        "<th>heartbeats</th><th>last heartbeat</th><th>stream</th></tr>",
-    ]
-    t0 = timeline.t0
-    for s in timeline.streams:
-        last = s.last_heartbeat_wall
-        last_s = f"+{last - t0:.2f}s" if last is not None else "—"
-        parts.append(
-            f"<tr><td class='num'>{s.pid}</td><td>{_esc(s.role)}</td>"
-            f"<td class='num'>{len(s.spans)}</td>"
-            f"<td class='num'>{len(s.heartbeats)}</td>"
-            f"<td class='num'>{last_s}</td>"
-            f"<td><code>{_esc(Path(s.path).name)}</code></td></tr>"
-        )
-    parts.append("</table>")
-
-    parts.append("<h2>Worker lanes <span class='muted'>(wall clock)"
-                 "</span></h2>")
-    parts.append(_svg_span_lanes(timeline))
-
-    parts.append("<h2>Phase latency percentiles</h2>")
-    parts.append(_latency_table(timeline.latency_summary()))
-
-    counters = timeline.merged_counters()
-    if counters:
-        parts.append("<h2>Merged counters <span class='muted'>(summed "
-                     "across processes)</span></h2><table>")
-        for name, value in sorted(counters.items()):
-            parts.append(f"<tr><td><code>{_esc(name)}</code></td>"
-                         f"<td class='num'>{_fmt(value)}</td></tr>")
-        parts.append("</table>")
-
-    if profile:
-        from repro.obs.profile import ProfileResult, flamegraph_svg
-
-        prof = profile if isinstance(profile, ProfileResult) \
-            else ProfileResult.from_dict(profile)
-        parts.append(
-            f"<h2>Wall-clock profile <span class='muted'>({_esc(prof.mode)}"
-            f", {prof.seconds:.2f}s, {prof.samples} samples)</span></h2>"
-            f"<pre>{_esc(prof.render_top(limit=15))}</pre>"
-        )
-        parts.append(flamegraph_svg(prof.folded))
-
-    logs = timeline.logs()
-    if logs:
-        parts.append(f"<h2>Log tail <span class='muted'>(last "
-                     f"{min(len(logs), 40)} of {len(logs)})</span></h2>"
-                     "<table>")
-        for rec in logs[-40:]:
-            offset = rec.get("wall", t0) - t0
-            parts.append(
-                f"<tr><td class='num muted'>+{offset:.3f}s</td>"
-                f"<td>{_esc(rec.get('level', ''))}</td>"
-                f"<td class='muted'>pid {rec.get('pid')}</td>"
-                f"<td><code>{_esc(rec.get('msg', ''))}</code></td></tr>"
-            )
-        parts.append("</table>")
-
-    parts.append("</body></html>")
-    return "\n".join(parts)
-
-
-def write_timeline_report(timeline, path: str | Path,
-                          profile=None) -> None:
-    """Write the timeline HTML; ``profile`` is a ProfileResult or its
-    dict form, or None."""
-    Path(path).write_text(render_timeline_html(timeline,
-                                               profile=profile))

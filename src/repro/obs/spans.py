@@ -15,10 +15,10 @@ function call returning a shared no-op context manager, so library code
 can be instrumented unconditionally.  Spans nest; each span records its
 depth and parent name so exporters can rebuild the hierarchy.
 
-High-volume instrumentation (per-supernode tasks, per-case verify jobs,
-per-batch serve sweeps) opens *detail* spans — ``span(name, detail=True,
-**attrs)`` — which are handed to the completion listeners only and never
-enter ``Tracer.spans``, so their volume is bounded by the listener's disk
+High-volume instrumentation (per-supernode tasks, per-batch serve
+sweeps) opens *detail* spans — ``span(name, detail=True, **attrs)`` —
+which are handed to the completion listeners only and never enter
+``Tracer.spans``, so their volume is bounded by the listener's disk
 stream, not by memory or by the run artifact.  With no listener
 registered a detail span is the same shared no-op.
 
@@ -27,8 +27,8 @@ opened concurrently from worker threads — e.g. the numeric scheduler's
 pool — nest within their own thread, not each other), completed
 spans are appended under a lock, and registered completion listeners
 (:meth:`Tracer.add_listener`, used by :mod:`repro.obs.telemetry` to
-mirror spans into the per-process event sink) are invoked in the
-completing thread.
+mirror spans into the run's event stream) are invoked in the completing
+thread.
 
 With ``trace_memory=True`` the tracer also samples :mod:`tracemalloc` and
 records the peak traced allocation observed while the span was open (the

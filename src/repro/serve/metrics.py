@@ -94,7 +94,8 @@ class LatencyRecorder:
 
     ``summary()`` reuses the telemetry percentile schema
     (count/mean/p50/p95/p99/max in milliseconds) so server stats and
-    ``repro telemetry`` reports read the same way;
+    the ``telemetry.latency_ms`` section of a run artifact read the
+    same way;
     ``window_summary()`` is the live windowed counterpart.  See the
     module docstring for the cumulative-vs-windowed contract.
     """

@@ -13,26 +13,28 @@ only decides *how far* into the deterministic case sequence the run
 gets, never *which* cases it sees.
 
 With ``jobs > 1`` the (independent) cases fan out across a
-``multiprocessing`` pool.  Each worker joins the active telemetry run
-through the env/initializer handshake
-(:func:`repro.obs.telemetry.init_worker`), emits one ``verify.case``
-span per case into its own JSONL sink, and dumps its ``verify.*``
-counters at exit — so a collected timeline shows true per-process
-worker lanes.  Results are consumed in submission order
-(``imap``), keeping the summary deterministic for a fixed case count.
+``multiprocessing`` pool.  A worker hands back, with each case result,
+the case's wall time, its pid and the counter increments it made; the
+parent records one ``verify.case`` span per case into its own telemetry
+stream and adds the counters to its registry, so the run has one stream
+and one registry whatever ``jobs`` is.  Results are consumed in
+submission order (``imap``), keeping the summary deterministic for a
+fixed case count.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from repro.obs import span, telemetry
+from repro.obs import Span, disable_tracing, telemetry
 from repro.obs.artifact import RunArtifact
-from repro.obs.metrics import global_registry
+from repro.obs.metrics import Counter, MetricsRegistry, global_registry
 from repro.verify.differential import CaseResult, SweepAxes, run_case
 from repro.verify.generators import case_stream
 from repro.verify.shrink import Repro, failure_predicate, shrink_matrix
@@ -53,6 +55,13 @@ class VerifyConfig:
     shrink_seconds: float = 20.0
     axes: SweepAxes = field(default_factory=SweepAxes)
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.max_cases is not None and self.max_cases < 1:
+            raise ValueError(
+                f"max_cases must be >= 1, got {self.max_cases}")
 
 
 @dataclass
@@ -125,16 +134,62 @@ def _shrink_failure(result: CaseResult, config: VerifyConfig
     return path
 
 
-def _account(result: CaseResult, summary: VerifySummary,
+class _CaseRun(NamedTuple):
+    """One case as a worker hands it back to the accounting loop."""
+
+    result: CaseResult
+    start_s: float           # perf_counter at case start
+    seconds: float
+    pid: int
+    counters: dict[str, float]   # counter increments the case made
+
+
+def _counter_values(registry: MetricsRegistry) -> dict[str, float]:
+    return {name: inst.value for name in registry.names()
+            if isinstance(inst := registry.get(name), Counter)}
+
+
+def _run_case_job(payload: tuple) -> _CaseRun:
+    """Run one case (module-level, so it pickles into a pool worker)."""
+    case, axes = payload
+    before = _counter_values(global_registry())
+    start = time.perf_counter()
+    result = run_case(case, axes=axes)
+    seconds = time.perf_counter() - start
+    counters = {name: value - before.get(name, 0)
+                for name, value in _counter_values(global_registry()).items()
+                if value != before.get(name)}
+    return _CaseRun(result, start, seconds, os.getpid(), counters)
+
+
+def _detach_worker() -> None:
+    """Pool initializer: a forked worker inherits the parent's telemetry
+    sink and enabled tracer; drop both so the worker neither writes into
+    the parent's open stream nor accumulates spans nobody reads."""
+    telemetry.detach()
+    disable_tracing()
+
+
+def _account(run: _CaseRun, summary: VerifySummary,
              config: VerifyConfig) -> None:
-    """Fold one case result into the summary + global registry.
+    """Fold one case into the summary, the global registry and the
+    telemetry stream.
 
     Always runs in the main process (both serial and pool paths), so the
     campaign artifact's ``verify.*`` metrics come from exactly one
     registry regardless of ``jobs``.
     """
     reg = global_registry()
+    result = run.result
     case = result.case
+    sink = telemetry.current_sink()
+    if sink is not None:
+        # perf_counter is a system-wide monotonic clock, so a worker's
+        # start is on this process's time axis.
+        sink.span(Span(name="verify.case", start_s=run.start_s,
+                       duration_s=run.seconds,
+                       attrs={"case": case.name, "family": case.family,
+                              "n": case.matrix.n_rows, "pid": run.pid}))
     summary.cases += 1
     summary.checks += result.checks
     summary.families[case.family] = (
@@ -163,18 +218,6 @@ def _account(result: CaseResult, summary: VerifySummary,
                 summary.repro_paths.append(str(path))
 
 
-def _run_case_job(payload: tuple) -> CaseResult:
-    """Pool worker body: run one case under a ``verify.case`` detail span.
-
-    Module-level so it pickles under spawn; the span goes to the
-    worker's own JSONL sink (no-op when the run has no telemetry).
-    """
-    case, axes = payload
-    with span("verify.case", detail=True, case=case.name,
-              family=case.family, n=case.matrix.n_rows):
-        return run_case(case, axes=axes)
-
-
 def _bounded_cases(config: VerifyConfig):
     stream = case_stream(config.seed, max_n=config.max_n)
     if config.max_cases is None:
@@ -193,35 +236,27 @@ def run_verification(config: VerifyConfig | None = None) -> VerifySummary:
     reg = global_registry()
     start = time.monotonic()
     deadline = start + config.budget_seconds
+    payloads = ((case, config.axes) for case in _bounded_cases(config))
+    pool = None
     if config.jobs > 1:
-        payloads = ((case, config.axes)
-                    for case in _bounded_cases(config))
-        pool = multiprocessing.Pool(
-            config.jobs, initializer=telemetry.init_worker)
-        drained = False
-        try:
-            for result in pool.imap(_run_case_job, payloads, chunksize=1):
-                _account(result, summary, config)
-                if time.monotonic() >= deadline:
-                    break
-            else:
-                drained = True
-        finally:
-            if drained:
-                # Clean shutdown: workers run their atexit hooks, which
-                # dump per-worker counters into the telemetry stream.
-                pool.close()
-            else:
-                # Budget break (or error): the input generator is still
-                # live and close() would drain it — kill the pool.
-                pool.terminate()
-            pool.join()
+        pool = multiprocessing.Pool(config.jobs, initializer=_detach_worker)
+        runs = pool.imap(_run_case_job, payloads, chunksize=1)
     else:
-        for case in _bounded_cases(config):
-            if summary.cases and time.monotonic() >= deadline:
+        runs = map(_run_case_job, payloads)
+    try:
+        for run in runs:
+            if pool is not None:
+                for name, increment in run.counters.items():
+                    reg.counter(name).inc(increment)
+            _account(run, summary, config)
+            if time.monotonic() >= deadline:
                 break
-            result = run_case(case, axes=config.axes)
-            _account(result, summary, config)
+    finally:
+        if pool is not None:
+            # After a budget break the case generator is still live and
+            # close() would drain it; every result read is accounted.
+            pool.terminate()
+            pool.join()
     summary.seconds = time.monotonic() - start
     reg.counter("verify.seconds").inc(summary.seconds)
     return summary

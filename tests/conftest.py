@@ -1,7 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -22,26 +20,19 @@ from repro.sparse import (
 @pytest.fixture(autouse=True)
 def _isolate_observability_state():
     """Reset every process-global observability singleton around each
-    test: the metrics registry, the span tracer (disabled + empty), any
-    open telemetry sink, and the telemetry env handshake.  Tests that
-    need counters or tracing enable them locally; none may depend on
-    state leaked by an earlier test.
+    test: the metrics registry, the span tracer (disabled + empty), and
+    any open telemetry sink.  Tests that need counters or tracing enable
+    them locally; none may depend on state leaked by an earlier test.
     """
     reset_global_registry()
     disable_tracing()
     get_tracer().reset()
     telemetry.stop(dump_registry=False)
-    for key in (telemetry.ENV_DIR, telemetry.ENV_RUN,
-                telemetry.ENV_PARENT):
-        os.environ.pop(key, None)
     yield
     telemetry.stop(dump_registry=False)
     disable_tracing()
     get_tracer().reset()
     reset_global_registry()
-    for key in (telemetry.ENV_DIR, telemetry.ENV_RUN,
-                telemetry.ENV_PARENT):
-        os.environ.pop(key, None)
 
 
 @pytest.fixture

@@ -662,9 +662,9 @@ class TestLiveObservability:
         finally:
             srv.shutdown()
             telemetry.stop(dump_registry=False)
-        timeline = telemetry.collect(tmp_path, run_id="run-serve-trace")
-        batches = [s for s in timeline.spans()
-                   if s["name"] == "serve.batch"]
+        spans = [e for e in telemetry.read_stream(
+                     tmp_path / "run-serve-trace.jsonl") if e["t"] == "span"]
+        batches = [s for s in spans if s["name"] == "serve.batch"]
         assert batches, "no serve.batch spans recorded"
         seen = Counter(rid for s in batches
                        for rid in s["attrs"]["riders"])
@@ -673,8 +673,7 @@ class TestLiveObservability:
         assert seen == Counter(futures.keys())
         assert all(s["attrs"]["requests"] == len(s["attrs"]["riders"])
                    for s in batches)
-        request_spans = [s for s in timeline.spans()
-                         if s["name"] == "serve.request"]
+        request_spans = [s for s in spans if s["name"] == "serve.request"]
         assert {s["attrs"]["request_id"] for s in request_spans} >= set(
             futures)
 

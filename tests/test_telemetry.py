@@ -1,12 +1,13 @@
 """Tests for runtime telemetry (repro.obs.telemetry), wall-clock
 profiling (repro.obs.profile), the bounded analysis cache, and the CLI
-surface on top (--telemetry-dir / --profile / repro telemetry)."""
+surface on top (--telemetry-dir / --profile)."""
 
 import json
-import multiprocessing
 import os
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from repro.numeric.cache import (
 )
 from repro.numeric.solver import SparseSolver
 from repro.obs import RunArtifact, telemetry
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import (
+    Counter,
+    MetricsRegistry,
+    global_registry,
+    reset_global_registry,
+)
 from repro.obs.profile import (
     Profiler,
     ProfileResult,
@@ -28,18 +34,17 @@ from repro.obs.profile import (
 )
 from repro.obs.spans import enable_tracing, span
 from repro.obs.telemetry import (
-    RunContext,
-    collect,
+    chrome_trace,
     export_latency_metrics,
     latency_percentiles,
-    list_runs,
-    timeline_chrome_trace,
+    read_stream,
 )
 
 
 def _events(path):
+    """Every line of a stream, parsed strictly (a bad line fails)."""
     with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]
+        return [json.loads(line) for line in f]
 
 
 class TestSink:
@@ -50,13 +55,11 @@ class TestSink:
             pass
         telemetry.stop()
         assert not telemetry.active()
-        path = tmp_path / f"run-t1.{os.getpid()}.jsonl"
-        assert path.exists()
-        events = _events(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["run-t1.jsonl"]
+        events = _events(tmp_path / "run-t1.jsonl")
         assert events[0]["t"] == "meta"
         assert events[0]["run"] == "run-t1"
         assert events[0]["pid"] == os.getpid()
-        assert events[0]["role"] == "main"
         spans = [e for e in events if e["t"] == "span"]
         assert [s["name"] for s in spans] == ["unit.work"]
         assert spans[0]["run"] == "run-t1"
@@ -69,19 +72,10 @@ class TestSink:
             with span("phase.two"):
                 pass
         telemetry.stop()
-        events = _events(tmp_path / f"run-t2.{os.getpid()}.jsonl")
+        events = _events(tmp_path / "run-t2.jsonl")
         names = [e["name"] for e in events if e["t"] == "span"]
         # Inner span completes first; both are mirrored.
         assert names == ["phase.two", "phase.one"]
-
-    def test_env_handshake_published_and_cleared(self, tmp_path):
-        telemetry.start(tmp_path, run_id="run-t3", parent_span_id="solve",
-                        heartbeat_s=None)
-        assert os.environ[telemetry.ENV_DIR] == str(tmp_path)
-        assert os.environ[telemetry.ENV_RUN] == "run-t3"
-        assert os.environ[telemetry.ENV_PARENT] == "solve"
-        telemetry.stop()
-        assert telemetry.ENV_RUN not in os.environ
 
     def test_start_is_idempotent(self, tmp_path):
         ctx1 = telemetry.start(tmp_path, heartbeat_s=None)
@@ -101,7 +95,7 @@ class TestSink:
         global_registry().counter("unit.count").inc(7)
         time.sleep(0.08)
         telemetry.stop()
-        events = _events(tmp_path / f"run-t4.{os.getpid()}.jsonl")
+        events = _events(tmp_path / "run-t4.jsonl")
         hbs = [e for e in events if e["t"] == "hb"]
         assert len(hbs) >= 2          # periodic beats + the final one
         dumps = [e for e in events if e["t"] == "counters"]
@@ -115,132 +109,61 @@ class TestSink:
         # reaches the sink handler regardless of setup_logging state.
         logging.getLogger("repro.unit").warning("hello %d", 42)
         telemetry.stop()
-        events = _events(tmp_path / f"run-t5.{os.getpid()}.jsonl")
+        events = _events(tmp_path / "run-t5.jsonl")
         logs = [e for e in events if e["t"] == "log"]
         assert any(e["msg"] == "hello 42" for e in logs)
 
-    def test_run_context_env_roundtrip(self, tmp_path):
-        ctx = RunContext(run_id="r", telemetry_dir=str(tmp_path),
-                         parent_span_id="verify")
-        env = ctx.env()
-        assert env[telemetry.ENV_RUN] == "r"
-        assert env[telemetry.ENV_PARENT] == "verify"
+    @pytest.mark.parametrize("platform, scale", [("darwin", 1),
+                                                 ("linux", 1024)])
+    def test_heartbeat_rss_units(self, monkeypatch, platform, scale):
+        # ru_maxrss is bytes on macOS and KiB elsewhere, whatever its
+        # size: 3 MiB on macOS must not read as 3 GiB.
+        import resource
 
-
-def _mp_worker_job(i: int) -> int:
-    """Module-level pool job (pickles by reference under fork/spawn)."""
-    with span("mp.case", detail=True, case=i):
-        time.sleep(0.01)
-    return os.getpid()
-
-
-class TestMultiprocessing:
-    def test_workers_join_run_and_emit_spans(self, tmp_path):
-        telemetry.start(tmp_path, run_id="run-mp", parent_span_id="test",
-                        heartbeat_s=None)
-        with multiprocessing.Pool(
-                2, initializer=telemetry.init_worker) as pool:
-            pids = pool.map(_mp_worker_job, range(6))
-        telemetry.stop()
-        timeline = collect(tmp_path, run_id="run-mp")
-        roles = [s.role for s in timeline.streams]
-        assert roles[0] == "main"
-        assert roles.count("worker") == len(set(pids))
-        worker_spans = [s for stream in timeline.streams
-                        if stream.role == "worker"
-                        for s in stream.spans]
-        assert len(worker_spans) == 6
-        # Every worker event carries the parent run id; the stream
-        # carries the parent span id from the env handshake.
-        assert all(s["run"] == "run-mp" for s in worker_spans)
-        assert all(s.parent_span_id == "test"
-                   for s in timeline.streams if s.role == "worker")
-
-    def test_init_worker_without_env_is_noop(self):
-        assert telemetry.init_worker() is None
-        assert not telemetry.active()
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage",
+                            lambda who: SimpleNamespace(ru_maxrss=3 << 20))
+        assert telemetry._rss_bytes() == (3 << 20) * scale
 
 
 class TestCollector:
-    def _write_stream(self, tmp_path, pid, wall0, perf0, spans,
-                      role="worker"):
-        path = tmp_path / f"run-c.{pid}.jsonl"
+    """Reading one finished stream back."""
+
+    def _write_stream(self, tmp_path, spans):
+        path = tmp_path / "run-c.jsonl"
         with open(path, "w") as f:
             f.write(json.dumps({
-                "t": "meta", "run": "run-c", "pid": pid, "tid": 1,
-                "role": role, "parent": None,
-                "wall": wall0, "perf": perf0}) + "\n")
-            for name, start, dur in spans:
+                "t": "meta", "run": "run-c", "pid": 100, "tid": 1,
+                "parent": None, "wall": 1000.0, "perf": 50.0}) + "\n")
+            for name, tid, start, dur in spans:
                 f.write(json.dumps({
-                    "t": "span", "run": "run-c", "pid": pid, "tid": 1,
+                    "t": "span", "run": "run-c", "pid": 100, "tid": tid,
                     "name": name, "start": start, "dur": dur,
                     "depth": 0, "parent": None}) + "\n")
         return path
 
-    def test_clock_alignment_across_processes(self, tmp_path):
-        # Two processes whose perf_counter origins differ wildly; the
-        # wall/perf pair in the meta event rebases them onto one axis.
-        self._write_stream(tmp_path, 100, wall0=1000.0, perf0=50.0,
-                           spans=[("a", 50.5, 0.1)], role="main")
-        self._write_stream(tmp_path, 200, wall0=1001.0, perf0=9000.0,
-                           spans=[("b", 9000.2, 0.1)])
-        timeline = collect(tmp_path, run_id="run-c")
-        spans = timeline.spans()
-        by_name = {s["name"]: s for s in spans}
-        assert by_name["a"]["wall_start_s"] == pytest.approx(0.5)
-        assert by_name["b"]["wall_start_s"] == pytest.approx(1.2)
-        assert [s["name"] for s in spans] == ["a", "b"]
-
     def test_truncated_final_line_is_skipped(self, tmp_path):
-        path = self._write_stream(tmp_path, 100, 1000.0, 0.0,
-                                  [("a", 0.5, 0.1)], role="main")
+        path = self._write_stream(tmp_path, [("a", 1, 50.5, 0.1)])
         with open(path, "a") as f:
             f.write('{"t": "span", "run": "run-c", "pid": 100, "na')
-        timeline = collect(tmp_path, run_id="run-c")
-        assert len(timeline.streams[0].spans) == 1
-
-    def test_collect_without_streams_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            collect(tmp_path)
-        with pytest.raises(FileNotFoundError):
-            collect(tmp_path, run_id="run-none")
-
-    def test_list_runs_sorted(self, tmp_path):
-        self._write_stream(tmp_path, 1, 0.0, 0.0, [])
-        (tmp_path / "run-a.2.jsonl").write_text("")
-        (tmp_path / "stray.txt").write_text("")
-        assert list_runs(tmp_path) == ["run-a", "run-c"]
-        assert list_runs(tmp_path / "missing") == []
+        events = read_stream(path)
+        assert [e["t"] for e in events] == ["meta", "span"]
 
     def test_chrome_trace_export(self, tmp_path):
-        self._write_stream(tmp_path, 100, 1000.0, 0.0,
-                           [("a", 0.5, 0.1)], role="main")
-        self._write_stream(tmp_path, 200, 1000.0, 0.0,
-                           [("b", 0.6, 0.1)])
-        timeline = collect(tmp_path, run_id="run-c")
+        path = self._write_stream(tmp_path, [("a", 1, 50.5, 0.1),
+                                             ("b", 7, 50.6, 0.1),
+                                             ("c", 1, 50.8, 0.1)])
         out = tmp_path / "trace.json"
-        timeline_chrome_trace(timeline, out)
-        trace = json.loads(out.read_text())
-        events = trace["traceEvents"]
-        proc_names = [e for e in events if e["name"] == "process_name"]
-        assert {e["pid"] for e in proc_names} == {100, 200}
-        xs = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in xs} == {"a", "b"}
-        assert all(e["args"]["run"] == "run-c" for e in xs)
-
-    def test_merged_counters_sum_and_gauges_last_win(self):
-        from repro.obs.telemetry import ProcessStream, Timeline
-
-        s1 = ProcessStream(pid=1, role="main", run_id="r",
-                           parent_span_id=None, path="x",
-                           counters={"n": 2.0}, gauges={"g": 1.0})
-        s2 = ProcessStream(pid=2, role="worker", run_id="r",
-                           parent_span_id=None, path="y",
-                           counters={"n": 3.0}, gauges={"g": 5.0})
-        merged = Timeline(run_id="r", telemetry_dir=".",
-                          streams=[s1, s2]).merged_counters()
-        assert merged["n"] == 5.0
-        assert merged["g"] == 5.0
+        chrome_trace(read_stream(path), out)
+        events = json.loads(out.read_text())["traceEvents"]
+        assert {e["pid"] for e in events} == {100}
+        lanes = {e["tid"] for e in events if e["name"] == "thread_name"}
+        assert lanes == {0, 1}            # one lane per thread
+        xs = {e["name"]: e for e in events if e["ph"] == "X"}
+        assert {n: e["tid"] for n, e in xs.items()} == {"a": 0, "b": 1,
+                                                         "c": 0}
+        assert xs["a"]["ts"] == pytest.approx(0.5e6)
+        assert all(e["args"]["run"] == "run-c" for e in xs.values())
 
 
 class TestLatency:
@@ -352,7 +275,7 @@ class TestTracerThreadSafety:
         x = solver.solve(b)
         telemetry.stop()
         assert solver.residual_norm(spd_medium, x, b) < 1e-10
-        events = _events(tmp_path / f"run-th.{os.getpid()}.jsonl")
+        events = _events(tmp_path / "run-th.jsonl")
         names = {e["name"] for e in events if e["t"] == "span"}
         assert "numeric.factorize" in names
         assert "numeric.solve" in names
@@ -362,7 +285,6 @@ class TestTracerThreadSafety:
 class TestArtifactTelemetrySections:
     def test_v3_roundtrip_with_telemetry_and_profile(self, tmp_path):
         telem = {"run_id": "run-x", "dir": "telemetry",
-                 "n_processes": 3,
                  "latency_ms": {"numeric.solve": {
                      "count": 4, "mean_ms": 1.0, "p50_ms": 1.0,
                      "p95_ms": 2.0, "p99_ms": 2.5, "max_ms": 3.0}}}
@@ -384,7 +306,7 @@ class TestArtifactTelemetrySections:
         from repro.obs import render_artifact
 
         text = render_artifact(loaded)
-        assert "run run-x (3 process(es))" in text
+        assert "run run-x" in text
         assert "numeric.solve" in text
 
     def test_sections_absent_by_default(self, tmp_path):
@@ -516,21 +438,19 @@ class TestCLITelemetry:
                      "--metrics", str(art)]) == 0
         out = capsys.readouterr().out
         assert "telemetry: run " in out
-        streams = list(tel.glob("*.jsonl"))
-        assert len(streams) == 1
         loaded = RunArtifact.load(art)
-        assert loaded.telemetry["n_processes"] == 1
+        run_id = loaded.telemetry["run_id"]
+        assert sorted(p.name for p in tel.iterdir()) == [
+            f"{run_id}.jsonl", f"{run_id}.trace.json"]
+        assert "n_processes" not in loaded.telemetry
         lat = loaded.telemetry["latency_ms"]
         assert lat["numeric.factorize"]["count"] == 4
         assert lat["numeric.solve"]["count"] == 4
         assert "latency.numeric.solve.p95_ms" in loaded.metrics
-        run_id = loaded.telemetry["run_id"]
-        assert (tel / f"{run_id}.trace.json").exists()
-        assert (tel / f"{run_id}.report.html").exists()
-        assert (tel / f"{run_id}.timeline.json").exists()
         # Detail spans reach the JSONL stream with their attrs and stay
         # out of the artifact.
-        supernodes = [e for e in _events(streams[0])
+        events = _events(tel / f"{run_id}.jsonl")
+        supernodes = [e for e in events
                       if e["t"] == "span"
                       and e["name"] == "numeric.supernode"]
         assert supernodes
@@ -540,28 +460,12 @@ class TestCLITelemetry:
         artifact_names = {s["name"] for s in loaded.spans}
         assert "numeric.factorize" in artifact_names
         assert "numeric.supernode" not in artifact_names
-
-    def test_telemetry_collect_and_list_verbs(self, tmp_path, capsys):
-        tel = tmp_path / "telemetry"
-        assert main(["solve", "suite:bmwcra_1@0.3",
-                     "--telemetry-dir", str(tel)]) == 0
-        capsys.readouterr()
-        assert main(["telemetry", "list", "--dir", str(tel)]) == 0
-        out = capsys.readouterr().out
-        assert "run-" in out and "stream(s)" in out
-        trace = tmp_path / "t.json"
-        html = tmp_path / "t.html"
-        assert main(["telemetry", "collect", "--dir", str(tel),
-                     "--trace", str(trace), "--html", str(html)]) == 0
-        out = capsys.readouterr().out
-        assert "process stream(s)" in out
-        assert trace.exists() and html.exists()
-        assert "<html" in html.read_text()
-
-    def test_collect_missing_dir_errors(self, tmp_path, capsys):
-        assert main(["telemetry", "collect", "--dir",
-                     str(tmp_path / "nope")]) == 1
-        assert "error:" in capsys.readouterr().err
+        # The Chrome trace has one lane per thread that completed a span.
+        trace = json.loads((tel / f"{run_id}.trace.json").read_text())
+        lanes = [e for e in trace["traceEvents"]
+                 if e["name"] == "thread_name"]
+        span_tids = {e["tid"] for e in events if e["t"] == "span"}
+        assert len(lanes) == len(span_tids | {events[0]["tid"]})
 
     def test_profile_flag_writes_reports(self, tmp_path, capsys):
         tel = tmp_path / "telemetry"
@@ -579,15 +483,40 @@ class TestCLITelemetry:
         assert "cumtime" in out
 
     def test_verify_jobs_emit_case_spans(self, tmp_path, capsys):
-        tel = tmp_path / "telemetry"
-        assert main(["verify", "--cases", "4", "--max-n", "12",
-                     "--budget", "120", "--jobs", "2",
-                     "--telemetry-dir", str(tel),
-                     "--out", str(tmp_path / "repros")]) == 0
-        capsys.readouterr()
-        timeline = collect(tel)
-        case_spans = [s for stream in timeline.streams
-                      for s in stream.spans
-                      if s["name"] == "verify.case"]
-        assert len(case_spans) == 4
-        assert {s["run"] for s in case_spans} == {timeline.run_id}
+        """``--jobs 2`` leaves the same one stream, summary and counters
+        as ``--jobs 1``: pool workers hand their spans and counters back
+        to the parent and never write into its open stream."""
+        artifacts = {}
+        for jobs in (2, 1):
+            reset_global_registry()
+            tel = tmp_path / f"telemetry{jobs}"
+            art = tmp_path / f"verify{jobs}.json"
+            assert main(["verify", "--cases", "24", "--max-n", "24",
+                         "--budget", "600", "--jobs", str(jobs),
+                         "--telemetry-dir", str(tel),
+                         "--out", str(tmp_path / "repros"),
+                         "--metrics", str(art)]) == 0
+            capsys.readouterr()
+            (stream,) = tel.glob("*.jsonl")
+            events = _events(stream)
+            assert {e["pid"] for e in events} == {os.getpid()}
+            cases = [e for e in events if e["t"] == "span"
+                     and e["name"] == "verify.case"]
+            assert len(cases) == 24
+            worker_pids = {e["attrs"]["pid"] for e in cases}
+            assert (worker_pids == {os.getpid()}) == (jobs == 1)
+            artifacts[jobs] = RunArtifact.load(art)
+        registry = global_registry()      # the serial run's, run last
+        counters = {name for name in registry.names()
+                    if isinstance(registry.get(name), Counter)}
+        serial, pooled = artifacts[1], artifacts[2]
+        serial.report.pop("seconds")
+        pooled.report.pop("seconds")
+        assert serial.report == pooled.report
+        assert counters <= set(pooled.metrics)
+        exact = {"numeric.factor.count", "numeric.solve.count",
+                 "numeric.factor.flops"} | {
+            name for name in counters
+            if name.startswith("verify.") and name != "verify.seconds"}
+        assert {n: pooled.metrics[n] for n in exact} == {
+            n: serial.metrics[n] for n in exact}

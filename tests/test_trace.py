@@ -156,6 +156,9 @@ class TestRenderers:
             assert other["telemetry_run"] == "run-tagged"
         finally:
             telemetry.stop(dump_registry=False)
+        # The tag names the run's one stream.
+        assert [p.name for p in (tmp_path / "tele").iterdir()] == [
+            "run-tagged.jsonl"]
 
     def test_chrome_export_with_spans(self, traced_sim, tmp_path):
         from repro.obs import Span

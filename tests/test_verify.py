@@ -269,6 +269,21 @@ class TestCli:
         assert "verify: 5 cases" in out
         assert (tmp_path / "artifact.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--cases", "0"),
+                                             ("--cases", "-1"),
+                                             ("--jobs", "0"),
+                                             ("--jobs", "-3")])
+    def test_verify_rejects_nonpositive_counts(self, tmp_path, capsys,
+                                               flag, value):
+        # A zero-case campaign would pass vacuously; a negative job
+        # count would silently run serially.
+        code = main(["verify", flag, value,
+                     "--out", str(tmp_path / "repros")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error:")
+        assert "verify:" not in out
+
     def test_verify_replay_green_case(self, tmp_path, capsys):
         case = build_case("spd_random", seed=6, max_n=8)
         result = CaseResult(case=case, mismatches=[Mismatch(
