@@ -4,8 +4,7 @@ Fill-reducing ordering plus symbolic factorization is the expensive,
 value-independent half of a direct solve.  In the workloads Spatula
 targets (circuit simulation, physics timestepping) many solver instances
 are built over the *same* nonzero pattern — so the analysis is a pure
-function of (pattern, kind, ordering, relaxation parameters) and can be
-shared process-wide.
+function of (pattern, kind, ordering) and can be shared process-wide.
 
 :class:`AnalysisCache` is a thread-safe bounded LRU keyed on a SHA-1
 digest of the exact CSC pattern bytes plus the analysis parameters.  A
@@ -102,10 +101,10 @@ class _Shard:
 class AnalysisCache:
     """Thread-safe, sharded, globally-bounded LRU of symbolic analyses.
 
-    Keys are (pattern digest, kind, ordering, relax_small, relax_ratio);
-    values are the shared analysis objects.  For LU the caller passes the
-    *post-static-pivoting* work matrix: the row matching is value
-    dependent, so only the matched pattern identifies the analysis.
+    Keys are (pattern digest, kind, ordering); values are the shared
+    analysis objects.  For LU the caller passes the *post-static-pivoting*
+    work matrix: the row matching is value dependent, so only the matched
+    pattern identifies the analysis.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
@@ -129,10 +128,8 @@ class AnalysisCache:
         return len(self._shards)
 
     @staticmethod
-    def key(matrix: CSCMatrix, kind: str, ordering: str,
-            relax_small: int, relax_ratio: float) -> tuple:
-        return (pattern_digest(matrix), kind, ordering,
-                int(relax_small), float(relax_ratio))
+    def key(matrix: CSCMatrix, kind: str, ordering: str) -> tuple:
+        return (pattern_digest(matrix), kind, ordering)
 
     def shard_index(self, key: tuple) -> int:
         """Stable shard assignment from the pattern digest (key[0])."""
@@ -157,16 +154,10 @@ class AnalysisCache:
 
     # -- core --------------------------------------------------------------
 
-    def get_or_analyze(
-        self,
-        matrix: CSCMatrix,
-        kind: str,
-        ordering: str,
-        relax_small: int = 8,
-        relax_ratio: float = 0.3,
-    ) -> SymbolicFactorization:
+    def get_or_analyze(self, matrix: CSCMatrix, kind: str,
+                       ordering: str) -> SymbolicFactorization:
         """Return the cached analysis for this pattern, or run and cache it."""
-        key = self.key(matrix, kind, ordering, relax_small, relax_ratio)
+        key = self.key(matrix, kind, ordering)
         shard = self._shard_for(key)
         with shard.lock:
             entry = shard.entries.get(key)
@@ -183,10 +174,7 @@ class AnalysisCache:
         # and a duplicate analysis under contention is merely wasted
         # work, never wrong (last writer wins; both results are
         # identical).
-        symbolic = symbolic_factorize(
-            matrix, kind=kind, ordering=ordering,
-            relax_small=relax_small, relax_ratio=relax_ratio,
-        )
+        symbolic = symbolic_factorize(matrix, kind=kind, ordering=ordering)
         with shard.lock:
             shard.misses += 1
             global_registry().counter("numeric.analysis_cache.misses").inc()

@@ -45,10 +45,13 @@ class CholeskyFactor:
 
     Attributes:
         symbolic: the analysis this factor was computed under.
-        columns: per-supernode (rows, block) pairs, where ``block`` is the
-            front's pivot panel (``len(rows) x n_cols``, C-ordered) holding
-            final L values at global row coordinates ``rows``; the strict
-            upper triangle of ``block[:n_cols]`` is unspecified.
+        columns: per execution supernode (see
+            :func:`repro.numeric.engine.execution_tree`) (rows, block)
+            pairs, where ``block`` is the front's pivot panel
+            (``len(rows) x n_cols``, C-ordered) holding final L values at
+            global row coordinates ``rows``, the first ``n_cols`` of which
+            are its columns; the strict upper triangle of
+            ``block[:n_cols]`` is unspecified.
         operands: per-supernode views of the same blocks in the form the
             supernodal solve reads them (see
             :meth:`repro.numeric.schedule.SupernodeJob.compute`).
@@ -74,12 +77,10 @@ class CholeskyFactor:
         rows_all: list[np.ndarray] = []
         cols_all: list[np.ndarray] = []
         vals_all: list[np.ndarray] = []
-        for sn, (rows, block) in zip(
-            self.symbolic.tree.supernodes, self.columns
-        ):
-            ii, jj = _supernode_triangle(rows, sn.n_cols)
+        for rows, block in self.columns:
+            ii, jj = _supernode_triangle(rows, block.shape[1])
             rows_all.append(rows[ii])
-            cols_all.append(sn.first_col + jj)
+            cols_all.append(rows[jj])
             vals_all.append(block[ii, jj])
         n = self.symbolic.n
         coo = COOMatrix(
@@ -91,11 +92,14 @@ class CholeskyFactor:
         return CSCMatrix.from_coo(coo)
 
     def nnz(self) -> int:
-        """Stored nonzeros of L (matches the symbolic prediction)."""
-        return sum(
-            sn.n_cols * sn.front_size - sn.n_cols * (sn.n_cols - 1) // 2
-            for sn in self.symbolic.tree.supernodes
-        )
+        """Stored entries of L: every supernode's lower trapezoid,
+        explicit zeros of merged fronts included — at least
+        ``symbolic.factor_nnz``, the structural fill."""
+        total = 0
+        for rows, block in self.columns:
+            k = block.shape[1]
+            total += k * len(rows) - k * (k - 1) // 2
+        return total
 
 
 def multifrontal_cholesky(

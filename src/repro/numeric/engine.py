@@ -3,6 +3,15 @@
 This module is the machinery shared by :func:`multifrontal_cholesky` and
 :func:`multifrontal_lu`:
 
+* **Execution supernodes** (:func:`execution_tree`): the engine runs on
+  its own assembly tree, the symbolic one with small supernodes merged
+  into their parents by the relaxed-amalgamation rule of
+  :func:`repro.symbolic.supernodes.amalgamate` under the constants
+  :data:`MERGE_WIDTH` / :data:`MERGE_RATIO` / :data:`MERGE_FRONT`.
+  Fewer, larger fronts mean fewer kernel calls per factorization and
+  per solve; the symbolic analysis (and the simulator reading it) keeps
+  the partition tuned for the paper's hardware.
+
 * **Pattern-cached numeric context** (:class:`NumericContext`): for a fixed
   symbolic analysis, every index computation of the numeric phase is a
   pure function of the nonzero pattern — the permutation of A's values,
@@ -46,11 +55,17 @@ from repro.numeric.tuning import resolve_block_size, resolve_workers
 from repro.obs.metrics import global_registry
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
+from repro.symbolic.assembly import AssemblyTree, build_assembly_tree
 from repro.symbolic.etree import etree_level_sets
+from repro.symbolic.supernodes import coarsen
 
 __all__ = [
     "GROUP_FRONT_MAX",
+    "MERGE_FRONT",
+    "MERGE_RATIO",
+    "MERGE_WIDTH",
     "NumericContext",
+    "execution_tree",
     "export_factor_metrics",
     "numeric_context",
     "row_permutation_data_map",
@@ -64,6 +79,17 @@ __all__ = [
 #: the sweep in docs/PERFORMANCE.md ("Grouped small supernodes"), like
 #: ``DEFAULT_BLOCK_SIZE``; it moves no bit of any factor or solution.
 GROUP_FRONT_MAX = 128
+
+#: The execution tree's merge rule (:func:`execution_tree`): a child of at
+#: most ``MERGE_WIDTH`` columns merges when it adds at most a
+#: ``MERGE_RATIO`` share of explicit zeros to the merged front, and any
+#: child merges when the merged front has at most ``MERGE_FRONT`` rows.
+#: Fixed by the sweep in docs/PERFORMANCE.md ("Execution supernodes"),
+#: like ``GROUP_FRONT_MAX``.  Unlike it they move bits: a merged front
+#: sums in another order.
+MERGE_WIDTH = 16
+MERGE_RATIO = 0.3
+MERGE_FRONT = 64
 
 
 def _csc_order(n_rows: int, n_cols: int, rows: np.ndarray,
@@ -110,6 +136,9 @@ class NumericContext:
     :meth:`~repro.numeric.schedule.SupernodeJob._extend_add`).
 
     Attributes:
+        tree: the assembly tree the maps are built on — the analysis's
+            own by default; :func:`numeric_context` passes its
+            :func:`execution_tree`.
         perm_data: ``permuted.data == matrix.data[perm_data]``.
         pr_off: supernode ``i``'s pivot panel ``P`` then (LU) pivot rows
             ``R``, each C-ordered, are ``buf[pr_off[i]:pr_off[i + 1]]`` of
@@ -140,9 +169,10 @@ class NumericContext:
             ``numeric.levels.*``.
     """
 
-    def __init__(self, symbolic: SymbolicFactorization,
-                 matrix: CSCMatrix) -> None:
+    def __init__(self, symbolic: SymbolicFactorization, matrix: CSCMatrix,
+                 tree: AssemblyTree | None = None) -> None:
         self.symbolic = symbolic
+        self.tree = symbolic.tree if tree is None else tree
         if matrix.n_rows != symbolic.n or matrix.n_cols != symbolic.n:
             raise ValueError(
                 "matrix pattern does not match the symbolic analysis; "
@@ -166,9 +196,8 @@ class NumericContext:
                 "run symbolic_factorize on this matrix first"
             )
 
-        tree = symbolic.tree
-        sns = tree.supernodes
-        n_sn = tree.n_supernodes
+        sns = self.tree.supernodes
+        n_sn = len(sns)
         self.sn_parent = np.array([sn.parent for sn in sns], dtype=np.int64)
         self.levels = etree_level_sets(self.sn_parent)
         lu = symbolic.kind == "lu"
@@ -248,7 +277,7 @@ class NumericContext:
         part of LU fronts, row ``local`` of ``P`` or, past the pivot
         columns, of ``R``).
         """
-        supernodes = self.symbolic.tree.supernodes
+        supernodes = self.tree.supernodes
         n = len(indptr) - 1
         size, k, first = self._size, self._k, self._first
         start = np.cumsum(size) - size
@@ -256,7 +285,7 @@ class NumericContext:
             np.arange(len(supernodes), dtype=np.int64) * n, size)
         cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         slot = np.flatnonzero(indices > cols if upper else indices >= cols)
-        sn_of = self.symbolic.tree.col_to_sn[cols[slot]]
+        sn_of = self.tree.col_to_sn[cols[slot]]
         key = sn_of * n + indices[slot]
         at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         ok = keys[at] == key
@@ -315,7 +344,7 @@ class NumericContext:
         child's ``C`` is two runs (``P``, then ``R`` or ``C``) whose
         positions are a per-run base plus ``pos``.
         """
-        child_maps = self.symbolic.tree.child_maps
+        child_maps = self.tree.child_maps
         n_rows = self._m[kids]
         pos = np.concatenate([child_maps[c] for c in kids.tolist()])
         # Per row of every C: its kid's first index into ``pos`` (its
@@ -388,12 +417,27 @@ class NumericContext:
         return matrix.data[self.perm_data]
 
 
+def execution_tree(tree: AssemblyTree) -> AssemblyTree:
+    """The tree the numeric engine factors on: ``tree`` with each
+    column-contiguous child merged into its parent where the merge rule
+    of :func:`repro.symbolic.supernodes.coarsen` accepts it under
+    :data:`MERGE_WIDTH` / :data:`MERGE_RATIO` / :data:`MERGE_FRONT`.
+    Every execution supernode is a contiguous run of whole supernodes of
+    ``tree``; ``tree`` itself comes back when nothing merges."""
+    supernodes = coarsen(tree.supernodes, MERGE_WIDTH, MERGE_RATIO,
+                         MERGE_FRONT)
+    if supernodes is tree.supernodes:
+        return tree
+    return build_assembly_tree(tree.n, supernodes)
+
+
 def numeric_context(symbolic: SymbolicFactorization,
                     matrix: CSCMatrix) -> NumericContext:
-    """Get (or build and cache) the numeric context for a pattern."""
+    """Get (or build and cache) the numeric context for a pattern, on
+    the :func:`execution_tree` of the analysis."""
     ctx = getattr(symbolic, "_numeric_ctx", None)
     if ctx is None or not ctx.matches(matrix):
-        ctx = NumericContext(symbolic, matrix)
+        ctx = NumericContext(symbolic, matrix, execution_tree(symbolic.tree))
         symbolic._numeric_ctx = ctx
     return ctx
 

@@ -33,7 +33,9 @@ class LUFactors:
 
     Attributes:
         symbolic: the analysis this factor was computed under.
-        fronts: per-supernode (rows, panel, right), both C-ordered:
+        fronts: per execution supernode (see
+            :func:`repro.numeric.engine.execution_tree`) (rows, panel,
+            right), both C-ordered:
             ``panel`` (``len(rows) x n_cols``) holds L's columns (unit
             diagonal implicit) strictly below its diagonal and U11 on and
             above it; ``right`` (``n_cols x (len(rows) - n_cols)``) holds
@@ -64,22 +66,21 @@ class LUFactors:
         n = self.symbolic.n
         l_rows, l_cols, l_vals = [], [], []
         u_rows, u_cols, u_vals = [], [], []
-        for sn, (rows, panel, right) in zip(
-            self.symbolic.tree.supernodes, self.fronts
-        ):
-            ii, jj = _supernode_triangle(rows, sn.n_cols)
-            # L: column first_col + j holds rows[i] for i >= j; the
-            # diagonal (i == j) is stored as the unit 1.0.
+        for rows, panel, right in self.fronts:
+            k = panel.shape[1]
+            ii, jj = _supernode_triangle(rows, k)
+            # L: column rows[j] holds rows[i] for i >= j; the diagonal
+            # (i == j) is stored as the unit 1.0.
             vals = panel[ii, jj]
             vals[ii == jj] = 1.0
             l_rows.append(rows[ii])
-            l_cols.append(sn.first_col + jj)
+            l_cols.append(rows[jj])
             l_vals.append(vals)
-            # U: row first_col + j holds columns rows[i] for i >= j,
-            # including the pivot diagonal.
-            u_rows.append(sn.first_col + jj)
+            # U: row rows[j] holds columns rows[i] for i >= j, including
+            # the pivot diagonal.
+            u_rows.append(rows[jj])
             u_cols.append(rows[ii])
-            u_vals.append(np.hstack((panel[:sn.n_cols], right))[jj, ii])
+            u_vals.append(np.hstack((panel[:k], right))[jj, ii])
         lower = CSCMatrix.from_coo(COOMatrix(
             n, n, np.concatenate(l_rows), np.concatenate(l_cols),
             np.concatenate(l_vals),

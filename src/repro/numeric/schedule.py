@@ -263,7 +263,7 @@ class SupernodeJob:
             if mm:
                 update.reshape(-1)[...] = front[-mm:]
         else:
-            child_maps = ctx.symbolic.tree.child_maps
+            child_maps = ctx.tree.child_maps
             for c in kids:
                 pos, child = child_maps[c], self.updates[c]
                 s = int(np.searchsorted(pos, k))

@@ -24,7 +24,7 @@ from repro.numeric.cholesky import CholeskyFactor, multifrontal_cholesky
 from repro.numeric.engine import row_permutation_data_map
 from repro.numeric.lu import LUFactors, multifrontal_lu
 from repro.numeric.refinement import RefinementResult, iterative_refinement
-from repro.numeric.supernodal_solve import cholesky_solve, lu_solve
+from repro.numeric.supernodal_solve import solve_panel
 from repro.numeric.triangular import (
     solve_lower_csc,
     solve_upper_csc,
@@ -88,6 +88,11 @@ class SparseSolver:
             :func:`~repro.numeric.cache.analysis_cache` so repeated solver
             construction over one pattern skips ordering and symbolic
             factorization.
+
+    The analysis uses the default supernode amalgamation; the numeric
+    engine then merges small supernodes further for itself (see
+    :func:`repro.numeric.engine.execution_tree`), so the fronts it
+    factors are not a solver setting.
     """
 
     def __init__(
@@ -95,8 +100,6 @@ class SparseSolver:
         matrix: CSCMatrix,
         kind: str = "cholesky",
         ordering: str = "amd",
-        relax_small: int = 8,
-        relax_ratio: float = 0.3,
         workers: int | None = None,
         block_size: int | None = None,
         rhs_pad: int = 1,
@@ -105,6 +108,9 @@ class SparseSolver:
     ) -> None:
         if matrix.n_rows != matrix.n_cols:
             raise ValueError("solver requires a square matrix")
+        if matrix.n_rows == 0:
+            raise ValueError("solver requires a non-empty matrix (got 0x0)")
+        _check_data_length(matrix, len(matrix.indices))
         if rhs_pad < 1:
             raise ValueError("rhs_pad must be >= 1")
         if ordering == "auto":
@@ -145,16 +151,16 @@ class SparseSolver:
             raise ValueError("kind must be 'cholesky' or 'lu'")
         if use_cache:
             self.symbolic: SymbolicFactorization = (
-                analysis_cache().get_or_analyze(
-                    work, kind=kind, ordering=ordering,
-                    relax_small=relax_small, relax_ratio=relax_ratio,
-                )
-            )
+                analysis_cache().get_or_analyze(work, kind=kind,
+                                                ordering=ordering))
         else:
-            self.symbolic = symbolic_factorize(
-                work, kind=kind, ordering=ordering,
-                relax_small=relax_small, relax_ratio=relax_ratio,
-            )
+            self.symbolic = symbolic_factorize(work, kind=kind,
+                                               ordering=ordering)
+        # The one gather a solve applies to b: static row pivoting (LU)
+        # composed with the fill-reducing permutation.
+        perm = self.symbolic.perm
+        self._gather = perm if self._row_perm is None \
+            else self._row_perm[perm]
         if self.symbolic.quality is not None:
             # A cache hit skips symbolic_factorize, so re-export the
             # ordering-quality gauges to reflect *this* solver's analysis.
@@ -200,8 +206,9 @@ class SparseSolver:
     def refactorize(self, matrix: CSCMatrix) -> None:
         """Refactor with new values on the same nonzero pattern.
 
-        Raises ValueError if the pattern differs from the analyzed one or
-        the values cannot be factored; the solver then keeps the old ones.
+        Raises ValueError if the pattern differs from the analyzed one, the
+        values do not fill it, or they cannot be factored; the solver then
+        keeps the old ones.
         """
         if not (
             np.array_equal(matrix.indptr, self._src_indptr)
@@ -210,6 +217,7 @@ class SparseSolver:
             raise ValueError(
                 "pattern changed; construct a new SparseSolver instead"
             )
+        _check_data_length(matrix, len(self._src_indices))
         if self.kind == "lu":
             # Re-apply the *existing* row permutation: the pattern is
             # fixed, so the original matching stays structurally valid and
@@ -247,52 +255,48 @@ class SparseSolver:
         """
         if method not in ("supernodal", "csc"):
             raise ValueError("method must be 'supernodal' or 'csc'")
+        if np.iscomplexobj(b):
+            raise ValueError("b must be real; the solver factors real "
+                             "matrices only")
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2):
             raise ValueError("b must be a vector or an (n, k) array")
-        if b.shape[0] != self.symbolic.n:
+        n = self.symbolic.n
+        if b.shape[0] != n:
             raise ValueError("dimension mismatch in solve")
         k = 1 if b.ndim == 1 else b.shape[1]
-        # Batch-invariant padding: widen to a fixed (n, rhs_pad) panel so
-        # every dense kernel runs at batch-size-independent shapes —
-        # column j's bits then depend only on b[:, j], never on how many
-        # other columns rode along (see the rhs_pad constructor doc).
-        padded_from = None
-        if self.rhs_pad > 1 and k < self.rhs_pad:
-            wide = np.zeros((b.shape[0], self.rhs_pad), dtype=np.float64)
-            wide[:, :k] = b if b.ndim == 2 else b[:, None]
-            padded_from = b.ndim
-            b = wide
-        perm = self.symbolic.perm
+        # One gather in: b's rows in elimination order, as a private
+        # panel the sweep solves in place.  Batch-invariant padding
+        # widens it to a fixed (n, rhs_pad) panel so every dense kernel
+        # runs at batch-size-independent shapes — column j's bits then
+        # depend only on b[:, j], never on how many other columns rode
+        # along (see the rhs_pad constructor doc).
+        if k < self.rhs_pad:
+            pb = np.zeros((n, self.rhs_pad))
+            pb[:, :k] = b[self._gather].reshape(n, k)
+        else:
+            pb = b[self._gather].reshape(n, k)
         with span("numeric.solve"):
-            if method == "csc":
-                self._ensure_csc()
-            if self.kind == "cholesky":
-                pb = b[perm]
-                if method == "supernodal":
-                    px = cholesky_solve(self._chol, pb)
-                else:
-                    y = solve_lower_csc(self._lower, pb)
-                    px = solve_upper_csc(self._lower, y)
+            if method == "supernodal":
+                solve_panel(self.factor.operands, pb, self.kind == "lu")
             else:
-                # A_work = P_row A; system P_row A x = P_row b.
-                pb = b[self._row_perm][perm]
-                if method == "supernodal":
-                    px = lu_solve(self._lu, pb)
+                self._ensure_csc()
+                if self.kind == "cholesky":
+                    y = solve_lower_csc(self._lower, pb)
+                    pb = solve_upper_csc(self._lower, y)
                 else:
+                    # A_work = P_row A; system P_row A x = P_row b.
                     y = solve_lower_csc(self._lower, pb,
                                         unit_diagonal=True)
-                    px = solve_upper_csc_direct(self._upper, y)
+                    pb = solve_upper_csc_direct(self._upper, y)
             reg = global_registry()
             reg.counter("numeric.solve.count").inc()
             reg.counter("numeric.solve.rhs").inc(k)
-        # Undo the fill-reducing (symmetric) permutation: px solves the
-        # permuted system, so x[perm[i]] = px[i] (row-wise for panels).
-        x = np.empty_like(px)
-        x[perm] = px
-        if padded_from is not None:
-            x = x[:, 0] if padded_from == 1 else x[:, :k]
-        return x
+        # One scatter out: pb solves the permuted system, so
+        # x[perm[i]] = pb[i] (row-wise; the padding stays behind).
+        x = np.empty((n, k))
+        x[self.symbolic.perm] = pb[:, :k]
+        return x[:, 0] if b.ndim == 1 else x
 
     def solve_refined(self, matrix: CSCMatrix, b: np.ndarray,
                       max_iterations: int = 10,
@@ -339,3 +343,11 @@ class SparseSolver:
         if self._upper is not None:
             count += self._upper.nnz
         return count
+
+
+def _check_data_length(matrix: CSCMatrix, nnz: int) -> None:
+    """Values that do not fill the pattern would be scattered out of
+    line (or out of bounds) deep inside the factorization."""
+    if len(matrix.data) != nnz:
+        raise ValueError(f"matrix has {len(matrix.data)} values for "
+                         f"{nnz} stored entries")

@@ -47,14 +47,14 @@ def _as_panel(b: np.ndarray) -> tuple[np.ndarray, bool]:
     return y, False
 
 
-def _supernodal_solve(operands, b: np.ndarray, lu: bool) -> np.ndarray:
-    """L U X = B over the per-supernode operand table: U = L^T for
+def solve_panel(operands, y: np.ndarray, lu: bool) -> None:
+    """Solve L U X = Y in place on ``y``, a private C-ordered (n, k)
+    float64 panel, over the per-supernode operand table: U = L^T for
     Cholesky; for LU, L has a unit diagonal (the stored diagonal holds
     U's pivots and is never read by the unit solve), U11 is the upper
     triangle of the pivot block and U12 the pivot rows ``R``.  Every
-    right-hand-side block is a row slice of the C-ordered working panel,
-    so ``dtrsm`` solves its Fortran-contiguous transpose in place."""
-    y, was_vector = _as_panel(b)
+    right-hand-side block is a row slice of the panel, so ``dtrsm``
+    solves its Fortran-contiguous transpose in place."""
     trsm = dense.dtrsm
     # Forward: L Y = B, supernodes in postorder (Y^T L11^T = B^T, L11^T
     # the upper triangle of the L11^T view).
@@ -72,6 +72,12 @@ def _supernodal_solve(operands, b: np.ndarray, lu: bool) -> np.ndarray:
             rhs -= back @ y[update_rows]
         trsm(1.0, l11_t, rhs.T, side=1, lower=lu, trans_a=not lu,
              overwrite_b=1)
+
+
+def _supernodal_solve(operands, b: np.ndarray, lu: bool) -> np.ndarray:
+    """:func:`solve_panel` on a copy of the caller's ``b``."""
+    y, was_vector = _as_panel(b)
+    solve_panel(operands, y, lu)
     return y[:, 0] if was_vector else y
 
 

@@ -539,6 +539,9 @@ class SolveServer:
     def submit_solve(self, pattern: str, b: np.ndarray,
                      request_id: str | None = None) -> Future:
         worker = self._worker(pattern)
+        if np.iscomplexobj(b):
+            raise ValueError("b must be real; the solver factors real "
+                             "matrices only")
         b = np.asarray(b, dtype=np.float64)
         vector = b.ndim == 1
         if vector:

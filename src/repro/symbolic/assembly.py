@@ -86,25 +86,41 @@ class AssemblyTree:
 def build_assembly_tree(
     n: int, supernodes: list[Supernode]
 ) -> AssemblyTree:
-    """Assemble the tree structure and extend-add maps from supernodes."""
+    """Assemble the tree structure and extend-add maps from supernodes.
+
+    Every child's update rows are looked up in its parent's rows with one
+    ``searchsorted`` over all supernodes' rows, keyed by
+    ``supernode * n + row`` (sorted: rows ascend within a supernode).
+    """
+    n_sn = len(supernodes)
     col_to_sn = np.empty(n, dtype=np.int64)
     for sn in supernodes:
         col_to_sn[sn.first_col:sn.last_col + 1] = sn.index
-    child_maps: list[np.ndarray | None] = []
-    for sn in supernodes:
-        update = sn.rows[sn.n_cols:]
-        if sn.parent < 0 or len(update) == 0:
-            child_maps.append(None)
-            continue
-        parent_rows = supernodes[sn.parent].rows
-        pos = np.searchsorted(parent_rows, update)
-        if np.any(pos >= len(parent_rows)) or np.any(
-            parent_rows[pos] != update
-        ):
+    width, size, parent = np.array(
+        [(sn.n_cols, sn.front_size, sn.parent) for sn in supernodes],
+        dtype=np.int64).reshape(-1, 3).T
+    child_maps: list[np.ndarray | None] = [None] * n_sn
+    kids = np.flatnonzero((parent >= 0) & (size > width))
+    if len(kids):
+        start = np.cumsum(size) - size
+        keys = np.concatenate([sn.rows for sn in supernodes]) \
+            + np.repeat(np.arange(n_sn, dtype=np.int64) * n, size)
+        n_update = size[kids] - width[kids]
+        update = np.concatenate([supernodes[c].rows[supernodes[c].n_cols:]
+                                 for c in kids.tolist()])
+        key = update + np.repeat(parent[kids] * n, n_update)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        missing = keys[at] != key
+        if missing.any():
+            bad = kids[np.searchsorted(np.cumsum(n_update),
+                                       np.argmax(missing), side="right")]
             raise ValueError(
-                f"update rows of supernode {sn.index} missing from parent"
+                f"update rows of supernode {bad} missing from parent"
             )
-        child_maps.append(pos.astype(np.int64))
+        pos = at - np.repeat(start[parent[kids]], n_update)
+        for c, m in zip(kids.tolist(),
+                        np.split(pos, np.cumsum(n_update)[:-1])):
+            child_maps[c] = m
     return AssemblyTree(
         n=n, supernodes=supernodes, child_maps=child_maps,
         col_to_sn=col_to_sn,

@@ -23,6 +23,10 @@ over the surviving candidates per cascade round — and a row array is built
 once per *surviving* supernode: from per-column structures in
 :func:`find_supernodes`, or by one union per supernode in
 :func:`supernodes_from_counts`, which is what ``symbolic_factorize`` runs.
+
+The merge rule itself is :func:`merge_contiguous`; :func:`coarsen` runs
+it on whole supernodes, for the numeric engine's execution tree
+(:func:`repro.numeric.engine.execution_tree`).
 """
 
 from __future__ import annotations
@@ -182,14 +186,45 @@ def amalgamate(
         up = parent[last]
         return np.where(up >= 0, owner[up], -1)
 
-    sn_parent = tree_links(first, last).tolist()
+    # Step 3: relaxed amalgamation.
+    keep, first = merge_contiguous(
+        first, last, counts[first], tree_links(first, last),
+        relax_small, relax_ratio, force_small)
 
-    # Step 3: relaxed amalgamation, leaves to root, on (first column,
-    # front size) per candidate. A child merges only when it immediately
-    # precedes its parent's columns (one CSQ needs a contiguous range);
-    # the merged front is then the child's columns stacked on the
-    # parent's front, because the child's update rows all lie in it.
-    lo, hi, size = first.tolist(), last.tolist(), counts[first].tolist()
+    # Step 4: surviving supernodes in column order (a valid postorder:
+    # children's columns precede their parents') and their links.
+    last = last[keep]
+    return first, last, tree_links(first, last)
+
+
+def merge_contiguous(
+    first: np.ndarray,
+    last: np.ndarray,
+    size: np.ndarray,
+    sn_parent: np.ndarray,
+    relax_small: int,
+    relax_ratio: float,
+    force_small: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The relaxed-amalgamation rule, on a supernode tree given as
+    integers: each supernode's column range ``first..last`` (column
+    order), its front ``size`` and its parent (-1 for roots).
+
+    Leaves to root, a child merges into its parent when it immediately
+    precedes the parent's columns (one CSQ needs a contiguous range) and
+    either the merged front has at most ``force_small`` rows, or the child
+    has at most ``relax_small`` columns and the merge adds at most a
+    ``relax_ratio`` share of logically-zero entries to the merged front.
+    The merged front is the child's columns stacked on the parent's
+    front, because the child's update rows all lie in it.  Merges cascade
+    (absorbing the last child makes the previous sibling
+    column-contiguous), so the passes run to a fixpoint.
+
+    Returns ``(keep, first)``: the surviving supernodes in column order
+    (each keeps its last column) and their first columns.
+    """
+    lo, hi, size = first.tolist(), last.tolist(), size.tolist()
+    sn_parent = sn_parent.tolist()
     merged = list(range(len(lo)))
 
     def find(k: int) -> int:
@@ -197,8 +232,6 @@ def amalgamate(
             merged[k] = k = merged[merged[k]]
         return k
 
-    # Merges cascade (absorbing the last child makes the previous sibling
-    # column-contiguous), so iterate to a fixpoint.
     candidates = [k for k, p in enumerate(sn_parent) if p >= 0]
     changed = True
     while changed:
@@ -222,11 +255,35 @@ def amalgamate(
             changed = True
         candidates = [k for k in candidates if merged[k] == k]
 
-    # Step 4: surviving supernodes in column order (a valid postorder:
-    # children's columns precede their parents') and their links.
-    keep = [k for k in range(len(lo)) if merged[k] == k]
-    first, last = np.array(lo, dtype=np.int64)[keep], last[keep]
-    return first, last, tree_links(first, last)
+    keep = np.array([k for k in range(len(lo)) if merged[k] == k],
+                    dtype=np.int64)
+    return keep, np.array(lo, dtype=np.int64)[keep]
+
+
+def coarsen(supernodes: list[Supernode], relax_small: int,
+            relax_ratio: float, force_small: int) -> list[Supernode]:
+    """Merge whole supernodes of an assembly tree by the rule
+    :func:`amalgamate` applies to fundamental ones
+    (:func:`merge_contiguous`).  Each result is a contiguous run of whole
+    input supernodes; its front is its merged children's columns stacked
+    on the front of the input supernode that owns its last column.
+    Returns ``supernodes`` itself when nothing merges."""
+    if not supernodes:
+        return supernodes
+    first, last, size, parent = np.array(
+        [(sn.first_col, sn.last_col, sn.front_size, sn.parent)
+         for sn in supernodes], dtype=np.int64).T
+    keep, new_first = merge_contiguous(first, last, size, parent,
+                                       relax_small, relax_ratio, force_small)
+    if len(keep) == len(supernodes):
+        return supernodes
+    # Input supernode -> the result it lies in (results are contiguous
+    # runs, so by first column).
+    owner = np.searchsorted(new_first, first, side="right") - 1
+    up = parent[keep]
+    new_parent = np.where(up >= 0, owner[up], -1)
+    tails = [supernodes[k].rows[supernodes[k].n_cols:] for k in keep.tolist()]
+    return _link(new_first, last[keep], new_parent, tails)
 
 
 def _link(first: np.ndarray, last: np.ndarray, sn_parent: np.ndarray,

@@ -56,8 +56,11 @@ class TestSupernodalSolve:
             solver.solve(np.ones(spd_small.n_rows), method="magic")
 
     def test_amalgamated_factor_solves(self, rng):
+        """The engine factors on its execution tree, merged further than
+        the symbolic analysis's amalgamation."""
         matrix = grid_laplacian_3d(4, seed=9)
-        solver = SparseSolver(matrix, relax_small=16, relax_ratio=0.6)
+        solver = SparseSolver(matrix)
+        assert len(solver.factor.columns) < solver.symbolic.n_supernodes
         b = rng.standard_normal(matrix.n_rows)
         x = solver.solve(b)
         assert solver.residual_norm(matrix, x, b) < 1e-12

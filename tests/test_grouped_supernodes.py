@@ -67,7 +67,7 @@ def _outputs(matrix, kind, workers):
     return out + [solver.solve(b1)]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("label, family, seed",
                          CASES + [(name, name, 0) for name in NAMED])
 def test_same_bits_whatever_is_grouped(monkeypatch, label, family, seed,
@@ -149,7 +149,7 @@ def test_tasks_are_maximal_grouped_subtrees(kind):
     matrix, _ = _matrix(STRADDLING[kind])
     solver = SparseSolver(matrix, kind=kind, use_cache=False)
     ctx = numeric_context(solver.symbolic, solver._matrix)
-    sizes = [sn.front_size for sn in solver.symbolic.tree.supernodes]
+    sizes = [sn.front_size for sn in ctx.tree.supernodes]
     parent = ctx.sn_parent.tolist()
     n = len(parent)
     # Per-node walk (children precede parents): is every supernode of the

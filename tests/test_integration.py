@@ -93,4 +93,11 @@ class TestFunctionalTimingConsistency:
         from repro.numeric import multifrontal_cholesky
 
         factor = multifrontal_cholesky(matrix, sf)
-        assert len(factor.columns) == report.n_supernodes
+        # The engine factors on its execution tree: every front of it is
+        # a contiguous run of whole simulated supernodes.
+        starts = {sn.first_col for sn in sf.tree.supernodes}
+        ends = {sn.last_col for sn in sf.tree.supernodes}
+        assert all(rows[0] in starts and rows[block.shape[1] - 1] in ends
+                   for rows, block in factor.columns)
+        assert sum(block.shape[1] for _, block in factor.columns) \
+            == matrix.n_rows

@@ -4,6 +4,7 @@ solves (validated against NumPy oracles)."""
 import numpy as np
 import pytest
 
+from repro.numeric import engine
 from repro.numeric.cholesky import multifrontal_cholesky
 from repro.numeric.dense import (
     dense_cholesky,
@@ -131,11 +132,18 @@ class TestMultifrontalCholesky:
         assert np.allclose(lt @ lt.T, pt, atol=1e-10)
         assert np.allclose(ll @ ll.T, pl, atol=1e-10)
 
-    def test_nnz_accounting(self, spd_medium):
+    def test_nnz_accounting(self, spd_medium, monkeypatch):
         sf = symbolic_factorize(spd_medium, relax_small=0, relax_ratio=0.0)
         factor = multifrontal_cholesky(spd_medium, sf)
-        # Without amalgamation, stored nnz equals predicted fill.
-        assert factor.nnz() == sf.factor_nnz
+        # nnz() counts stored entries, the merged fronts' explicit zeros
+        # included.
+        assert factor.nnz() == factor.to_csc().nnz > sf.factor_nnz
+        # Without amalgamation in the analysis or the engine, stored nnz
+        # equals predicted fill.
+        monkeypatch.setattr(engine, "MERGE_WIDTH", 0)
+        monkeypatch.setattr(engine, "MERGE_FRONT", 0)
+        sf = symbolic_factorize(spd_medium, relax_small=0, relax_ratio=0.0)
+        assert multifrontal_cholesky(spd_medium, sf).nnz() == sf.factor_nnz
 
     def test_kind_mismatch_raises(self, spd_small):
         sf = symbolic_factorize(spd_small, kind="lu")

@@ -1100,6 +1100,14 @@ class TestSubmissionChecks:
             assert reply["ok"] is False and "NaN or Inf" in reply["error"]
         assert np.isfinite(server.solve(pattern, np.ones(25))).all()
 
+    def test_complex_b_rejected(self, server):
+        matrix = grid_laplacian_2d(5, seed=38)
+        pattern = server.factor(matrix)["pattern"]
+        for b in (1j * np.ones(25), np.ones((25, 2), dtype=complex)):
+            with pytest.raises(ValueError, match="must be real"):
+                server.submit_solve(pattern, b)
+        assert server._workers[pattern].served == 1   # the factor only
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_refactorize_data_rejected(self, server, bad):
         matrix = grid_laplacian_2d(5, seed=40)

@@ -124,6 +124,37 @@ class TestValidation:
         assert solver.symbolic.n == spd_small.n_rows
         assert solver.symbolic.flops > 0
 
+    @pytest.mark.parametrize("kind", ["cholesky", "lu"])
+    def test_rejects_values_that_do_not_fill_the_pattern(self, rng, kind):
+        matrix = grid_laplacian_3d(4, seed=1)
+        short = CSCMatrix(matrix.n_rows, matrix.n_cols, matrix.indptr,
+                          matrix.indices, matrix.data[:-1])
+        with pytest.raises(ValueError, match=f"{matrix.nnz - 1} values "
+                           f"for {matrix.nnz} stored entries"):
+            SparseSolver(short, kind=kind)
+        solver = SparseSolver(matrix, kind=kind)
+        b = rng.standard_normal(matrix.n_rows)
+        before = solver.solve(b)
+        with pytest.raises(ValueError, match=f"{matrix.nnz - 1} values "
+                           f"for {matrix.nnz} stored entries"):
+            solver.refactorize(short)
+        # The solver still solves with its previous factor.
+        assert np.array_equal(solver.solve(b), before)
+
+    def test_rejects_complex_rhs(self, spd_small):
+        solver = SparseSolver(spd_small)
+        for b in (1j * np.ones(spd_small.n_rows),
+                  np.ones((spd_small.n_rows, 2), dtype=complex)):
+            with pytest.raises(ValueError, match="must be real"):
+                solver.solve(b)
+
+    @pytest.mark.parametrize("kind", ["cholesky", "lu"])
+    def test_rejects_empty_matrix(self, kind):
+        empty = CSCMatrix(0, 0, np.zeros(1, dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), np.zeros(0))
+        with pytest.raises(ValueError, match="non-empty"):
+            SparseSolver(empty, kind=kind)
+
 
 class TestMultiRHS:
     def test_matrix_rhs_cholesky(self, rng, spd_small):
