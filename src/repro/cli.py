@@ -24,12 +24,7 @@ Commands:
   external scrapers);
 * ``serve-top`` — live terminal dashboard over the same wire surface:
   per-worker lanes, rolling-window latency with a sparkline trend,
-  slow-request exemplars (docs/SERVING.md "Operating the server");
-* ``autotune`` — sweep ordering x block size x worker count for one
-  matrix, record the trials into a trial store keyed by the
-  matrix-family fingerprint, and print the winning config — served
-  later by ``solve --ordering auto`` and ``SparseSolver(ordering=
-  "auto")`` (see docs/ORDERING.md).
+  slow-request exemplars (docs/SERVING.md "Operating the server").
 
 ``solve``, ``simulate``, and ``verify`` share the runtime
 observability flags: ``--telemetry-dir DIR`` records run-scoped
@@ -62,7 +57,12 @@ from repro.arch.config import SpatulaConfig
 from repro.arch.sim import SpatulaSim
 from repro.baselines import CPUModel, GPUModel
 from repro.numeric.solver import SparseSolver
-from repro.numeric.tuning import get_tuning
+from repro.numeric.tuning import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_WORKERS,
+    resolve_block_size,
+    resolve_workers,
+)
 from repro.obs import (
     global_registry,
     MetricsRegistry,
@@ -81,7 +81,6 @@ from repro.obs import (
     write_html_report,
 )
 from repro.obs.profile import PROFILE_MODES
-from repro.ordering.autotune import BUDGETS
 from repro.ordering.registry import available_orderings
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.io import read_matrix_market
@@ -272,13 +271,9 @@ def cmd_solve(args) -> int:
         kind = args.kind or kind
         ordering = args.ordering or ordering
         solver = SparseSolver(matrix, kind=kind, ordering=ordering,
-                              tune_store=args.tune_store,
                               workers=args.workers,
                               block_size=args.block_size,
                               rhs_pad=args.rhs_pad)
-        if ordering == "auto":
-            print(f"ordering auto -> {solver.ordering}")
-        ordering = solver.ordering
         rng = np.random.default_rng(args.seed)
         if args.refine:
             shape = (matrix.n_rows, args.rhs) if args.rhs > 1 \
@@ -318,7 +313,6 @@ def cmd_solve(args) -> int:
         print(f"factor nnz {solver.factor_nnz}")
         session.finish()
         if args.metrics:
-            tuning = get_tuning()
             attribution = {"numeric": solver.factor.attribution}
             if solver.symbolic.quality is not None:
                 attribution["ordering_quality"] = \
@@ -327,10 +321,9 @@ def cmd_solve(args) -> int:
                 matrix=args.matrix, kind=kind, n=matrix.n_rows,
                 config={
                     "ordering": ordering,
-                    # the knobs the solver actually ran with (an
-                    # auto-resolved ordering may have tuned them)
-                    "workers": solver.workers or tuning.workers,
-                    "block_size": solver.block_size or tuning.block_size,
+                    # the knobs the solver actually ran with
+                    "workers": resolve_workers(solver.workers),
+                    "block_size": resolve_block_size(solver.block_size),
                     "rhs": args.rhs, "repeat": args.repeat,
                 },
                 report={},
@@ -504,8 +497,6 @@ def cmd_serve(args) -> int:
         max_patterns=args.max_patterns,
         io_threads=args.io_threads,
         workers=args.workers,
-        block_size=args.block_size,
-        tune_store=args.tune_store,
     )
     server = SolveServer(config)
     ready = threading.Event()
@@ -613,57 +604,6 @@ def cmd_serve_top(args) -> int:
                    clear=not args.no_clear)
 
 
-def cmd_autotune(args) -> int:
-    from repro.ordering.api import fill_reducing_ordering
-    from repro.ordering.autotune import TrialStore, autotune
-    from repro.ordering.quality import export_quality_gauges, score_ordering
-
-    matrix, kind, _ = load_matrix(args.matrix)
-    kind = args.kind or kind
-    store = TrialStore(args.store)
-    result = autotune(matrix, store, kind=kind, budget=args.budget,
-                      matrix_name=args.matrix, force=args.force)
-    cfg = result.config
-    if result.from_cache:
-        print(f"family {result.fingerprint}: warm cache hit, "
-              f"sweep skipped (pass --force to re-measure)")
-    else:
-        print(f"family {result.fingerprint}: {len(result.trials)} trial(s) "
-              f"recorded to {store.trials_path}")
-        print(f"  {'ordering':<14}{'block':>6}{'workers':>8}"
-              f"{'fill':>10}{'factorize':>12}")
-        for t in sorted(result.trials, key=lambda t: t.factorize_s):
-            print(f"  {t.ordering:<14}{t.block_size:>6}{t.workers:>8}"
-                  f"{t.fill:>10}{t.factorize_s * 1e3:>10.2f}ms")
-    print(f"best config: ordering={cfg.ordering} "
-          f"block_size={cfg.block_size} workers={cfg.workers} "
-          f"(served by `solve {args.matrix} --ordering auto "
-          f"--tune-store {args.store}`)")
-    if args.metrics:
-        # Score the winning ordering so the artifact carries the
-        # ordering.quality.* gauges for this family.
-        perm = fill_reducing_ordering(matrix, cfg.ordering)
-        score = score_ordering(matrix, perm, method=cfg.ordering, kind=kind)
-        export_quality_gauges(score)
-        artifact = RunArtifact(
-            matrix=args.matrix, kind=kind, n=matrix.n_rows,
-            config={"budget": args.budget,
-                    "fingerprint": result.fingerprint},
-            report={"best": {"ordering": cfg.ordering,
-                             "block_size": cfg.block_size,
-                             "workers": cfg.workers},
-                    "from_cache": result.from_cache,
-                    "trials": len(result.trials),
-                    "quality": score.to_dict()},
-            metrics=global_registry().snapshot(),
-            created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        )
-        artifact.save(args.metrics)
-        print(f"wrote run artifact to {args.metrics} "
-              f"({len(artifact.metrics)} metrics)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -706,23 +646,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_matrix_arg(p_solve)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--ordering", default=None,
-                         choices=list(available_orderings()) + ["auto"],
+                         choices=list(available_orderings()),
                          help="fill-reducing ordering (choices derive "
-                              "from the registry; 'auto' resolves the "
-                              "best known config for this matrix family "
-                              "from --tune-store, falling back to amd; "
-                              "default: the matrix's suite ordering)")
-    p_solve.add_argument("--tune-store", metavar="DIR", default=None,
-                         help="autotuner experience store consulted by "
-                              "--ordering auto (see `repro autotune`)")
+                              "from the registry; default: the matrix's "
+                              "suite ordering)")
     p_solve.add_argument("--refine", action="store_true",
                          help="use iterative refinement")
     p_solve.add_argument("--workers", type=int, default=None,
                          help="threads of the numeric-phase scheduler "
                               "(a supernode runs once its children have; "
-                              "bit-identical results; default: tuning)")
+                              "bit-identical results; default "
+                              f"{DEFAULT_WORKERS})")
     p_solve.add_argument("--block-size", type=int, default=None,
-                         help="dense-kernel panel width (default: tuning)")
+                         help="dense-kernel panel width (default "
+                              f"{DEFAULT_BLOCK_SIZE})")
     p_solve.add_argument("--rhs", type=int, default=1,
                          help="number of right-hand sides (solved as one "
                               "blocked panel)")
@@ -841,14 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 8)")
     p_srv.add_argument("--workers", type=int, default=None,
                        help="numeric-phase worker threads per solver "
-                            "(default: tuning)")
-    p_srv.add_argument("--block-size", type=int, default=None,
-                       help="dense-kernel panel width (default: tuning)")
-    p_srv.add_argument("--tune-store", metavar="DIR", default=None,
-                       help="autotuner experience store: pattern "
-                            "registrations with ordering='auto' resolve "
-                            "their matrix family's best known config "
-                            "from it (see `repro autotune`)")
+                            f"(default {DEFAULT_WORKERS})")
 
     def add_poll_args(p):
         p.add_argument("--socket", default="repro-serve.sock",
@@ -892,27 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="append frames instead of clearing the "
                            "screen (logs, tests, dumb terminals)")
 
-    p_tune = sub.add_parser(
-        "autotune", help="sweep ordering x block size x workers for one "
-                         "matrix, record trials into a trial store "
-                         "keyed by its family fingerprint, and print the "
-                         "best config (served by `solve --ordering auto`)"
-    )
-    add_matrix_arg(p_tune)
-    p_tune.add_argument("--budget", choices=sorted(BUDGETS),
-                        default="small",
-                        help="sweep-grid size (default: small)")
-    p_tune.add_argument("--store", default=".repro-history", metavar="DIR",
-                        help="trial store directory holding "
-                             "trials.jsonl (default: .repro-history)")
-    p_tune.add_argument("--force", action="store_true",
-                        help="re-sweep even when the family already has "
-                             "recorded trials")
-    p_tune.add_argument("--metrics", metavar="FILE", default=None,
-                        help="write a run-artifact JSON (best config + "
-                             "ordering.quality.* gauges for the winning "
-                             "ordering)")
-
     return parser
 
 
@@ -927,7 +836,6 @@ _COMMANDS = {
     "serve": cmd_serve,
     "serve-stats": cmd_serve_stats,
     "serve-top": cmd_serve_top,
-    "autotune": cmd_autotune,
 }
 
 

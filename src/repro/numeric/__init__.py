@@ -36,7 +36,6 @@ from repro.numeric.refinement import RefinementResult, iterative_refinement
 from repro.numeric.supernodal_solve import cholesky_solve, lu_solve
 from repro.numeric.schedule import ScheduleStats
 from repro.numeric.solver import SparseSolver
-from repro.numeric.tuning import NumericTuning, get_tuning, set_tuning, tuned
 
 __all__ = [
     "ScheduleStats",
@@ -59,8 +58,4 @@ __all__ = [
     "cholesky_solve",
     "lu_solve",
     "SparseSolver",
-    "NumericTuning",
-    "get_tuning",
-    "set_tuning",
-    "tuned",
 ]

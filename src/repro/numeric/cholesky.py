@@ -114,11 +114,12 @@ def multifrontal_cholesky(
         matrix: the *original* (unpermuted) SPD matrix; it is permuted with
             ``symbolic.perm`` internally, so the same analysis can be reused
             across many numeric factorizations (Figure 2's loop).
-        workers: scheduler thread count (defaults to the global
-            :mod:`repro.numeric.tuning` value; must be >= 1).  The factor
-            is bit-identical for every worker count.
-        block_size: dense-kernel panel width (defaults to tuning; must
-            be >= 1).
+        workers: scheduler thread count (default
+            :data:`~repro.numeric.tuning.DEFAULT_WORKERS`; must be >= 1).
+            The factor is bit-identical for every worker count.
+        block_size: dense-kernel panel width (default
+            :data:`~repro.numeric.tuning.DEFAULT_BLOCK_SIZE`; must be
+            >= 1).
     """
     if symbolic.kind != "cholesky":
         raise ValueError("symbolic analysis is not for Cholesky")

@@ -106,10 +106,12 @@ def multifrontal_lu(
             matrix.
         symbolic: analysis with kind == "lu".
         perturb: small-pivot threshold; defaults to sqrt(eps) * max|A|.
-        workers: scheduler thread count (defaults to the global tuning;
-            must be >= 1; bit-identical for every N).
-        block_size: dense-kernel panel width (defaults to tuning; must
-            be >= 1).
+        workers: scheduler thread count (default
+            :data:`~repro.numeric.tuning.DEFAULT_WORKERS`; must be >= 1;
+            bit-identical for every N).
+        block_size: dense-kernel panel width (default
+            :data:`~repro.numeric.tuning.DEFAULT_BLOCK_SIZE`; must be
+            >= 1).
     """
     if symbolic.kind != "lu":
         raise ValueError("symbolic analysis is not for LU")

@@ -56,23 +56,13 @@ class SparseSolver:
         kind: "cholesky" or "lu".
         ordering: fill-reducing ordering method — any name registered in
             :mod:`repro.ordering.registry` ("amd", "nd", "rcm", "natural",
-            "local_refine", plugins), or "auto" to resolve the best known
-            config for this matrix's family from the autotuner experience
-            store (``tune_store``; falls back to "amd" with no store or
-            no recorded experience).  "auto" is resolved to a concrete
-            method *before* the analysis-cache key is formed, so cached
-            analyses are shared with explicitly-ordered solvers.
-        tune_store: autotuner experience database for ``ordering="auto"``
-            — a :class:`~repro.ordering.autotune.TrialStore` or its directory
-            path (see :mod:`repro.ordering.autotune`).  Ignored for
-            concrete orderings.
+            plugins).
         workers: thread count of the numeric-phase scheduler (``None``
-            defers to the global :mod:`repro.numeric.tuning`; must be
-            >= 1; see :mod:`repro.numeric.schedule` and
-            docs/PERFORMANCE.md).  The factor is bit-identical for every
-            worker count.
-        block_size: dense-kernel panel width (``None`` defers to tuning;
-            must be >= 1).
+            is the default in :mod:`repro.numeric.tuning`; must be >= 1;
+            see :mod:`repro.numeric.schedule` and docs/PERFORMANCE.md).
+            The factor is bit-identical for every worker count.
+        block_size: dense-kernel panel width (``None`` is the default in
+            :mod:`repro.numeric.tuning`; must be >= 1).
         rhs_pad: batch-invariant solve width.  When > 1, every ``solve``
             with k <= rhs_pad right-hand sides runs as one zero-padded
             (n, rhs_pad) panel and the real columns are sliced out.
@@ -104,7 +94,6 @@ class SparseSolver:
         block_size: int | None = None,
         rhs_pad: int = 1,
         use_cache: bool = True,
-        tune_store=None,
     ) -> None:
         if matrix.n_rows != matrix.n_cols:
             raise ValueError("solver requires a square matrix")
@@ -113,23 +102,8 @@ class SparseSolver:
         _check_data_length(matrix, len(matrix.indices))
         if rhs_pad < 1:
             raise ValueError("rhs_pad must be >= 1")
-        if ordering == "auto":
-            # Resolve against the autotuner experience store before the
-            # cache key is formed: the analysis cache must only ever see
-            # concrete method names.  Tuned block_size/workers fill in
-            # only where the caller left the knob at its default.
-            from repro.ordering.autotune import resolve_auto
-
-            tuned = resolve_auto(matrix, kind=kind, store=tune_store)
-            ordering = tuned.ordering
-            if block_size is None and tuned.block_size is not None:
-                block_size = tuned.block_size
-            if workers is None and tuned.workers is not None:
-                workers = tuned.workers
-            logger.info("ordering=auto resolved to %s (%s)",
-                        ordering, tuned.source)
         self.kind = kind
-        self.ordering = ordering  # concrete method ("auto" already resolved)
+        self.ordering = ordering
         self.workers = workers
         self.block_size = block_size
         self.rhs_pad = rhs_pad

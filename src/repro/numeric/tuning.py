@@ -1,14 +1,9 @@
-"""Tuning knobs for the numeric engine (block sizes, worker counts).
+"""Defaults and range checks of the numeric engine's per-call knobs.
 
 The blocked, LAPACK/BLAS-routed dense kernels (:mod:`repro.numeric.dense`)
 and the multifrontal factorizations (:mod:`repro.numeric.cholesky` /
-:mod:`repro.numeric.lu`) read their defaults from a process-global
-:class:`NumericTuning`.  Every knob can be overridden per call
-(``block_size=`` / ``workers=`` arguments), set globally
-(:func:`set_tuning`), or scoped with the :func:`tuned` context manager::
-
-    with tuned(block_size=96, workers=4):
-        solver = SparseSolver(matrix)
+:mod:`repro.numeric.lu`) take ``block_size=`` / ``workers=`` per call;
+``None`` means the default below.
 
 Knobs:
 
@@ -30,68 +25,25 @@ Knobs:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-
 DEFAULT_BLOCK_SIZE = 48
 DEFAULT_WORKERS = 1
 
 
 def _check_at_least_one(name: str, value: int) -> int:
-    """The one range check behind the dataclass and the per-call path."""
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
     return value
 
 
-@dataclass(frozen=True)
-class NumericTuning:
-    """Performance knobs of the numeric engine."""
-
-    block_size: int = DEFAULT_BLOCK_SIZE
-    workers: int = DEFAULT_WORKERS
-
-    def __post_init__(self) -> None:
-        _check_at_least_one("block_size", self.block_size)
-        _check_at_least_one("workers", self.workers)
-
-
-_tuning = NumericTuning()
-
-
-def get_tuning() -> NumericTuning:
-    """The process-global tuning currently in effect."""
-    return _tuning
-
-
-def set_tuning(tuning: NumericTuning) -> NumericTuning:
-    """Replace the global tuning; returns the previous value."""
-    global _tuning
-    previous = _tuning
-    _tuning = tuning
-    return previous
-
-
-@contextmanager
-def tuned(**overrides):
-    """Temporarily override tuning fields (``block_size=``, ``workers=``)
-    within a ``with`` block."""
-    previous = set_tuning(replace(_tuning, **overrides))
-    try:
-        yield _tuning
-    finally:
-        set_tuning(previous)
-
-
 def resolve_block_size(block_size: int | None) -> int:
-    """Per-call override (validated), falling back to the global tuning."""
+    """Per-call override (validated), falling back to the default."""
     if block_size is None:
-        return _tuning.block_size
+        return DEFAULT_BLOCK_SIZE
     return _check_at_least_one("block_size", int(block_size))
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Per-call override (validated), falling back to the global tuning."""
+    """Per-call override (validated), falling back to the default."""
     if workers is None:
-        return _tuning.workers
+        return DEFAULT_WORKERS
     return _check_at_least_one("workers", int(workers))

@@ -1,33 +1,32 @@
 """Pluggable registry of fill-reducing ordering methods.
 
 Every ordering the stack knows about — the built-in heuristics
-(amd/nd/rcm/natural), the search-based ``local_refine``, and any
-third-party method registered via :func:`register_ordering` — lives here
-as a named :class:`OrderingMethod` with capability metadata.  The
-dispatch entry point :func:`~repro.ordering.api.fill_reducing_ordering`,
-the CLI's ``--ordering`` choices, the autotuner's sweep space, and the
-error messages users see all derive from this single table, so plugins
-never drift out of sync with the rest of the stack.
+(amd/nd/rcm/natural) and any third-party method registered via
+:func:`register_ordering` — lives here as a named
+:class:`OrderingMethod`.  The dispatch entry point
+:func:`~repro.ordering.api.fill_reducing_ordering`, the CLI's
+``--ordering`` choices, and the error messages users see all derive
+from this single table, so plugins never drift out of sync with the
+rest of the stack.
 
 Registering a new ordering::
 
     from repro.ordering.registry import register_ordering
 
-    @register_ordering("metis_like", description="my external ordering",
-                       deterministic=True)
+    @register_ordering("metis_like", description="my external ordering")
     def metis_like(matrix):
         ...
         return perm  # np.int64, new index -> old index
 
-The callable takes a :class:`~repro.sparse.csc.CSCMatrix` (plus optional
-keyword parameters) and returns a permutation mapping *new index -> old
-index*, exactly like the built-ins.
+The callable takes a :class:`~repro.sparse.csc.CSCMatrix` and returns a
+permutation mapping *new index -> old index*, exactly like the
+built-ins.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from repro.ordering.mindeg import minimum_degree
 from repro.ordering.rcm import rcm
 from repro.sparse.csc import CSCMatrix
 
-OrderingFn = Callable[..., np.ndarray]
+OrderingFn = Callable[[CSCMatrix], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -45,27 +44,15 @@ class OrderingMethod:
 
     Attributes:
         name: registry key (also the ``--ordering`` CLI value).
-        fn: ``fn(matrix, **params) -> perm`` (new index -> old index).
-        description: one-line summary for ``repro autotune``/docs.
-        deterministic: same matrix always yields the same permutation
-            (seeded methods are deterministic *given* their seed).
-        seeded: accepts a ``seed=`` keyword controlling its randomness.
-        search: iteratively optimizes an objective (accepts ``budget=``).
+        fn: ``fn(matrix) -> perm`` (new index -> old index).
+        description: one-line summary for docs.
         builtin: shipped with the repo (vs. plugin-registered).
-        default_params: keyword defaults recorded for reproducibility.
     """
 
     name: str
     fn: OrderingFn
     description: str = ""
-    deterministic: bool = True
-    seeded: bool = False
-    search: bool = False
     builtin: bool = False
-    default_params: dict[str, object] = field(default_factory=dict)
-
-    def __call__(self, matrix: CSCMatrix, **params: object) -> np.ndarray:
-        return self.fn(matrix, **params)
 
 
 _REGISTRY: dict[str, OrderingMethod] = {}
@@ -75,14 +62,10 @@ def register_ordering(
     name: str,
     *,
     description: str = "",
-    deterministic: bool = True,
-    seeded: bool = False,
-    search: bool = False,
     builtin: bool = False,
-    default_params: dict[str, object] | None = None,
     overwrite: bool = False,
 ) -> Callable[[OrderingFn], OrderingFn]:
-    """Decorator registering ``fn(matrix, **params) -> perm`` under ``name``.
+    """Decorator registering ``fn(matrix) -> perm`` under ``name``.
 
     Raises:
         ValueError: on an empty/invalid name, or a duplicate registration
@@ -90,9 +73,6 @@ def register_ordering(
     """
     if not name or not isinstance(name, str) or name.strip() != name:
         raise ValueError(f"invalid ordering name {name!r}")
-    if name == "auto":
-        raise ValueError(
-            "'auto' is reserved for autotuner-resolved orderings")
 
     def decorator(fn: OrderingFn) -> OrderingFn:
         if name in _REGISTRY and not overwrite:
@@ -102,8 +82,7 @@ def register_ordering(
         _REGISTRY[name] = OrderingMethod(
             name=name, fn=fn,
             description=description or (fn.__doc__ or "").strip().split("\n")[0],
-            deterministic=deterministic, seeded=seeded, search=search,
-            builtin=builtin, default_params=dict(default_params or {}),
+            builtin=builtin,
         )
         return fn
 
@@ -135,11 +114,6 @@ def available_orderings() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def ordering_capabilities() -> dict[str, OrderingMethod]:
-    """Snapshot of the registry, name -> :class:`OrderingMethod`."""
-    return dict(_REGISTRY)
-
-
 # -- built-ins -------------------------------------------------------------
 
 
@@ -149,7 +123,7 @@ register_ordering(
 )(minimum_degree)
 
 register_ordering(
-    "nd", builtin=True, default_params={"leaf_size": 64},
+    "nd", builtin=True,
     description="recursive nested dissection (BFS vertex separators)",
 )(nested_dissection)
 

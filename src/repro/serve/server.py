@@ -86,15 +86,8 @@ class ServeConfig:
     max_patterns: int = 64
     #: Thread-pool width of the socket front end.
     io_threads: int = 8
-    #: Numeric-phase knobs forwarded to each SparseSolver.
+    #: Numeric-phase worker threads of each SparseSolver.
     workers: int | None = None
-    block_size: int | None = None
-    #: Autotuner experience store (a directory path).  When set, pattern
-    #: registrations with ``ordering="auto"`` resolve the best known
-    #: ordering/block-size/workers for the matrix family from it (see
-    #: :mod:`repro.ordering.autotune`); without it "auto" falls back to
-    #: AMD.
-    tune_store: str | None = None
     #: Trailing window (seconds) of the live SLO view reported by
     #: ``stats`` and exported as the ``serve.window.*`` gauges.
     window_s: float = 60.0
@@ -104,10 +97,23 @@ class ServeConfig:
     #: the beat count and the age of the last beat.
     heartbeat_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        # An out-of-range knob would start a server that fails (or
+        # silently clamps) every request; refuse it before anything binds.
+        for name in ("max_batch", "rhs_pad", "max_patterns", "io_threads",
+                     "workers", "exemplars"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"ServeConfig.{name} must be >= 1 "
+                                 f"(got {value})")
+        for name in ("window_s", "heartbeat_s"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"ServeConfig.{name} must be > 0 "
+                                 f"(got {value})")
+
     def effective_rhs_pad(self) -> int:
-        if self.rhs_pad is not None:
-            return max(1, self.rhs_pad)
-        return max(1, self.max_batch)
+        return self.rhs_pad if self.rhs_pad is not None else self.max_batch
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
@@ -354,9 +360,7 @@ class PatternWorker(threading.Thread):
                 ticket.matrix, kind=ticket.kind,
                 ordering=ticket.ordering,
                 workers=self.config.workers,
-                block_size=self.config.block_size,
                 rhs_pad=self.config.effective_rhs_pad(),
-                tune_store=self.config.tune_store,
             )
         self.served += 1
         self.server.note_response(ticket, self.pattern)

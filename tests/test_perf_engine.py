@@ -3,7 +3,7 @@
 Covers the blocked BLAS-3 dense kernels against per-pivot oracles, the
 bit-identical level-scheduled parallel traversal, blocked multi-RHS panel
 solves against column-by-column oracles, the pattern-keyed analysis
-cache, and the tuning knobs.
+cache, and the per-call knobs.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.numeric.dense import (
 )
 from repro.numeric.engine import numeric_context
 from repro.numeric.lu import multifrontal_lu
-from repro.numeric.tuning import get_tuning, set_tuning, tuned
 from repro.obs.metrics import global_registry, reset_global_registry
 from repro.sparse import circuit_like, grid_laplacian_2d, grid_laplacian_3d
 from repro.sparse.csc import CSCMatrix
@@ -293,39 +292,11 @@ class TestAnalysisCache:
 
 
 class TestTuning:
-    def test_defaults_and_override(self):
-        base = get_tuning()
-        assert base.block_size >= 1
-        with tuned(block_size=17, workers=3):
-            assert get_tuning().block_size == 17
-            assert get_tuning().workers == 3
-        assert get_tuning().block_size == base.block_size
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            with tuned(block_size=0):
-                pass
-        with pytest.raises(ValueError):
-            with tuned(workers=0):
-                pass
-
-    def test_set_tuning_roundtrip(self):
-        import dataclasses
-
-        base = get_tuning()
-        try:
-            set_tuning(dataclasses.replace(base, block_size=24))
-            assert get_tuning().block_size == 24
-        finally:
-            set_tuning(base)
-
     def test_tuned_block_size_changes_nothing_numerically(self,
                                                           spd_medium):
         sf = symbolic_factorize(spd_medium, kind="cholesky")
-        with tuned(block_size=4):
-            f_small = multifrontal_cholesky(spd_medium, sf)
-        with tuned(block_size=96):
-            f_large = multifrontal_cholesky(spd_medium, sf)
+        f_small = multifrontal_cholesky(spd_medium, sf, block_size=4)
+        f_large = multifrontal_cholesky(spd_medium, sf, block_size=96)
         # The strict upper triangle of a pivot block is unspecified.
         for (_, b1), (_, b2) in zip(f_small.columns, f_large.columns):
             assert np.allclose(np.tril(b1), np.tril(b2), rtol=1e-12,

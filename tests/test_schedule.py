@@ -113,9 +113,9 @@ def test_bit_identity_fuzz_families(family):
     ("block_size", 0), ("block_size", -3), ("workers", 0),
 ])
 def test_per_call_knobs_are_range_checked(knob, value):
-    """A per-call knob is held to the range ``NumericTuning`` enforces
-    (``block_size=-3`` used to return a wrong answer, ``0`` died inside
-    the kernel)."""
+    """A per-call knob is held to the range ``repro.numeric.tuning``
+    enforces (``block_size=-3`` used to return a wrong answer, ``0``
+    died inside the kernel)."""
     matrix = grid_laplacian_3d(4, 4, 4, seed=1)
     with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
         SparseSolver(matrix, **{knob: value})

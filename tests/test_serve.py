@@ -544,6 +544,27 @@ class TestServeCli:
         thread.join(timeout=10.0)
         assert done.get("code") == 0
 
+    def test_serve_rejects_bad_knob_before_binding(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "serve.sock"
+        assert main(["serve", "--socket", str(path), "--workers", "0"]) == 1
+        assert "error: ServeConfig.workers must be >= 1" in \
+            capsys.readouterr().err
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("workers", 0), ("max_patterns", 0), ("max_batch", 0), ("rhs_pad", 0),
+    ("exemplars", -1), ("io_threads", 0), ("window_s", 0.0),
+    ("heartbeat_s", -1.0),
+])
+def test_serve_config_range_checks_each_field(field, value):
+    # Each of these used to build a server that failed every factor,
+    # served nothing, silently clamped, or raised an unrelated error.
+    with pytest.raises(ValueError, match=f"ServeConfig.{field} must be"):
+        ServeConfig(**{field: value})
+
 
 # -- environment knobs ----------------------------------------------------
 
