@@ -21,9 +21,14 @@ columns (position-based tiling, Figure 10):
 * ``gather_updates`` — coordinate-translated accumulation of child update
   entries into the parent tile (extend-add at tile granularity).
 
-For Cholesky only the lower triangle of the front is meaningful; the
-executor writes/reads exactly the entries the algorithm defines and the
-extractor compares only the factored columns.
+Fronts start from the scatter maps of the solver's pattern-cached
+:class:`~repro.numeric.engine.NumericContext` (built on the analysis's
+own tree), and :meth:`TileExecutor.factor_csc` reads the factor back
+through the solver's :func:`~repro.numeric.engine.fronts_to_csc`, so the
+simulated and the functional factor are assembled and compared the same
+way.  For Cholesky only the lower triangle of the front is meaningful;
+the executor writes/reads exactly the entries the algorithm defines and
+the read-back takes only the factored columns.
 """
 
 from __future__ import annotations
@@ -31,11 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.numeric.dense import partial_cholesky, partial_lu
+from repro.numeric.engine import NumericContext, fronts_to_csc
+from repro.numeric.lu import static_pivot_threshold
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.assembly import (
-    initial_front_values,
-    initial_front_values_lu,
-)
 from repro.tasks.plan import FactorizationPlan
 from repro.tasks.task import Task, TaskType, TileRef
 
@@ -52,10 +55,19 @@ class TileExecutor:
     def __init__(self, plan: FactorizationPlan, matrix: CSCMatrix):
         self.plan = plan
         self.symmetric = plan.kind == "cholesky"
-        self.permuted = matrix.permuted(plan.symbolic.perm)
-        self._permuted_csr = (
-            None if self.symmetric else self.permuted.transpose()
-        )
+        symbolic = plan.symbolic
+        # A's values scattered once into every supernode's P | R (see
+        # NumericContext); init_front cuts a supernode's slice into tiles.
+        ctx = NumericContext(symbolic, matrix)
+        data = ctx.permuted_data(matrix)
+        self._layout = ctx.layout
+        self._initial = np.zeros(int(ctx.pr_off[-1]))
+        self._initial[ctx.dst] = data[ctx.src]
+        pattern = symbolic.permuted
+        self.permuted = CSCMatrix(symbolic.n, symbolic.n, pattern.indptr,
+                                  pattern.indices, data)
+        self._perturb = (None if self.symmetric
+                         else static_pivot_threshold(matrix))
         self.tile = plan.tile
         self._tiles: dict[TileRef, np.ndarray] = {}
         self.tasks_executed = 0
@@ -63,14 +75,14 @@ class TileExecutor:
     # -- front lifecycle ------------------------------------------------------
 
     def init_front(self, sn_index: int) -> None:
-        """Materialize a supernode's initial front from A's entries."""
-        sn = self.plan.symbolic.tree.supernodes[sn_index]
-        if self.symmetric:
-            front = initial_front_values(self.permuted, sn)
-        else:
-            front = initial_front_values_lu(
-                self.permuted, self._permuted_csr, sn
-            )
+        """Materialize a supernode's initial front from A's entries: the
+        pivot columns ``P`` and (LU) the pivot rows ``R`` right of them;
+        the update block starts at zero."""
+        k, m, lo, mid, hi, _, _ = self._layout[sn_index]
+        front = np.zeros((k + m, k + m))
+        front[:, :k] = self._initial[lo:mid].reshape(k + m, k)
+        if not self.symmetric:
+            front[:k, k:] = self._initial[mid:hi].reshape(k, m)
         t = self.tile
         grid = self.plan.supernodes[sn_index].grid
         for bi in range(grid.n_blocks):
@@ -134,9 +146,7 @@ class TileExecutor:
         if task.ttype is TaskType.DCHOL:
             partial_cholesky(block, piv)
         else:
-            amax = max(1.0, float(np.abs(self.permuted.data).max()))
-            partial_lu(block, piv,
-                       perturb=np.sqrt(np.finfo(np.float64).eps) * amax)
+            partial_lu(block, piv, perturb=self._perturb)
         dest[:d, :d] = block
 
     def _exec_tsolve(self, task: Task) -> None:
@@ -217,57 +227,28 @@ class TileExecutor:
             dest[np.ix_(par_rows[rsel] - p_r0,
                         par_cols[csel] - p_c0)] += src
 
-    # -- extraction & verification ------------------------------------------------
+    # -- read-back & verification --------------------------------------------
 
-    def extract_lower(self) -> CSCMatrix:
-        """Reconstruct L (of the permuted matrix) from tile data."""
-        from repro.sparse.coo import COOMatrix
-
-        rows_all, cols_all, vals_all = [], [], []
+    def factor_csc(self) -> tuple[CSCMatrix, CSCMatrix | None]:
+        """The computed factor of the permuted matrix as CSC — ``(L,
+        None)`` for Cholesky, ``(L, U)`` for LU: each supernode's tiles
+        stitched back into its front, read out by the solver's
+        :func:`~repro.numeric.engine.fronts_to_csc`."""
+        fronts = []
         for sn in self.plan.symbolic.tree.supernodes:
-            t = self.tile
-            for local_col in range(sn.n_cols):
-                col = sn.first_col + local_col
-                bj = local_col // t
-                for local_row in range(local_col, sn.front_size):
-                    bi = local_row // t
-                    ref = TileRef(sn.index, bi, bj)
-                    val = self._tiles[ref][local_row - bi * t,
-                                           local_col - bj * t]
-                    if self.plan.kind == "lu" and local_row == local_col:
-                        val = 1.0
-                    rows_all.append(int(sn.rows[local_row]))
-                    cols_all.append(col)
-                    vals_all.append(float(val))
-        n = self.plan.symbolic.n
-        return CSCMatrix.from_coo(
-            COOMatrix(n, n, rows_all, cols_all, vals_all)
-        )
-
-    def extract_upper(self) -> CSCMatrix:
-        """Reconstruct U (LU only) from tile data."""
-        if self.symmetric:
-            raise ValueError("extract_upper is for LU factorizations")
-        from repro.sparse.coo import COOMatrix
-
-        rows_all, cols_all, vals_all = [], [], []
-        for sn in self.plan.symbolic.tree.supernodes:
-            t = self.tile
-            for local_row in range(sn.n_cols):
-                row = sn.first_col + local_row
-                bi = local_row // t
-                for local_col in range(local_row, sn.front_size):
-                    bj = local_col // t
-                    ref = TileRef(sn.index, bi, bj)
-                    val = self._tiles[ref][local_row - bi * t,
-                                           local_col - bj * t]
-                    rows_all.append(row)
-                    cols_all.append(int(sn.rows[local_col]))
-                    vals_all.append(float(val))
-        n = self.plan.symbolic.n
-        return CSCMatrix.from_coo(
-            COOMatrix(n, n, rows_all, cols_all, vals_all)
-        )
+            k, size = sn.n_cols, sn.front_size
+            grid = self.plan.supernodes[sn.index].grid
+            front = np.zeros((size, size))
+            for bi in range(grid.n_blocks):
+                r0, r1 = grid.block_rows(bi)
+                for bj in range(grid.n_blocks):
+                    tile = self._tiles.get(TileRef(sn.index, bi, bj))
+                    if tile is not None:
+                        c0, c1 = grid.block_rows(bj)
+                        front[r0:r1, c0:c1] = tile[:r1 - r0, :c1 - c0]
+            fronts.append((sn.rows, front[:, :k], front[:k, k:]))
+        return fronts_to_csc(self.plan.symbolic.n, fronts,
+                             not self.symmetric)
 
     def verify(self, atol: float = 1e-8) -> float:
         """Check the computed factor reconstructs the permuted matrix.
@@ -275,14 +256,10 @@ class TileExecutor:
         Returns the max absolute reconstruction error; raises
         AssertionError if it exceeds ``atol``.
         """
-        want = self.permuted.to_dense()
-        if self.symmetric:
-            lower = self.extract_lower().to_dense()
-            err = float(np.abs(lower @ lower.T - want).max())
-        else:
-            lower = self.extract_lower().to_dense()
-            upper = self.extract_upper().to_dense()
-            err = float(np.abs(lower @ upper - want).max())
+        lower, upper = self.factor_csc()
+        lower = lower.to_dense()
+        upper = lower.T if upper is None else upper.to_dense()
+        err = float(np.abs(lower @ upper - self.permuted.to_dense()).max())
         if err > atol:
             raise AssertionError(
                 f"simulated factorization is numerically wrong: "

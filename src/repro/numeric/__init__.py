@@ -26,8 +26,9 @@ from repro.numeric.dense import (
     tsolve_upper,
 )
 from repro.numeric.cache import AnalysisCache, analysis_cache
-from repro.numeric.cholesky import CholeskyFactor, multifrontal_cholesky
-from repro.numeric.lu import LUFactors, multifrontal_lu
+from repro.numeric.cholesky import multifrontal_cholesky
+from repro.numeric.engine import Factor
+from repro.numeric.lu import multifrontal_lu
 from repro.numeric.triangular import (
     solve_lower_csc,
     solve_upper_csc,
@@ -47,9 +48,8 @@ __all__ = [
     "tsolve_upper",
     "AnalysisCache",
     "analysis_cache",
-    "CholeskyFactor",
+    "Factor",
     "multifrontal_cholesky",
-    "LUFactors",
     "multifrontal_lu",
     "solve_lower_csc",
     "solve_upper_csc",

@@ -1,4 +1,5 @@
-"""Multifrontal execution engine: pattern-cached contexts + metrics.
+"""Multifrontal execution engine: pattern-cached contexts, the factor,
+metrics.
 
 This module is the machinery shared by :func:`multifrontal_cholesky` and
 :func:`multifrontal_lu`:
@@ -30,6 +31,11 @@ This module is the machinery shared by :func:`multifrontal_cholesky` and
   :func:`repro.numeric.schedule.run_scheduled` (dependence-count dispatch
   on ``workers`` threads, bit-identical for every worker count).
 
+* **One factor type** (:class:`Factor`): what both factorizations
+  return — the per-supernode fronts, the supernodal solve's operands,
+  and the one fronts-to-CSC read-back (:func:`fronts_to_csc`) that the
+  simulator's functional executor shares.
+
 * **Metrics export** (:func:`export_factor_metrics`): kernel FLOP rates,
   level widths, scheduler evidence (ready-queue depth, dispatch latency,
   per-worker busy/idle), and worker occupancy land in the process-global
@@ -42,6 +48,7 @@ This module is the machinery shared by :func:`multifrontal_cholesky` and
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from repro.numeric.schedule import (
 )
 from repro.numeric.tuning import resolve_block_size, resolve_workers
 from repro.obs.metrics import global_registry
+from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
 from repro.symbolic.assembly import AssemblyTree, build_assembly_tree
@@ -60,6 +68,7 @@ from repro.symbolic.etree import etree_level_sets
 from repro.symbolic.supernodes import coarsen
 
 __all__ = [
+    "Factor",
     "GROUP_FRONT_MAX",
     "MERGE_FRONT",
     "MERGE_RATIO",
@@ -67,6 +76,7 @@ __all__ = [
     "NumericContext",
     "execution_tree",
     "export_factor_metrics",
+    "fronts_to_csc",
     "numeric_context",
     "row_permutation_data_map",
     "run_factor_job",
@@ -442,6 +452,113 @@ def numeric_context(symbolic: SymbolicFactorization,
     return ctx
 
 
+# -- the factor -------------------------------------------------------------
+
+
+def _supernode_triangle(rows: np.ndarray, n_cols: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (row, col) local index pairs of a supernode's stored
+    lower-trapezoidal block: all (i, j) with j < n_cols and i >= j."""
+    m = len(rows)
+    lengths = m - np.arange(n_cols)
+    jj = np.repeat(np.arange(n_cols), lengths)
+    offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    ii = np.arange(int(lengths.sum())) - np.repeat(offsets, lengths) + jj
+    return ii, jj
+
+
+def fronts_to_csc(n: int, fronts, lu: bool
+                  ) -> tuple[CSCMatrix, CSCMatrix | None]:
+    """Materialize the factor held in per-supernode fronts
+    ``(rows, panel, right)`` (see :class:`Factor`) as CSC: ``(L, None)``
+    for Cholesky, ``(L, U)`` for LU, of the *permuted* matrix.
+
+    For LU, L has unit diagonal (stored) and U holds the pivots on its
+    diagonal.  Whole supernode blocks are assembled at once with
+    vectorized ``np.repeat`` / ``np.concatenate`` index arithmetic (no
+    per-column Python loop).
+    """
+    lower, upper = [], []
+    for rows, panel, right in fronts:
+        k = panel.shape[1]
+        ii, jj = _supernode_triangle(rows, k)
+        # L: column rows[j] holds rows[i] for i >= j.
+        vals = panel[ii, jj]
+        if lu:
+            # The diagonal (i == j) is stored as the unit 1.0; U: row
+            # rows[j] holds columns rows[i] for i >= j, including the
+            # pivot diagonal.
+            vals[ii == jj] = 1.0
+            upper.append((rows[jj], rows[ii],
+                          np.hstack((panel[:k], right))[jj, ii]))
+        lower.append((rows[ii], rows[jj], vals))
+
+    def csc(entries) -> CSCMatrix:
+        return CSCMatrix.from_coo(COOMatrix(
+            n, n, *(np.concatenate(part) for part in zip(*entries))))
+
+    return csc(lower), (csc(upper) if lu else None)
+
+
+@dataclass
+class Factor:
+    """The numeric output of a multifrontal factorization, Cholesky or LU.
+
+    Attributes:
+        symbolic: the analysis this factor was computed under.
+        fronts: per execution supernode (see :func:`execution_tree`)
+            ``(rows, panel, right)``, both C-ordered.  ``panel``
+            (``len(rows) x n_cols``) holds final L values at global row
+            coordinates ``rows``, the first ``n_cols`` of which are its
+            columns: for Cholesky on and below the diagonal (the strict
+            upper triangle of ``panel[:n_cols]`` is unspecified), for LU
+            strictly below it (unit diagonal implicit) with U11 on and
+            above it.  ``right`` (``n_cols x (len(rows) - n_cols)``)
+            holds U12, the rest of U's rows, for LU and is empty for
+            Cholesky.
+        operands: per-supernode views of the same blocks in the form the
+            supernodal solve reads them (see
+            :meth:`repro.numeric.schedule.SupernodeJob.compute`).
+        perturbed_pivots: number of pivots the static-pivoting
+            perturbation replaced during elimination (always 0 for
+            Cholesky; 0 for well-conditioned diagonally dominant LU
+            inputs).
+        attribution: where the factorization's time went — level widths,
+            scheduler evidence (``attribution["schedule"]``), worker
+            occupancy, wall/busy seconds (see
+            :func:`export_factor_metrics`).
+    """
+
+    symbolic: SymbolicFactorization
+    fronts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    operands: list[tuple] = field(repr=False, compare=False)
+    perturbed_pivots: int = 0
+    attribution: dict | None = field(default=None, repr=False,
+                                     compare=False)
+
+    @property
+    def kind(self) -> str:
+        """``"cholesky"`` or ``"lu"``, the analysis's kind."""
+        return self.symbolic.kind
+
+    def to_csc(self) -> tuple[CSCMatrix, CSCMatrix | None]:
+        """``(L, None)`` for Cholesky, ``(L, U)`` for LU, of the permuted
+        matrix as CSC (:func:`fronts_to_csc`)."""
+        return fronts_to_csc(self.symbolic.n, self.fronts,
+                             self.kind == "lu")
+
+    def nnz(self) -> int:
+        """Stored entries of L (plus U for LU) without building CSC:
+        every supernode's lower trapezoid (for LU, twice: U mirrors it),
+        explicit zeros of merged fronts included — for Cholesky at least
+        ``symbolic.factor_nnz``, the structural fill."""
+        total = 0
+        for rows, panel, _ in self.fronts:
+            k = panel.shape[1]
+            total += k * len(rows) - k * (k - 1) // 2
+        return 2 * total if self.kind == "lu" else total
+
+
 # -- attribution and metrics export --------------------------------------------
 
 
@@ -459,8 +576,7 @@ def export_factor_metrics(
     (ready-queue depth, dispatch latency, per-worker busy/idle lanes),
     worker occupancy, and wall/busy seconds — the software-engine
     analogue of the simulator's cycle accounting, carried by the factor
-    it describes (``CholeskyFactor.attribution`` /
-    ``LUFactors.attribution``)."""
+    it describes (:attr:`Factor.attribution`)."""
     workers = stats.workers
     parallel_tasks = stats.dispatched
     widths = [len(level) for level in levels]
@@ -528,13 +644,13 @@ def run_factor_job(
     workers: int | None,
     block_size: int | None,
     perturb: float | None = None,
-) -> tuple[SupernodeJob, dict]:
+) -> Factor:
     """The numeric driver shared by Cholesky and LU: resolve (and
     range-check) the tuning knobs, build the job over the pattern-cached
     context (``perturb`` is ``None`` for Cholesky, the static-pivoting
     threshold for LU), run its tasks on ``workers`` threads, check every
     update matrix was consumed, and export the metrics.  Returns the
-    finished job and its attribution view."""
+    factor, its attribution view attached."""
     workers = resolve_workers(workers)
     block = resolve_block_size(block_size)
     t_start = time.perf_counter()
@@ -548,4 +664,7 @@ def run_factor_job(
         symbolic, time.perf_counter() - t_start, block,
         ctx.levels, float(tasks.busy.sum()), stats,
     )
-    return job, attribution
+    return Factor(symbolic=symbolic, fronts=job.fronts,
+                  operands=job.operands,
+                  perturbed_pivots=int(job.perturbed.sum()),
+                  attribution=attribution)

@@ -20,16 +20,11 @@ import logging
 import numpy as np
 
 from repro.numeric.cache import analysis_cache
-from repro.numeric.cholesky import CholeskyFactor, multifrontal_cholesky
-from repro.numeric.engine import row_permutation_data_map
-from repro.numeric.lu import LUFactors, multifrontal_lu
+from repro.numeric.cholesky import multifrontal_cholesky
+from repro.numeric.engine import Factor, row_permutation_data_map
+from repro.numeric.lu import multifrontal_lu
 from repro.numeric.refinement import RefinementResult, iterative_refinement
 from repro.numeric.supernodal_solve import solve_panel
-from repro.numeric.triangular import (
-    solve_lower_csc,
-    solve_upper_csc,
-    solve_upper_csc_direct,
-)
 from repro.obs import span
 from repro.obs.metrics import global_registry
 from repro.ordering.pivoting import apply_static_pivoting
@@ -142,10 +137,7 @@ class SparseSolver:
 
             export_quality_gauges(self.symbolic.quality)
         self._matrix = work
-        self._chol: CholeskyFactor | None = None
-        self._lu: LUFactors | None = None
-        self._lower: CSCMatrix | None = None
-        self._upper: CSCMatrix | None = None
+        self._factor: Factor | None = None
         self.factorize()
 
     # -- numeric phase ----------------------------------------------------
@@ -156,8 +148,8 @@ class SparseSolver:
 
     def _factorize(self, matrix: CSCMatrix) -> None:
         """Factor ``matrix``, then commit it together with its factor: a
-        rejected matrix (non-SPD, zero pivot) leaves the previous matrix,
-        factor and CSC mirrors in place."""
+        rejected matrix (non-SPD, zero pivot) leaves the previous matrix
+        and factor in place."""
         factor_fn = (multifrontal_cholesky if self.kind == "cholesky"
                      else multifrontal_lu)
         with span("numeric.factorize"):
@@ -165,15 +157,7 @@ class SparseSolver:
                 matrix, self.symbolic,
                 workers=self.workers, block_size=self.block_size,
             )
-            self._matrix = matrix
-            if self.kind == "cholesky":
-                self._chol = factor
-            else:
-                self._lu = factor
-            # CSC mirrors are materialized lazily (only the "csc" solve
-            # method and factor_nnz need them).
-            self._lower = None
-            self._upper = None
+            self._matrix, self._factor = matrix, factor
         logger.info("numeric %s factorization: predicted factor nnz %d",
                     self.kind, self.symbolic.factor_nnz)
 
@@ -203,32 +187,18 @@ class SparseSolver:
             )
         self._factorize(matrix)
 
-    def _ensure_csc(self) -> None:
-        if self._lower is not None:
-            return
-        if self.kind == "cholesky":
-            self._lower = self._chol.to_csc()
-        else:
-            self._lower, self._upper = self._lu.to_csc()
-
     # -- solve phase --------------------------------------------------------
 
-    def solve(self, b: np.ndarray, method: str = "supernodal"
-              ) -> np.ndarray:
-        """Solve A x = b for x.
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve A x = b for x by blocked panel solves over the factor's
+        supernode structure.
 
         Args:
             b: right-hand side — a vector of length n, or an (n, k) array
                 of k right-hand sides.  A panel is solved in one blocked
                 sweep over the factor (every triangular operation carries
                 all k columns), not column by column.
-            method: "supernodal" (blocked panel solves over the factor's
-                supernode structure, the multifrontal-native path) or
-                "csc" (simple column-at-a-time substitution; used as an
-                independent oracle in tests).
         """
-        if method not in ("supernodal", "csc"):
-            raise ValueError("method must be 'supernodal' or 'csc'")
         if np.iscomplexobj(b):
             raise ValueError("b must be real; the solver factors real "
                              "matrices only")
@@ -251,18 +221,7 @@ class SparseSolver:
         else:
             pb = b[self._gather].reshape(n, k)
         with span("numeric.solve"):
-            if method == "supernodal":
-                solve_panel(self.factor.operands, pb, self.kind == "lu")
-            else:
-                self._ensure_csc()
-                if self.kind == "cholesky":
-                    y = solve_lower_csc(self._lower, pb)
-                    pb = solve_upper_csc(self._lower, y)
-                else:
-                    # A_work = P_row A; system P_row A x = P_row b.
-                    y = solve_lower_csc(self._lower, pb,
-                                        unit_diagonal=True)
-                    pb = solve_upper_csc_direct(self._upper, y)
+            solve_panel(self._factor.operands, pb, self.kind == "lu")
             reg = global_registry()
             reg.counter("numeric.solve.count").inc()
             reg.counter("numeric.solve.rhs").inc(k)
@@ -287,10 +246,10 @@ class SparseSolver:
                                     tolerance=tolerance)
 
     @property
-    def factor(self) -> CholeskyFactor | LUFactors:
+    def factor(self) -> Factor:
         """The current numeric factor; its ``attribution`` says where
         the factorization that produced it spent its time."""
-        return self._chol if self.kind == "cholesky" else self._lu
+        return self._factor
 
     def factor_csc(self) -> tuple[CSCMatrix, CSCMatrix | None]:
         """The numeric factor of the permuted matrix as CSC.
@@ -299,8 +258,7 @@ class SparseSolver:
         the differential-verification subsystem for exact (bit-level)
         factor comparison across configurations.
         """
-        self._ensure_csc()
-        return self._lower, self._upper
+        return self._factor.to_csc()
 
     def residual_norm(self, matrix: CSCMatrix, x: np.ndarray,
                       b: np.ndarray) -> float:
@@ -311,12 +269,9 @@ class SparseSolver:
 
     @property
     def factor_nnz(self) -> int:
-        """Stored factor nonzeros (L, or L + U for LU)."""
-        self._ensure_csc()
-        count = self._lower.nnz
-        if self._upper is not None:
-            count += self._upper.nnz
-        return count
+        """Stored factor nonzeros (L, or L + U for LU), counted from the
+        factor's fronts (:meth:`~repro.numeric.engine.Factor.nnz`)."""
+        return self._factor.nnz()
 
 
 def _check_data_length(matrix: CSCMatrix, nnz: int) -> None:

@@ -5,9 +5,8 @@ time.  Real multifrontal packages instead solve supernode-by-supernode
 with dense panels — the same block structure the factorization produced —
 which turns the solve into a sequence of small BLAS operations.  This
 module implements that blocked solve directly on the
-:class:`~repro.numeric.cholesky.CholeskyFactor` /
-:class:`~repro.numeric.lu.LUFactors` outputs, avoiding the CSC
-materialization entirely.
+:class:`~repro.numeric.engine.Factor` both factorizations return,
+avoiding the CSC materialization entirely.
 
 Right-hand sides may be a vector or an (n, k) panel; a panel is solved as
 one blocked sweep (every per-supernode operation carries all k columns),
@@ -33,8 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.numeric import dense
-from repro.numeric.cholesky import CholeskyFactor
-from repro.numeric.lu import LUFactors
+from repro.numeric.engine import Factor
 
 
 def _as_panel(b: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -81,7 +79,7 @@ def _supernodal_solve(operands, b: np.ndarray, lu: bool) -> np.ndarray:
     return y[:, 0] if was_vector else y
 
 
-def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
+def cholesky_solve(factor: Factor, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) X = B using the supernodal factor directly.
 
     ``b`` is in the *permuted* index space (callers apply the fill
@@ -91,7 +89,7 @@ def cholesky_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     return _supernodal_solve(factor.operands, b, lu=False)
 
 
-def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
+def lu_solve(factors: Factor, b: np.ndarray) -> np.ndarray:
     """Solve (L U) X = B using the supernodal factors directly.
 
     Same conventions as :func:`cholesky_solve`; ``b`` may be a vector or

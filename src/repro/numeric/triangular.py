@@ -3,6 +3,10 @@
 Once L (and U) are computed, solving Ax = b is two sparse triangular
 substitutions.  These run column-at-a-time over CSC factors; they are
 O(nnz(L)) per right-hand side and validated against dense solves in tests.
+They are the reference oracle the supernodal solve
+(:mod:`repro.numeric.supernodal_solve`) is checked against, over
+:meth:`repro.numeric.engine.Factor.to_csc` (the Cholesky backward solve
+is the upper sweep over ``L.transpose()``).
 
 Right-hand sides may be a vector or an (n, k) panel: each column of the
 factor is applied to all k right-hand sides at once (a rank-1 panel
@@ -46,29 +50,9 @@ def solve_lower_csc(
     return y[:, 0] if was_vector else y
 
 
-def solve_upper_csc(upper_as_lower: CSCMatrix, b: np.ndarray,
-                    unit_diagonal: bool = False) -> np.ndarray:
-    """Solve L^T X = Y given L in CSC (i.e. an upper solve via L's columns).
-
-    Uses the dot-product (up-looking) form: processing columns of L in
-    reverse order computes rows of L^T.
-    """
-    n = upper_as_lower.n_cols
-    x, was_vector = _as_panel(b, n, "backward solve")
-    for j in range(n - 1, -1, -1):
-        rows = upper_as_lower.col_rows(j)
-        vals = upper_as_lower.col_vals(j)
-        if len(rows) == 0 or rows[0] != j:
-            raise ValueError(f"missing diagonal in column {j}")
-        if len(rows) > 1:
-            x[j] -= vals[1:] @ x[rows[1:]]
-        if not unit_diagonal:
-            x[j] /= vals[0]
-    return x[:, 0] if was_vector else x
-
-
-def solve_upper_csc_direct(upper: CSCMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve U X = B with U stored directly as upper-triangular CSC."""
+def solve_upper_csc(upper: CSCMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve U X = B by backward substitution (U upper-triangular CSC;
+    for L^T X = Y pass ``L.transpose()``)."""
     n = upper.n_cols
     x, was_vector = _as_panel(b, n, "backward solve")
     for j in range(n - 1, -1, -1):

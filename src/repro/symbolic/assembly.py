@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import Supernode
 
 
@@ -125,60 +124,3 @@ def build_assembly_tree(
         n=n, supernodes=supernodes, child_maps=child_maps,
         col_to_sn=col_to_sn,
     )
-
-
-def initial_front_values(matrix: CSCMatrix, sn: Supernode) -> np.ndarray:
-    """Dense Cholesky front initialized with A's lower-triangle entries.
-
-    Entry (i, local_col) of the front receives A[rows[i], first_col +
-    local_col] for every nonzero of A that falls inside the front's
-    coordinate set; the rest starts at zero and is filled by updates.
-    """
-    size = sn.front_size
-    front = np.zeros((size, size))
-    pos_of = {int(r): i for i, r in enumerate(sn.rows)}
-    for local_col in range(sn.n_cols):
-        j = sn.first_col + local_col
-        a_rows = matrix.col_rows(j)
-        a_vals = matrix.col_vals(j)
-        sel = a_rows >= j
-        for r, v in zip(a_rows[sel], a_vals[sel]):
-            i = pos_of.get(int(r))
-            if i is not None:
-                front[i, local_col] += v
-    return front
-
-
-def initial_front_values_lu(
-    matrix_csc: CSCMatrix, matrix_csr: CSCMatrix, sn: Supernode
-) -> np.ndarray:
-    """Dense LU front: L part from A's columns, U part from A's rows.
-
-    Args:
-        matrix_csc: A in CSC (for column access).
-        matrix_csr: A^T in CSC, i.e. A in CSR (for row access).
-        sn: the supernode.
-    """
-    size = sn.front_size
-    front = np.zeros((size, size))
-    rows = sn.rows
-    pos_of = {int(r): i for i, r in enumerate(rows)}
-    for local_col in range(sn.n_cols):
-        j = sn.first_col + local_col
-        # L part (and the pivot block): entries at or below the diagonal.
-        a_rows = matrix_csc.col_rows(j)
-        a_vals = matrix_csc.col_vals(j)
-        sel = a_rows >= j
-        for r, v in zip(a_rows[sel], a_vals[sel]):
-            i = pos_of.get(int(r))
-            if i is not None:
-                front[i, local_col] += v
-        # U part: entries of row j strictly right of the diagonal.
-        t_rows = matrix_csr.col_rows(j)
-        t_vals = matrix_csr.col_vals(j)
-        sel = t_rows > j
-        for c, v in zip(t_rows[sel], t_vals[sel]):
-            i = pos_of.get(int(c))
-            if i is not None:
-                front[local_col, i] += v
-    return front

@@ -17,8 +17,9 @@ axis                contract
                     tolerance
 ``ordering``        amd / rcm / nd produce different factors but the same
                     solution (tolerance), and all stay backward-stable
-``solve_method``    the supernodal panel solve and the plain CSC
-                    substitution oracle agree
+``solve_method``    the supernodal panel solve and the CSC substitution
+                    oracle over ``factor.to_csc()`` agree (both in the
+                    permuted space)
 ``rhs``             a k-column panel solve matches k independent
                     single-vector solves
 ``kind``            for SPD inputs, Cholesky and LU agree on the solution
@@ -42,6 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.numeric.solver import SparseSolver
+from repro.numeric.supernodal_solve import cholesky_solve, lu_solve
+from repro.numeric.triangular import solve_lower_csc, solve_upper_csc
 from repro.sparse.csc import CSCMatrix
 from repro.verify.generators import FuzzCase
 from repro.verify.oracle import (
@@ -193,9 +196,7 @@ def run_case(case: FuzzCase, axes: SweepAxes | None = None) -> CaseResult:
         return result
 
     result.cond = condition_estimate(case.matrix)
-    perturbed = any(
-        getattr(s._lu, "perturbed_pivots", 0) for s in solvers.values()
-    )
+    perturbed = any(s.factor.perturbed_pivots for s in solvers.values())
     fwd_tol = forward_tolerance(result.cond, n)
     base_order = accepted[0]
     base = solvers[base_order]
@@ -257,10 +258,16 @@ def run_case(case: FuzzCase, axes: SweepAxes | None = None) -> CaseResult:
                    f"solutions disagree by {rel:.3e} > {fwd_tol:.3e} "
                    f"({base_order} vs {ordering})", ordering=ordering)
 
-    # -- solve methods: supernodal vs plain CSC substitution -------------
+    # -- solve methods: supernodal vs the CSC substitution oracle --------
+    # Both solve the permuted system for the same right-hand side; the
+    # Cholesky backward solve is the upper sweep over L^T.
     result.checks += 1
-    x_csc = base.solve(b, method="csc")
-    rel = _rel_diff(x_csc, base_x)
+    lower, upper = base.factor.to_csc()
+    lu = upper is not None
+    x_csc = solve_upper_csc(lower.transpose() if upper is None else upper,
+                            solve_lower_csc(lower, b, unit_diagonal=lu))
+    x_sn = (lu_solve if lu else cholesky_solve)(base.factor, b)
+    rel = _rel_diff(x_csc, x_sn)
     if rel > fwd_tol:
         report("solve_method",
                f"supernodal and csc solves disagree by {rel:.3e} "

@@ -83,3 +83,23 @@ def tiny_config():
 @pytest.fixture
 def small_config():
     return SpatulaConfig.small()
+
+
+def csc_solve(solver, b):
+    """Solve ``solver``'s system with the CSC substitution oracle: the
+    sweeps of :mod:`repro.numeric.triangular` over
+    ``solver.factor_csc()`` (the Cholesky backward solve is the upper
+    sweep over ``L.transpose()``), with the solver's gather and scatter
+    around them — the independent check of the supernodal solve."""
+    from repro.numeric.triangular import solve_lower_csc, solve_upper_csc
+
+    lower, upper = solver.factor_csc()
+    pb = np.asarray(b, dtype=np.float64)[solver._gather]
+    if upper is None:
+        y = solve_upper_csc(lower.transpose(), solve_lower_csc(lower, pb))
+    else:
+        y = solve_upper_csc(upper, solve_lower_csc(lower, pb,
+                                                   unit_diagonal=True))
+    x = np.empty_like(y)
+    x[solver.symbolic.perm] = y
+    return x

@@ -26,6 +26,8 @@ from repro.sparse import circuit_like, grid_laplacian_3d
 from repro.sparse.csc import CSCMatrix
 from repro.verify.generators import build_case, family_names
 
+from .conftest import csc_solve
+
 SIZES = [1, 2, 31, 32, 33, 48, 49, 130]
 
 
@@ -165,12 +167,12 @@ class TestTriangularSolves:
                rng.standard_normal((matrix.n_rows, 32))]
 
         def outputs():
-            csc = solver.factor.to_csc()
+            csc, _ = solver.factor.to_csc()
             return [solver.solve(b) for b in rhs] + [
                 csc.indptr, csc.indices, csc.data]
 
         before = outputs()
-        for _, block in solver.factor.columns:
+        for _, block, _ in solver.factor.fronts:
             k = block.shape[1]
             block[:k][np.triu_indices(k, 1)] = np.nan
         assert all(np.array_equal(a, b) for a, b in zip(outputs(), before))
@@ -225,9 +227,9 @@ class TestNoCopies:
         monkeypatch.setattr(dense, "dtrsm", spy)
         b = np.random.default_rng(0).standard_normal((matrix.n_rows, 32))
         if kind == "cholesky":
-            cholesky_solve(solver._chol, b)
+            cholesky_solve(solver.factor, b)
         else:
-            lu_solve(solver._lu, b)
+            lu_solve(solver.factor, b)
         assert len(spy.calls) == 2 * len(solver.factor.operands)
         assert all(c["in_place"] for c in spy.calls)
         if kind == "cholesky":
@@ -379,8 +381,8 @@ class TestErrorContract:
                     SparseSolver(matrix, kind="lu", use_cache=False)
                 continue
             default = SparseSolver(matrix, kind="lu", use_cache=False)
-            assert (default._lu.perturbed_pivots
-                    == reference._lu.perturbed_pivots)
+            assert (default.factor.perturbed_pivots
+                    == reference.factor.perturbed_pivots)
 
 
 def _split_front(front, k):
@@ -471,9 +473,8 @@ class TestFailedRefactorizeIsAtomic:
                               use_cache=False)
         b = np.cos(np.arange(matrix.n_rows, dtype=np.float64))
         before = solver.solve(b)
-        before_csc = solver.solve(b, method="csc")
-        held = (solver._matrix, solver._chol, solver._lu, solver._lower,
-                solver._upper)
+        before_csc = csc_solve(solver, b)
+        held = (solver._matrix, solver._factor)
         # -A is not SPD; an all-zero matrix has no LU pivot to bump.
         bad = CSCMatrix(matrix.n_rows, matrix.n_cols, matrix.indptr,
                         matrix.indices,
@@ -481,11 +482,10 @@ class TestFailedRefactorizeIsAtomic:
                         else np.zeros_like(matrix.data))
         with pytest.raises(ValueError, match="pivot"):
             solver.refactorize(bad)
-        now = (solver._matrix, solver._chol, solver._lu, solver._lower,
-               solver._upper)
+        now = (solver._matrix, solver._factor)
         assert all(a is b_ for a, b_ in zip(held, now))
         assert np.array_equal(solver.solve(b), before)
-        assert np.array_equal(solver.solve(b, method="csc"), before_csc)
+        assert np.array_equal(csc_solve(solver, b), before_csc)
         # ... and the solver still refactorizes fine afterwards.
         solver.refactorize(matrix)
         assert np.array_equal(solver.solve(b), before)

@@ -1,12 +1,14 @@
-"""Docs name only CLI surface that exists.
+"""Docs name only CLI surface and library names that exist.
 
 Every ``repro <cmd> ... --flag`` / ``python -m repro[.cli] <cmd> ...``
 invocation in the user-facing docs and the CI workflow must name a
 subcommand and flags that :func:`repro.cli.build_parser` defines.
 Markdown is checked inside code only (fenced blocks and inline spans:
 "a repro" is also a noun); shell lines continued with ``\\`` are joined.
+Every backticked dotted ``repro.…`` name in the docs must import.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -20,6 +22,9 @@ FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
          ROOT / ".github/workflows/ci.yml"]
 INVOCATION = re.compile(r"(?:python3? -m repro(?:\.cli)?"
                         r"|(?<![\w/.-])(?<!from )repro) +([a-z][\w-]*)(.*)")
+NAME_FILES = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "PAPER.md",
+              *sorted((ROOT / "docs").glob("*.md"))]
+DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
 
 
@@ -57,6 +62,39 @@ def problems(paths):
 def test_docs_invocations_match_the_parser():
     found = problems(FILES)
     assert not found, "\n".join(found)
+
+
+def resolve(name):
+    """Import the longest module prefix of the dotted ``name``, then
+    look up the rest as attributes."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+def test_doc_names_resolve():
+    missing = []
+    for path in NAME_FILES:
+        for name in sorted(set(DOC_NAME.findall(path.read_text()))):
+            try:
+                resolve(name)
+            except (ImportError, AttributeError):
+                missing.append(f"{path.name}: `{name}`")
+    assert not missing, "\n".join(missing)
+
+
+@pytest.mark.parametrize("name", ["repro.numeric.no_such_module",
+                                  "repro.numeric.engine.NoSuchName"])
+def test_resolve_rejects_a_missing_name(name):
+    with pytest.raises((ImportError, AttributeError)):
+        resolve(name)
 
 
 @pytest.mark.parametrize("text, n_problems", [

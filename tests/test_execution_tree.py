@@ -166,7 +166,7 @@ def _bits(matrix, kind, workers):
     solver = SparseSolver(matrix, kind=kind, workers=workers, rhs_pad=32,
                           use_cache=False)
     factor = solver.factor
-    blocks = factor.columns if kind == "cholesky" else factor.fronts
+    blocks = factor.fronts
     rng = np.random.default_rng(11)
     return [a for block in blocks for a in block] + [
         solver.solve(rng.standard_normal(matrix.n_rows)),

@@ -18,6 +18,8 @@ from repro.sparse import circuit_like, grid_laplacian_3d
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic import symbolic_factorize
 
+from .conftest import csc_solve
+
 
 class TestSupernodalSolve:
     def test_cholesky_matches_dense(self, rng, spd_medium):
@@ -41,26 +43,20 @@ class TestSupernodalSolve:
     def test_solver_methods_agree(self, rng, spd_medium):
         solver = SparseSolver(spd_medium)
         b = rng.standard_normal(spd_medium.n_rows)
-        assert np.allclose(solver.solve(b, method="supernodal"),
-                           solver.solve(b, method="csc"))
+        assert np.allclose(solver.solve(b), csc_solve(solver, b))
 
     def test_solver_methods_agree_lu(self, rng, unsym_random):
         solver = SparseSolver(unsym_random, kind="lu")
         b = rng.standard_normal(unsym_random.n_rows)
-        assert np.allclose(solver.solve(b, method="supernodal"),
-                           solver.solve(b, method="csc"), atol=1e-10)
-
-    def test_unknown_method_rejected(self, rng, spd_small):
-        solver = SparseSolver(spd_small)
-        with pytest.raises(ValueError):
-            solver.solve(np.ones(spd_small.n_rows), method="magic")
+        assert np.allclose(solver.solve(b), csc_solve(solver, b),
+                           atol=1e-10)
 
     def test_amalgamated_factor_solves(self, rng):
         """The engine factors on its execution tree, merged further than
         the symbolic analysis's amalgamation."""
         matrix = grid_laplacian_3d(4, seed=9)
         solver = SparseSolver(matrix)
-        assert len(solver.factor.columns) < solver.symbolic.n_supernodes
+        assert len(solver.factor.fronts) < solver.symbolic.n_supernodes
         b = rng.standard_normal(matrix.n_rows)
         x = solver.solve(b)
         assert solver.residual_norm(matrix, x, b) < 1e-12

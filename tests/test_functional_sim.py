@@ -13,6 +13,7 @@ from repro.arch.functional import TileExecutor
 from repro.arch.sim import SpatulaSim, simulate
 from repro.numeric import multifrontal_cholesky, multifrontal_lu
 from repro.sparse import circuit_like
+from repro.sparse.csc import CSCMatrix
 from repro.symbolic import symbolic_factorize
 from repro.tasks.plan import build_plan
 
@@ -41,8 +42,8 @@ class TestCholeskyNumerics:
         _, executor = run_checked(spd_medium)
         symbolic = executor.plan.symbolic
         functional = multifrontal_cholesky(spd_medium, symbolic)
-        sim_l = executor.extract_lower().to_dense()
-        ref_l = functional.to_csc().to_dense()
+        sim_l = executor.factor_csc()[0].to_dense()
+        ref_l = functional.to_csc()[0].to_dense()
         assert np.allclose(sim_l, ref_l, atol=1e-10)
 
     def test_with_amalgamation(self, spd_medium):
@@ -88,10 +89,9 @@ class TestLUNumerics:
         symbolic = executor.plan.symbolic
         functional = multifrontal_lu(unsym_small, symbolic)
         ref_l, ref_u = functional.to_csc()
-        assert np.allclose(executor.extract_lower().to_dense(),
-                           ref_l.to_dense(), atol=1e-9)
-        assert np.allclose(executor.extract_upper().to_dense(),
-                           ref_u.to_dense(), atol=1e-9)
+        sim_l, sim_u = executor.factor_csc()
+        assert np.allclose(sim_l.to_dense(), ref_l.to_dense(), atol=1e-9)
+        assert np.allclose(sim_u.to_dense(), ref_u.to_dense(), atol=1e-9)
 
     def test_structurally_symmetric_lu(self, spd_medium):
         _, executor = run_checked(spd_medium, kind="lu")
@@ -102,10 +102,20 @@ class TestLUNumerics:
         _, executor = run_checked(matrix, kind="lu")
         assert executor.verify() < 1e-8
 
-    def test_extract_upper_rejected_for_cholesky(self, spd_small):
+    def test_small_pivot_bumped_like_the_solver(self):
+        """The executor bumps a tiny reduced pivot by the solver's
+        threshold, sqrt(eps) * max|A| — also when max|A| < 1."""
+        matrix = CSCMatrix.from_dense(1e-3 * np.array(
+            [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 1.0], [0.0, 1.0, 2.0]]))
+        _, executor = run_checked(matrix, kind="lu", ordering="natural")
+        solver_u = multifrontal_lu(matrix, executor.plan.symbolic).to_csc()[1]
+        sim_u = executor.factor_csc()[1]
+        assert np.allclose(sim_u.diagonal(), solver_u.diagonal(),
+                           rtol=1e-9, atol=0.0)
+
+    def test_cholesky_factor_csc_has_no_upper(self, spd_small):
         _, executor = run_checked(spd_small)
-        with pytest.raises(ValueError):
-            executor.extract_upper()
+        assert executor.factor_csc()[1] is None
 
 
 class TestSimulateConvenience:

@@ -56,12 +56,12 @@ def _outputs(matrix, kind, workers):
     solver = SparseSolver(matrix, kind=kind, workers=workers, rhs_pad=32,
                           use_cache=False)
     factor = solver.factor
-    blocks = factor.columns if kind == "cholesky" else factor.fronts
+    blocks = factor.fronts
     rng = np.random.default_rng(7)
     b1 = rng.standard_normal(matrix.n_rows)
     b32 = rng.standard_normal((matrix.n_rows, 32))
     out = [a for block in blocks for a in block]
-    out += [np.array(getattr(factor, "perturbed_pivots", 0)),
+    out += [np.array(factor.perturbed_pivots),
             solver.solve(b1), solver.solve(b32)]
     solver.rhs_pad = 1
     return out + [solver.solve(b1)]
@@ -180,8 +180,7 @@ def test_stored_factor_pins_only_the_factor_buffer():
         assert any(numeric_context(solver.symbolic,
                                    solver._matrix).arena_len)
         factor = solver.factor
-        blocks = [block[1:] for block in factor.fronts] if kind == "lu" \
-            else [block[1:] for block in factor.columns]
+        blocks = [block[1:] for block in factor.fronts]
         total = sum(a.size for block in blocks for a in block)
         bases = {id(a.base) for block in blocks for a in block}
         assert len(bases) == 1

@@ -98,6 +98,6 @@ class TestFunctionalTimingConsistency:
         starts = {sn.first_col for sn in sf.tree.supernodes}
         ends = {sn.last_col for sn in sf.tree.supernodes}
         assert all(rows[0] in starts and rows[block.shape[1] - 1] in ends
-                   for rows, block in factor.columns)
-        assert sum(block.shape[1] for _, block in factor.columns) \
+                   for rows, block, _ in factor.fronts)
+        assert sum(block.shape[1] for _, block, _ in factor.fronts) \
             == matrix.n_rows

@@ -15,13 +15,12 @@ from repro.numeric.dense import (
     tsolve_upper,
 )
 from repro.numeric.lu import multifrontal_lu
-from repro.numeric.triangular import (
-    solve_lower_csc,
-    solve_upper_csc,
-    solve_upper_csc_direct,
-)
+from repro.numeric.solver import SparseSolver
+from repro.numeric.triangular import solve_lower_csc, solve_upper_csc
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic import symbolic_factorize
+from repro.verify.differential import REJECTION_ERRORS
+from repro.verify.generators import build_case, family_names
 
 
 def random_spd_dense(rng, n):
@@ -104,19 +103,20 @@ class TestMultifrontalCholesky:
         sf = symbolic_factorize(spd_medium, kind="cholesky",
                                 ordering=ordering)
         factor = multifrontal_cholesky(spd_medium, sf)
-        lower = factor.to_csc().to_dense()
+        lower = factor.to_csc()[0].to_dense()
         want = spd_medium.permuted(sf.perm).to_dense()
         assert np.allclose(lower @ lower.T, want, atol=1e-10)
 
     def test_matches_numpy_cholesky(self, spd_small):
         sf = symbolic_factorize(spd_small, kind="cholesky")
-        lower = multifrontal_cholesky(spd_small, sf).to_csc().to_dense()
+        lower = multifrontal_cholesky(spd_small, sf).to_csc()[0].to_dense()
         ref = np.linalg.cholesky(spd_small.permuted(sf.perm).to_dense())
         assert np.allclose(lower, ref, atol=1e-10)
 
     def test_irregular_matrix(self, spd_irregular):
         sf = symbolic_factorize(spd_irregular, kind="cholesky")
-        lower = multifrontal_cholesky(spd_irregular, sf).to_csc().to_dense()
+        lower, _ = multifrontal_cholesky(spd_irregular, sf).to_csc()
+        lower = lower.to_dense()
         want = spd_irregular.permuted(sf.perm).to_dense()
         assert np.allclose(lower @ lower.T, want, atol=1e-9)
 
@@ -124,8 +124,8 @@ class TestMultifrontalCholesky:
         tight = symbolic_factorize(spd_medium, relax_small=0, relax_ratio=0.0)
         loose = symbolic_factorize(spd_medium, relax_small=16,
                                    relax_ratio=0.6, force_small=64)
-        lt = multifrontal_cholesky(spd_medium, tight).to_csc().to_dense()
-        ll = multifrontal_cholesky(spd_medium, loose).to_csc().to_dense()
+        lt = multifrontal_cholesky(spd_medium, tight).to_csc()[0].to_dense()
+        ll = multifrontal_cholesky(spd_medium, loose).to_csc()[0].to_dense()
         # Both must reconstruct; they may differ only by explicit zeros.
         pt = spd_medium.permuted(tight.perm).to_dense()
         pl = spd_medium.permuted(loose.perm).to_dense()
@@ -137,13 +137,28 @@ class TestMultifrontalCholesky:
         factor = multifrontal_cholesky(spd_medium, sf)
         # nnz() counts stored entries, the merged fronts' explicit zeros
         # included.
-        assert factor.nnz() == factor.to_csc().nnz > sf.factor_nnz
+        assert factor.nnz() == factor.to_csc()[0].nnz > sf.factor_nnz
         # Without amalgamation in the analysis or the engine, stored nnz
         # equals predicted fill.
         monkeypatch.setattr(engine, "MERGE_WIDTH", 0)
         monkeypatch.setattr(engine, "MERGE_FRONT", 0)
         sf = symbolic_factorize(spd_medium, relax_small=0, relax_ratio=0.0)
         assert multifrontal_cholesky(spd_medium, sf).nnz() == sf.factor_nnz
+
+    @pytest.mark.parametrize("kind", ["cholesky", "lu"])
+    @pytest.mark.parametrize("family", family_names())
+    def test_nnz_accounting_both_kinds(self, family, kind):
+        """``Factor.nnz()`` counts what ``to_csc()`` stores, for both
+        kinds, and ``SparseSolver.factor_nnz`` is that count."""
+        for seed in range(3):
+            matrix = build_case(family, seed).matrix
+            try:
+                solver = SparseSolver(matrix, kind=kind, use_cache=False)
+            except REJECTION_ERRORS:
+                continue
+            lower, upper = solver.factor.to_csc()
+            stored = lower.nnz + (0 if upper is None else upper.nnz)
+            assert solver.factor.nnz() == stored == solver.factor_nnz
 
     def test_kind_mismatch_raises(self, spd_small):
         sf = symbolic_factorize(spd_small, kind="lu")
@@ -194,7 +209,7 @@ class TestTriangularSolves:
     def test_backward_solve_via_lower(self, rng):
         lower = np.tril(rng.standard_normal((8, 8))) + 8 * np.eye(8)
         b = rng.standard_normal(8)
-        x = solve_upper_csc(CSCMatrix.from_dense(lower), b)
+        x = solve_upper_csc(CSCMatrix.from_dense(lower).transpose(), b)
         assert np.allclose(lower.T @ x, b)
 
     def test_unit_diagonal_forward(self, rng):
@@ -207,7 +222,7 @@ class TestTriangularSolves:
     def test_upper_direct(self, rng):
         upper = np.triu(rng.standard_normal((7, 7))) + 7 * np.eye(7)
         b = rng.standard_normal(7)
-        x = solve_upper_csc_direct(CSCMatrix.from_dense(upper), b)
+        x = solve_upper_csc(CSCMatrix.from_dense(upper), b)
         assert np.allclose(upper @ x, b)
 
     def test_missing_diagonal_raises(self):

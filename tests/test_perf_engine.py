@@ -28,6 +28,8 @@ from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import symbolic_factorize
 from repro.symbolic.etree import etree_level_sets
 
+from .conftest import csc_solve
+
 
 def _random_spd_dense(n, rng):
     a = rng.standard_normal((n, n))
@@ -145,7 +147,7 @@ class TestParallelDeterminism:
         sf = symbolic_factorize(matrix, kind="cholesky")
         serial = multifrontal_cholesky(matrix, sf, workers=1)
         parallel = multifrontal_cholesky(matrix, sf, workers=4)
-        for (r1, b1), (r2, b2) in zip(serial.columns, parallel.columns):
+        for (r1, b1, _), (r2, b2, _) in zip(serial.fronts, parallel.fronts):
             assert np.array_equal(r1, r2)
             assert np.array_equal(b1, b2)  # bitwise, not allclose
 
@@ -171,6 +173,12 @@ class TestParallelDeterminism:
         assert np.array_equal(x1, x4)
 
 
+def _solve(solver, b, method):
+    """The solver's supernodal solve, or the CSC substitution oracle."""
+    return solver.solve(b) if method == "supernodal" else csc_solve(solver,
+                                                                    b)
+
+
 class TestBlockedMultiRHS:
     """(n, k) right-hand sides match the column-by-column oracle."""
 
@@ -179,10 +187,10 @@ class TestBlockedMultiRHS:
         solver = SparseSolver(spd_medium, use_cache=False)
         rng = np.random.default_rng(0)
         b = rng.standard_normal((spd_medium.n_rows, 7))
-        panel = solver.solve(b, method=method)
+        panel = _solve(solver, b, method)
         assert panel.shape == b.shape
         for j in range(b.shape[1]):
-            xj = solver.solve(b[:, j], method=method)
+            xj = _solve(solver, b[:, j], method)
             assert np.allclose(panel[:, j], xj, rtol=1e-12, atol=1e-12)
         assert max(
             solver.residual_norm(spd_medium, panel[:, j], b[:, j])
@@ -194,9 +202,9 @@ class TestBlockedMultiRHS:
         solver = SparseSolver(unsym_small, kind="lu", use_cache=False)
         rng = np.random.default_rng(1)
         b = rng.standard_normal((unsym_small.n_rows, 5))
-        panel = solver.solve(b, method=method)
+        panel = _solve(solver, b, method)
         for j in range(b.shape[1]):
-            xj = solver.solve(b[:, j], method=method)
+            xj = _solve(solver, b[:, j], method)
             assert np.allclose(panel[:, j], xj, rtol=1e-12, atol=1e-12)
 
     def test_bad_shapes_rejected(self, spd_small):
@@ -298,7 +306,7 @@ class TestTuning:
         f_small = multifrontal_cholesky(spd_medium, sf, block_size=4)
         f_large = multifrontal_cholesky(spd_medium, sf, block_size=96)
         # The strict upper triangle of a pivot block is unspecified.
-        for (_, b1), (_, b2) in zip(f_small.columns, f_large.columns):
+        for (_, b1, _), (_, b2, _) in zip(f_small.fronts, f_large.fronts):
             assert np.allclose(np.tril(b1), np.tril(b2), rtol=1e-12,
                                atol=1e-12)
 

@@ -284,14 +284,14 @@ class TestSolveServer:
         b = _rhs(matrix, seed=3)
         before = client.solve(pattern, b)
         solver = server._workers[pattern].solver
-        held = (solver._matrix, solver._chol)
+        held = (solver._matrix, solver._factor)
         with pytest.raises(ValueError, match="non-SPD"):
             client.refactorize(pattern, -matrix.data)
         reply = server.handle({"op": "refactorize", "id": 7,
                                "pattern": pattern,
                                "data": (-matrix.data).tolist()})
         assert reply["ok"] is False and "non-SPD" in reply["error"]
-        assert (solver._matrix, solver._chol) == held
+        assert (solver._matrix, solver._factor) == held
         assert np.array_equal(client.solve(pattern, b), before)
         client.refactorize(pattern, matrix.data * 2.0)
         assert np.allclose(client.solve(pattern, b), before / 2.0,

@@ -191,8 +191,8 @@ def test_nested_columns_share_storage(spd_medium):
 
 
 def test_column_counts_on_an_unpostordered_tree(spd_irregular):
-    """``column_counts`` serves ``ordering.quality`` and ``local_refine``
-    on raw permutations, whose etrees are not postordered."""
+    """``column_counts`` serves ``ordering.quality`` (scoring a raw
+    permutation) on etrees that are not postordered."""
     for ordering in ("natural", "rcm", "amd"):
         permuted = spd_irregular.permuted(
             fill_reducing_ordering(spd_irregular, ordering)[::-1].copy())
