@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro.numeric import SparseSolver, dense, engine
+from repro.numeric import SparseSolver, compiled, engine
 from repro.numeric.engine import numeric_context
 from repro.sparse import circuit_like, grid_laplacian_3d
 
@@ -69,28 +69,30 @@ def _build(a, kind, width, front) -> SparseSolver:
 
 def _shape(solver: SparseSolver, amax: float) -> dict:
     """Structure of one cell, and its dgetrf fallbacks in one refactorize
-    (the accept rule of ``dense._lu_diagonal``, spied on)."""
+    (the accept rule of the compiled core's LU pivot block, spied on)."""
     ctx = numeric_context(solver.symbolic, solver._matrix)
     sizes = np.array([sn.front_size for sn in ctx.tree.supernodes])
     fallbacks = []
     if solver.kind == "lu":
         perturb = np.sqrt(np.finfo(np.float64).eps) * amax
-        real = dense.dgetrf
+        ffi, table = compiled.ffi, compiled.lib.repro_blas
+        real = table.dgetrf
 
-        def spy(a, **kw):
-            lu, piv, info = real(a, **kw)
-            w = lu.shape[0]
+        def spy(m, n, a, lda, ipiv, info):
+            real(m, n, a, lda, ipiv, info)
+            w = n[0]
+            lu = np.frombuffer(ffi.buffer(a, 8 * w * w)).reshape(w, w)
             fallbacks.append(not (
-                info == 0 and piv.tolist() == list(range(w))
+                info[0] == 0 and list(ipiv[0:w]) == list(range(1, w + 1))
                 and np.abs(lu.diagonal()).min() >= perturb
                 and np.isfinite(lu).all()))
-            return lu, piv, info
 
-        dense.dgetrf = spy
+        table.dgetrf = callback = ffi.callback("repro_dgetrf_t", spy)
         try:
             solver.factorize()
         finally:
-            dense.dgetrf = real
+            table.dgetrf = real
+            del callback
     return {
         "supernodes": len(sizes),
         "grouped": int((sizes <= engine.GROUP_FRONT_MAX).sum()),

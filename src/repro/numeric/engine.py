@@ -20,20 +20,23 @@ This module is the machinery shared by :func:`multifrontal_cholesky` and
   sits in the one factor buffer, and (for *grouped* supernodes, fronts of
   at most :data:`GROUP_FRONT_MAX` rows) where every entry of every
   child's update block adds into its parent.  They are resolved *once*
-  into flat index maps and cached on the symbolic object, so a numeric
+  into flat index maps and cached on the symbolic object, with the
+  compiled core's view of them (:attr:`NumericContext.c`), so a numeric
   (re)factorization is one scatter of A plus, per grouped supernode, one
-  ``np.add.at`` and the dense kernels — the amortized-analysis serving
-  pattern of CKTSO-style circuit simulation.
+  pass over its map and the dense kernels — the amortized-analysis
+  serving pattern of CKTSO-style circuit simulation.
 
 * **Scheduled parallel traversal**: :func:`run_factor_job`, the one
   driver both factorizations share, hands the job's tasks — whole
-  subtrees of grouped supernodes, or one larger supernode — to
-  :func:`repro.numeric.schedule.run_scheduled` (dependence-count dispatch
-  on ``workers`` threads, bit-identical for every worker count).
+  subtrees of grouped supernodes, or one larger supernode, each one
+  GIL-free call into the compiled core (:mod:`repro.numeric.compiled`) —
+  to :func:`repro.numeric.schedule.run_scheduled` (dependence-count
+  dispatch on ``workers`` threads, bit-identical for every worker
+  count).
 
 * **One factor type** (:class:`Factor`): what both factorizations
-  return — the per-supernode fronts, the supernodal solve's operands,
-  and the one fronts-to-CSC read-back (:func:`fronts_to_csc`) that the
+  return — the factor buffer and its per-supernode fronts, and the one
+  fronts-to-CSC read-back (:func:`fronts_to_csc`) that the
   simulator's functional executor shares.
 
 * **Metrics export** (:func:`export_factor_metrics`): kernel FLOP rates,
@@ -49,15 +52,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.numeric.schedule import (
-    GroupTasks,
-    ScheduleStats,
-    SupernodeJob,
-    run_scheduled,
-)
+from repro.numeric.compiled import Context
+from repro.numeric.schedule import FactorTasks, ScheduleStats, run_scheduled
 from repro.numeric.tuning import resolve_block_size, resolve_workers
 from repro.obs.metrics import global_registry
 from repro.sparse.coo import COOMatrix
@@ -141,9 +141,8 @@ class NumericContext:
     symbolic object; every subsequent factorization with the same pattern
     reuses the maps, so the numeric phase does no index arithmetic of its
     own — except the extend-add offsets of parents larger than
-    :data:`GROUP_FRONT_MAX`, computed on the fly (caching them would cost
-    memory in proportion to the fronts; see
-    :meth:`~repro.numeric.schedule.SupernodeJob._extend_add`).
+    :data:`GROUP_FRONT_MAX`, computed on the fly by the compiled core
+    (caching them would cost memory in proportion to the fronts).
 
     Attributes:
         tree: the assembly tree the maps are built on — the analysis's
@@ -152,7 +151,7 @@ class NumericContext:
         perm_data: ``permuted.data == matrix.data[perm_data]``.
         pr_off: supernode ``i``'s pivot panel ``P`` then (LU) pivot rows
             ``R``, each C-ordered, are ``buf[pr_off[i]:pr_off[i + 1]]`` of
-            the one factor buffer ``buf`` (see :class:`SupernodeJob`).
+            the one factor buffer ``buf`` (see :attr:`Factor.buffer`).
         dst / src: A's scatter into that buffer,
             ``buf[dst] = permuted_data[src]`` (both the L and — for LU —
             the U part of every front).
@@ -167,13 +166,15 @@ class NumericContext:
             map: for every entry of its arena, where it adds into the
             parent's front (``None`` otherwise; see
             :meth:`_extend_add_maps`).
-        rows / pivots: per supernode, its (read-only) front rows and
-            the slice of its pivot rows, for the stored factor.
+        rows: per supernode, its (read-only) front rows, for the stored
+            factor.
         task_bounds / task_parent: the scheduler's tasks — task ``t`` is
             supernodes ``task_bounds[t]`` .. ``task_bounds[t + 1] - 1``,
             a maximal subtree of grouped supernodes or one ungrouped
             supernode — and the task forest.
         sn_parent: supernode parent array (``-1`` for roots).
+        c: the compiled core's view of these maps
+            (:class:`~repro.numeric.compiled.Context`).
         levels: supernode level sets (leaves first): the available
             parallelism reported as ``attribution["level_widths"]`` and
             ``numeric.levels.*``.
@@ -216,6 +217,9 @@ class NumericContext:
             dtype=np.int64).reshape(-1, 3).T
         k, m = self._k, self._size - self._k
         self._m = m
+        self._row_off = np.concatenate(([0], np.cumsum(self._size)))
+        self._rows_flat = np.concatenate([sn.rows for sn in sns]).astype(
+            np.int64, copy=False)
         pr_len = self._size * k + (k * m if lu else 0)
         self.pr_off = np.concatenate(([0], np.cumsum(pr_len)))
 
@@ -245,11 +249,13 @@ class NumericContext:
                              for c in self.kids[p]], dtype=np.int64)
         blocks = m[in_arena] ** 2
         c_off = np.cumsum(blocks) - blocks
-        self.arena_len = [0] * n_sn
+        self.arena_len = np.zeros(n_sn, dtype=np.int64)
         self.ea_maps: list[np.ndarray | None] = [None] * n_sn
+        ea = np.zeros(0, dtype=np.int64)
+        ea_off = np.zeros(n_sn, dtype=np.int64)
         at = np.full(n_sn, -1, dtype=np.int64)
         if len(in_arena):
-            dst = self._extend_add_maps(in_arena)
+            ea = self._extend_add_maps(in_arena)
             # Cut the concatenation where each parent's arena starts; a
             # child's offset is relative to its parent's arena.
             par = self.sn_parent[in_arena]
@@ -257,20 +263,19 @@ class NumericContext:
             starts = c_off[first_kid]
             at[in_arena] = c_off - np.repeat(starts, np.diff(
                 np.append(first_kid, len(in_arena))))
+            ea_off[par[first_kid]] = starts
             for p, a, b in zip(par[first_kid].tolist(), starts.tolist(),
-                               np.append(starts[1:], len(dst)).tolist()):
+                               np.append(starts[1:], len(ea)).tolist()):
                 self.arena_len[p] = b - a
-                self.ea_maps[p] = dst[a:b]
+                self.ea_maps[p] = ea[a:b]
 
         lo, hi = self.pr_off[:-1], self.pr_off[1:]
-        self.layout = list(zip(k.tolist(), m_list, lo.tolist(),
-                               (lo + self._size * k).tolist(), hi.tolist(),
-                               at.tolist(), self.sn_parent.tolist()))
-        self.rows = [sn.rows.view() for sn in sns]
-        for rows in self.rows:
-            rows.flags.writeable = False
-        self.pivots = [slice(sn.first_col, sn.last_col + 1) for sn in sns]
+        self.layout = np.stack((k, m, lo, lo + self._size * k, hi, at,
+                                self.sn_parent), axis=1)
+        self._rows_flat.flags.writeable = False
+        self.rows = np.split(self._rows_flat, self._row_off[1:-1])
         self.task_bounds, self.task_parent = self._tasks(grouped)
+        self.c = self._compiled(grouped, ea, ea_off)
 
     # -- construction helpers ------------------------------------------------
 
@@ -287,12 +292,11 @@ class NumericContext:
         part of LU fronts, row ``local`` of ``P`` or, past the pivot
         columns, of ``R``).
         """
-        supernodes = self.tree.supernodes
         n = len(indptr) - 1
         size, k, first = self._size, self._k, self._first
-        start = np.cumsum(size) - size
-        keys = np.concatenate([sn.rows for sn in supernodes]) + np.repeat(
-            np.arange(len(supernodes), dtype=np.int64) * n, size)
+        start = self._row_off[:-1]
+        keys = self._rows_flat + np.repeat(
+            np.arange(len(size), dtype=np.int64) * n, size)
         cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         slot = np.flatnonzero(indices > cols if upper else indices >= cols)
         sn_of = self.tree.col_to_sn[cols[slot]]
@@ -334,6 +338,30 @@ class NumericContext:
         root_parent = parent[bounds[1:] - 1]
         return bounds, np.where(root_parent >= 0, task_of[root_parent], -1)
 
+    def _compiled(self, grouped: np.ndarray, ea: np.ndarray,
+                  ea_off: np.ndarray) -> Context:
+        """The compiled loop's view of these maps: the children lists as
+        offsets into one array, and for the children of parents too
+        large to be grouped their rows' positions in the parent's front
+        (:attr:`AssemblyTree.child_maps`), concatenated likewise."""
+        n_sn = len(self._k)
+        counts = np.array([len(kids) for kids in self.kids], dtype=np.int64)
+        kids = np.array([c for kids in self.kids for c in kids],
+                        dtype=np.int64)
+        outer = [c for p in np.flatnonzero(~grouped).tolist()
+                 for c in self.kids[p]]
+        cm_off = np.full(n_sn, -1, dtype=np.int64)
+        cm_off[outer] = np.cumsum(self._m[outer]) - self._m[outer]
+        child_maps = self.tree.child_maps
+        cm = (np.concatenate([child_maps[c] for c in outer]) if outer
+              else np.zeros(0, dtype=np.int64))
+        return Context(
+            self.layout, first=self._first, row_off=self._row_off,
+            rows=self._rows_flat,
+            kid_off=np.concatenate(([0], np.cumsum(counts))), kids=kids,
+            arena_len=self.arena_len, ea_off=ea_off, ea=ea, cm_off=cm_off,
+            cm=cm, task_bounds=self.task_bounds, dst=self.dst, src=self.src)
+
     # -- extend-add maps -----------------------------------------------------
 
     def _extend_add_maps(self, kids: np.ndarray) -> np.ndarray:
@@ -348,11 +376,11 @@ class NumericContext:
         the parent's first update row: entry ``(a, b)`` goes to ``P`` at
         ``(pos[a], pos[b])`` when ``pos[b]`` is a pivot column, else to
         ``R`` at ``(pos[a], pos[b] - k)`` when ``pos[a]`` is a pivot row,
-        else to ``C`` at ``(pos[a] - k, pos[b] - k)`` — the offsets
-        :meth:`SupernodeJob._extend_add` computes on the fly for parents
-        too large to be grouped.  Since ``pos`` is sorted, each row of a
-        child's ``C`` is two runs (``P``, then ``R`` or ``C``) whose
-        positions are a per-run base plus ``pos``.
+        else to ``C`` at ``(pos[a] - k, pos[b] - k)`` — the offsets the
+        compiled core (``extend_add`` in ``_core.c``) computes on the fly
+        for parents too large to be grouped.  Since ``pos`` is sorted,
+        each row of a child's ``C`` is two runs (``P``, then ``R`` or
+        ``C``) whose positions are a per-run base plus ``pos``.
         """
         child_maps = self.tree.child_maps
         n_rows = self._m[kids]
@@ -506,19 +534,12 @@ class Factor:
 
     Attributes:
         symbolic: the analysis this factor was computed under.
-        fronts: per execution supernode (see :func:`execution_tree`)
-            ``(rows, panel, right)``, both C-ordered.  ``panel``
-            (``len(rows) x n_cols``) holds final L values at global row
-            coordinates ``rows``, the first ``n_cols`` of which are its
-            columns: for Cholesky on and below the diagonal (the strict
-            upper triangle of ``panel[:n_cols]`` is unspecified), for LU
-            strictly below it (unit diagonal implicit) with U11 on and
-            above it.  ``right`` (``n_cols x (len(rows) - n_cols)``)
-            holds U12, the rest of U's rows, for LU and is empty for
-            Cholesky.
-        operands: per-supernode views of the same blocks in the form the
-            supernodal solve reads them (see
-            :meth:`repro.numeric.schedule.SupernodeJob.compute`).
+        ctx: the numeric context it was computed on (its execution tree,
+            :func:`execution_tree`, and where each front sits in
+            ``buffer``).
+        buffer: every supernode's ``P`` | ``R``, the stored factor, read
+            by the supernodal solve (:mod:`repro.numeric.supernodal_solve`)
+            and viewed per supernode as :attr:`fronts`.
         perturbed_pivots: number of pivots the static-pivoting
             perturbation replaced during elimination (always 0 for
             Cholesky; 0 for well-conditioned diagonally dominant LU
@@ -530,11 +551,27 @@ class Factor:
     """
 
     symbolic: SymbolicFactorization
-    fronts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    operands: list[tuple] = field(repr=False, compare=False)
+    ctx: NumericContext = field(repr=False, compare=False)
+    buffer: np.ndarray = field(repr=False, compare=False)
     perturbed_pivots: int = 0
     attribution: dict | None = field(default=None, repr=False,
                                      compare=False)
+
+    @cached_property
+    def fronts(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per execution supernode ``(rows, panel, right)``, views of
+        :attr:`buffer`, both C-ordered.  ``panel`` (``len(rows) x
+        n_cols``) holds final L values at global row coordinates ``rows``,
+        the first ``n_cols`` of which are its columns: for Cholesky on and
+        below the diagonal (the strict upper triangle of
+        ``panel[:n_cols]`` is unspecified), for LU strictly below it (unit
+        diagonal implicit) with U11 on and above it.  ``right`` (``n_cols
+        x (len(rows) - n_cols)``) holds U12, the rest of U's rows, for LU
+        and is empty for Cholesky."""
+        buf = self.buffer
+        return [(rows, buf[lo:mid].reshape(-1, k), buf[mid:hi].reshape(k, -1))
+                for rows, (k, _, lo, mid, hi, _, _)
+                in zip(self.ctx.rows, self.ctx.layout.tolist())]
 
     @property
     def kind(self) -> str:
@@ -646,25 +683,23 @@ def run_factor_job(
     perturb: float | None = None,
 ) -> Factor:
     """The numeric driver shared by Cholesky and LU: resolve (and
-    range-check) the tuning knobs, build the job over the pattern-cached
-    context (``perturb`` is ``None`` for Cholesky, the static-pivoting
-    threshold for LU), run its tasks on ``workers`` threads, check every
-    update matrix was consumed, and export the metrics.  Returns the
-    factor, its attribution view attached."""
+    range-check) the tuning knobs, build the job's tasks over the
+    pattern-cached context (``perturb`` is ``None`` for Cholesky, the
+    static-pivoting threshold for LU), run them on ``workers`` threads,
+    check every update matrix was consumed, and export the metrics.
+    Returns the factor, its attribution view attached."""
     workers = resolve_workers(workers)
     block = resolve_block_size(block_size)
     t_start = time.perf_counter()
 
     ctx = numeric_context(symbolic, matrix)
-    job = SupernodeJob(ctx, ctx.permuted_data(matrix), block, perturb)
-    tasks = GroupTasks(job, ctx.task_bounds, ctx.task_parent)
+    tasks = FactorTasks(ctx, ctx.permuted_data(matrix), block, perturb)
     stats = run_scheduled(tasks, workers)
-    job.check_consumed()
+    tasks.check_consumed()
     attribution = export_factor_metrics(
         symbolic, time.perf_counter() - t_start, block,
         ctx.levels, float(tasks.busy.sum()), stats,
     )
-    return Factor(symbolic=symbolic, fronts=job.fronts,
-                  operands=job.operands,
-                  perturbed_pivots=int(job.perturbed.sum()),
+    return Factor(symbolic=symbolic, ctx=ctx, buffer=tasks.buffer,
+                  perturbed_pivots=int(tasks.bumped.sum()),
                   attribution=attribution)

@@ -2,12 +2,14 @@
 
 One numeric factorization is a set of per-supernode steps — extend-add
 the children's update blocks into the supernode's front (A's entries are
-already there), run the partial factorization, hand the update block up
-— described by a :class:`SupernodeJob`.  The scheduler runs *tasks*: a
-whole subtree of small (grouped) supernodes, or one larger supernode
-(:class:`GroupTasks`, over the task forest of the pattern-cached
-:class:`~repro.numeric.engine.NumericContext`).  :func:`run_scheduled`
-decides *where and when* each task runs.
+already there), run the partial factorization, hand the update block up.
+The scheduler runs *tasks*: a whole subtree of small (grouped)
+supernodes, or one larger supernode (:class:`FactorTasks`, over the task
+forest of the pattern-cached
+:class:`~repro.numeric.engine.NumericContext`), each one call into the
+compiled core that releases the GIL, so tasks on different threads run
+at the same time.  :func:`run_scheduled` decides *where and when* each
+task runs.
 
 Each task carries a dependence count (its number of children in the
 task forest); completion of a child decrements the parent's count, and
@@ -21,9 +23,8 @@ numbered before their parents.
 
 The stored factor is bitwise equal for every worker count: each
 supernode's computation is a pure function of its assembled front
-(children extend-added in fixed ascending order inside
-:meth:`SupernodeJob.compute`) and the kernels are deterministic, so only
-the execution interleaving changes.
+(children extend-added in fixed ascending order) and the kernels are
+deterministic, so only the execution interleaving changes.
 
 A run returns a :class:`ScheduleStats` — the evidence record the
 attribution layer turns into scheduler-idle / load-imbalance buckets
@@ -39,13 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.numeric.dense import cholesky_front, lu_front
+from repro.numeric.compiled import Job
 from repro.obs import span, telemetry
 
 __all__ = [
-    "GroupTasks",
+    "FactorTasks",
     "ScheduleStats",
-    "SupernodeJob",
     "WorkerLanes",
     "run_scheduled",
 ]
@@ -154,158 +154,45 @@ class ScheduleStats:
         }
 
 
-class SupernodeJob:
-    """One numeric factorization as per-supernode steps.
+class FactorTasks:
+    """One numeric factorization as the scheduler's tasks.
 
-    Owns the state of one factorization: the pattern-cached numeric
-    context; the factor buffer, into which A's values are scattered once
-    and of which every supernode's ``P`` | ``R`` is a slice (the stored
-    factor pins nothing else); per grouped parent, the arena its
-    children's update blocks ``C`` sit in, side by side — allocated by
-    the first child to run and released once the parent has added them;
-    the in-flight update blocks; and the per-supernode outputs —
-    ``fronts[i] = (rows, P, R)`` (``R`` is empty for Cholesky), the solve
-    operands ``operands[i]`` and, for LU, ``perturbed[i]``, the pivots the
-    static-pivoting bump replaced.  ``perturb`` is ``None`` for Cholesky
-    and the bump threshold for LU.  :meth:`compute` is the step a task
-    runs; it is safe to call concurrently for *independent* supernodes
-    (each writes only its own slots and consumes only its children's —
-    all of which completed first).
+    Task ``t`` runs supernodes ``task_bounds[t]`` .. ``task_bounds[t + 1]
+    - 1`` of the pattern-cached context ``ctx`` in ascending order (a
+    whole subtree of grouped supernodes, or one larger supernode): per
+    supernode, add the children's update blocks into its front, factor
+    it, and pass its own update block up — one call into the compiled
+    core (:class:`repro.numeric.compiled.Job`), which releases the GIL.
+    A's values are scattered into the one factor ``buffer`` first, and
+    every supernode's ``P`` | ``R`` is a slice of it; the update blocks
+    live in C until their parent consumes them.  ``sn_parent`` is the
+    task forest (the scheduler's protocol) and ``busy[t]`` task ``t``'s
+    wall-clock seconds (disjoint slots, no locking).  :meth:`compute` is
+    safe to call concurrently for tasks whose children have completed.
+    ``bumped[i]`` counts the pivots of supernode ``i`` the LU bump
+    replaced; ``perturb`` is ``None`` for Cholesky and the bump
+    threshold for LU.
     """
 
-    def __init__(self, ctx, permuted_data: np.ndarray, block: int,
+    def __init__(self, ctx, values: np.ndarray, block: int,
                  perturb: float | None = None) -> None:
-        n_sn = len(ctx.layout)
         self.ctx = ctx
-        self.block = block
-        self.perturb = perturb
         self.buffer = np.zeros(int(ctx.pr_off[-1]))
-        self.buffer[ctx.dst] = permuted_data[ctx.src]
-        self.arenas: list[np.ndarray | None] = [None] * n_sn
-        self._arena_lock = threading.Lock()
-        self.updates: list[np.ndarray | None] = [None] * n_sn
-        self.fronts: list[tuple[np.ndarray, ...] | None] = [None] * n_sn
-        self.operands: list[tuple | None] = [None] * n_sn
-        self.perturbed = np.zeros(n_sn, dtype=np.int64)
-
-    def _arena(self, p: int) -> np.ndarray:
-        """Grouped parent ``p``'s arena, allocated (zeroed) by whichever
-        child gets here first — children in other tasks may race."""
-        arena = self.arenas[p]
-        if arena is None:
-            with self._arena_lock:
-                arena = self.arenas[p]
-                if arena is None:
-                    arena = self.arenas[p] = np.zeros(self.ctx.arena_len[p])
-        return arena
-
-    def compute(self, i: int) -> None:
-        """Extend-add, factor, and store supernode ``i``, its front split
-        as in :mod:`repro.numeric.dense`: ``P`` and (LU) ``R`` in the
-        factor buffer, the update block ``C`` (passed up) in its parent's
-        arena or, below a parent too large to be grouped, on its own."""
-        ctx = self.ctx
-        k, m, lo, mid, hi, at, parent = ctx.layout[i]
-        pr = self.buffer[lo:hi]
-        panel = pr[:mid - lo].reshape(-1, k)
-        right = pr[mid - lo:].reshape(k, -1)
-        update = (self._arena(parent)[at:at + m * m].reshape(m, m)
-                  if at >= 0 else np.zeros((m, m)))
-        if ctx.kids[i]:
-            self._extend_add(i, k, m, pr, right, update)
-        if self.perturb is None:
-            cholesky_front(panel, update, self.block)
-            back = panel[k:].T
-        else:
-            self.perturbed[i] = lu_front(panel, right, update, self.perturb,
-                                         self.block)
-            back = right
-        rows = ctx.rows[i]
-        self.fronts[i] = (rows, panel, right)
-        # What the supernodal solve reads, Fortran-contiguous where a dtrsm
-        # takes it: pivot rows, L11^T, L21, update rows, and the backward
-        # update operand (L21^T or U12).
-        self.operands[i] = (ctx.pivots[i], panel[:k].T, panel[k:], rows[k:],
-                            back)
-        if m:
-            self.updates[i] = update
-
-    def _extend_add(self, i: int, k: int, m: int, pr: np.ndarray,
-                    right: np.ndarray, update: np.ndarray) -> None:
-        """Add the children's update blocks into supernode ``i``'s front.
-
-        Children go in fixed ascending order, so the result does not
-        depend on which worker computed each child, and every entry
-        receives the same additions in the same order on both paths.  A
-        grouped parent adds its whole arena with one ``np.add.at``
-        through its cached map into a workspace copy of the front
-        ``[P | R | C]`` (for Cholesky ``R`` is scratch), then copies
-        ``P`` | ``R`` and ``C`` back and releases the arena; the arena is
-        not the target, so ``np.add.at`` takes it as it is (values that
-        alias the target would make it copy the whole target).  A larger
-        parent splits each child's sorted positions at its first update
-        row on the fly: the ``P`` block (pivot columns), for LU the ``R``
-        block (pivot rows right of them; Cholesky's strict upper is never
-        read) and the ``C`` block are outer sums of row and column
-        offsets, one pass per entry — cheaper than building a flat map,
-        and caching one would cost as much memory as the fronts.
-        """
-        ctx = self.ctx
-        kids = ctx.kids[i]
-        maps = ctx.ea_maps[i]
-        if maps is not None:
-            mm = m * m
-            front = np.zeros(len(pr) - right.size + k * m + mm)
-            front[:len(pr)] = pr
-            arena, self.arenas[i] = self.arenas[i], None
-            np.add.at(front, maps, arena)
-            pr[...] = front[:len(pr)]
-            if mm:
-                update.reshape(-1)[...] = front[-mm:]
-        else:
-            child_maps = ctx.tree.child_maps
-            for c in kids:
-                pos, child = child_maps[c], self.updates[c]
-                s = int(np.searchsorted(pos, k))
-                top, low = pos[:s], pos[s:] - k
-                np.add.at(pr, (pos[:, None] * k + top).reshape(-1),
-                          child[:, :s].reshape(-1))
-                if right.size:
-                    np.add.at(right.reshape(-1),
-                              (top[:, None] * m + low).reshape(-1),
-                              child[:s, s:].reshape(-1))
-                np.add.at(update.reshape(-1),
-                          (low[:, None] * m + low).reshape(-1),
-                          child[s:, s:].reshape(-1))
-        for c in kids:
-            self.updates[c] = None
-
-    def check_consumed(self) -> None:
-        """Every update matrix must have been extend-added exactly once."""
-        if any(u is not None for u in self.updates):
-            raise AssertionError("unconsumed update matrices remain")
-
-
-class GroupTasks:
-    """A :class:`SupernodeJob` as the scheduler's tasks: task ``t`` runs
-    supernodes ``bounds[t]`` .. ``bounds[t + 1] - 1`` in ascending order
-    (a whole subtree of grouped supernodes, or one larger supernode), and
-    ``sn_parent`` is the task forest — the scheduler's protocol, shared
-    with a job whose tasks are single nodes.  ``busy[t]`` is task
-    ``t``'s wall-clock seconds (disjoint slots, no locking)."""
-
-    def __init__(self, job: SupernodeJob, bounds: np.ndarray,
-                 parent: np.ndarray) -> None:
-        self.job = job
-        self.bounds = bounds.tolist()
-        self.sn_parent = parent
-        self.busy = np.zeros(len(parent))
+        self.bumped = np.zeros(len(ctx.layout), dtype=np.int64)
+        self.job = Job(ctx.c, self.buffer, values, self.bumped, block,
+                       perturb)
+        self.sn_parent = ctx.task_parent
+        self.busy = np.zeros(len(ctx.task_parent))
 
     def compute(self, t: int) -> None:
         t0 = time.perf_counter()
-        for i in range(self.bounds[t], self.bounds[t + 1]):
-            self.job.compute(i)
+        self.job.run_task(t)
         self.busy[t] = time.perf_counter() - t0
+
+    def check_consumed(self) -> None:
+        """Every update matrix must have been extend-added exactly once."""
+        if self.job.pending():
+            raise AssertionError("unconsumed update matrices remain")
 
 
 def run_scheduled(job, workers: int) -> ScheduleStats:

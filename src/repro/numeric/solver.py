@@ -221,7 +221,7 @@ class SparseSolver:
         else:
             pb = b[self._gather].reshape(n, k)
         with span("numeric.solve"):
-            solve_panel(self._factor.operands, pb, self.kind == "lu")
+            solve_panel(self._factor, pb)
             reg = global_registry()
             reg.counter("numeric.solve.count").inc()
             reg.counter("numeric.solve.rhs").inc(k)

@@ -20,18 +20,18 @@ Backward solve (L^T x = y) runs the supernodes in reverse.
 
 A supernode's pivot rows are the contiguous slice
 ``first_col:last_col + 1`` of the working panel, so the triangular solve
-runs in the panel's own memory; only the update rows need a gather.  The
-factorization leaves every operand ready (the factor's ``operands``
-table: pivot-row slice, the Fortran-contiguous ``L11^T``, ``L21``, the
-update rows, ``L21^T`` or ``U12``), so a sweep step is one ``dtrsm`` and
-one matrix product with nothing computed around them.
+runs in the panel's own memory; only the update rows need a gather.  Both
+sweeps are one call into the compiled core (``repro_solve`` in
+``_core.c``) over the factor's buffer: per supernode one ``dtrsm`` and one
+``dgemm`` (``dgemv`` for a single right-hand side), with nothing computed
+around them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.numeric import dense
+from repro.numeric.compiled import solve
 from repro.numeric.engine import Factor
 
 
@@ -45,37 +45,20 @@ def _as_panel(b: np.ndarray) -> tuple[np.ndarray, bool]:
     return y, False
 
 
-def solve_panel(operands, y: np.ndarray, lu: bool) -> None:
+def solve_panel(factor: Factor, y: np.ndarray) -> None:
     """Solve L U X = Y in place on ``y``, a private C-ordered (n, k)
-    float64 panel, over the per-supernode operand table: U = L^T for
-    Cholesky; for LU, L has a unit diagonal (the stored diagonal holds
-    U's pivots and is never read by the unit solve), U11 is the upper
-    triangle of the pivot block and U12 the pivot rows ``R``.  Every
-    right-hand-side block is a row slice of the panel, so ``dtrsm``
-    solves its Fortran-contiguous transpose in place."""
-    trsm = dense.dtrsm
-    # Forward: L Y = B, supernodes in postorder (Y^T L11^T = B^T, L11^T
-    # the upper triangle of the L11^T view).
-    for pivots, l11_t, l21, update_rows, _ in operands:
-        y_sn = y[pivots]
-        trsm(1.0, l11_t, y_sn.T, side=1, lower=0, diag=lu, overwrite_b=1)
-        if len(update_rows):
-            y[update_rows] -= l21 @ y_sn
-    # Backward: U X = Y, supernodes in reverse (X^T U11^T = Y^T; for LU
-    # U11^T is the lower triangle of the L11^T view, for Cholesky U11^T
-    # is L11, the transposed upper triangle).
-    for pivots, l11_t, _, update_rows, back in reversed(operands):
-        rhs = y[pivots]
-        if len(update_rows):
-            rhs -= back @ y[update_rows]
-        trsm(1.0, l11_t, rhs.T, side=1, lower=lu, trans_a=not lu,
-             overwrite_b=1)
+    float64 panel, over ``factor``: U = L^T for Cholesky; for LU, L has a
+    unit diagonal (the stored diagonal holds U's pivots and is never read
+    by the unit solve), U11 is the upper triangle of the pivot block and
+    U12 the pivot rows ``R``.  One call into the compiled core, which
+    releases the GIL."""
+    solve(factor.ctx.c, factor.buffer, y, factor.kind == "lu")
 
 
-def _supernodal_solve(operands, b: np.ndarray, lu: bool) -> np.ndarray:
+def _supernodal_solve(factor: Factor, b: np.ndarray) -> np.ndarray:
     """:func:`solve_panel` on a copy of the caller's ``b``."""
     y, was_vector = _as_panel(b)
-    solve_panel(operands, y, lu)
+    solve_panel(factor, y)
     return y[:, 0] if was_vector else y
 
 
@@ -86,7 +69,7 @@ def cholesky_solve(factor: Factor, b: np.ndarray) -> np.ndarray:
     permutation, as :class:`repro.numeric.solver.SparseSolver` does) and
     may be a vector or an (n, k) panel of right-hand sides.
     """
-    return _supernodal_solve(factor.operands, b, lu=False)
+    return _supernodal_solve(factor, b)
 
 
 def lu_solve(factors: Factor, b: np.ndarray) -> np.ndarray:
@@ -95,4 +78,4 @@ def lu_solve(factors: Factor, b: np.ndarray) -> np.ndarray:
     Same conventions as :func:`cholesky_solve`; ``b`` may be a vector or
     an (n, k) panel.
     """
-    return _supernodal_solve(factors.operands, b, lu=True)
+    return _supernodal_solve(factors, b)

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.numeric import SparseSolver
-from repro.numeric import dense
-from repro.numeric import schedule
+from repro.numeric import compiled, dense
 from repro.numeric.dense import (
     lu_front,
     partial_cholesky,
@@ -21,7 +20,7 @@ from repro.numeric.dense import (
     solve_lower_dense,
     solve_upper_dense,
 )
-from repro.numeric.supernodal_solve import cholesky_solve, lu_solve
+from repro.numeric.supernodal_solve import solve_panel
 from repro.sparse import circuit_like, grid_laplacian_3d
 from repro.sparse.csc import CSCMatrix
 from repro.verify.generators import build_case, family_names
@@ -182,11 +181,11 @@ class _BlasSpy:
     """Wraps an f2py routine; records, per call, whether each array
     (positional or keyword) went in Fortran-contiguous (no private copy)
     and whether the result is the very object passed in (solved in the
-    caller's memory).  Spies sharing one ``log`` record in call order."""
+    caller's memory)."""
 
-    def __init__(self, fn, in_place_arg, log=None):
+    def __init__(self, fn, in_place_arg):
         self.fn, self.in_place_arg = fn, in_place_arg
-        self.calls = [] if log is None else log
+        self.calls = []
 
     def __call__(self, *args, **kwargs):
         out = self.fn(*args, **kwargs)
@@ -198,9 +197,63 @@ class _BlasSpy:
             "contiguous": [a.flags.f_contiguous for a in arrays],
             "in_place": result is target
             and np.shares_memory(result, target),
-            "target": target,
         })
         return out
+
+
+class _CompiledSpy:
+    """Swaps the compiled core's pointers to the named BLAS/LAPACK
+    routines for recording wrappers that forward every call: per call the
+    routine's name, its flags and dimensions, and the address of every
+    array operand (``a``, ``b``, ``c``, ``x``, ``y``), in call order."""
+
+    PARAMS = {
+        "dgemm": "transa transb m n k alpha a lda b ldb beta c ldc",
+        "dgemv": "trans m n alpha a lda x incx beta y incy",
+        "dtrsm": "side uplo transa diag m n alpha a lda b ldb",
+        "dsyrk": "uplo trans n k alpha a lda beta c ldc",
+        "dpotrf": "uplo n a lda info",
+        "dgetrf": "m n a lda ipiv info",
+    }
+    FLAGS = {"transa", "transb", "trans", "side", "uplo", "diag"}
+    DIMS = {"m", "n", "k", "lda", "ldb", "ldc", "incx", "incy"}
+    ARRAYS = {"a", "b", "c", "x", "y"}
+
+    def __init__(self, *names):
+        self.names, self.calls, self._saved = names, [], {}
+
+    def __enter__(self):
+        ffi, table = compiled.ffi, compiled.lib.repro_blas
+        for name in self.names:
+            real = self._saved[name] = getattr(table, name)
+            params = self.PARAMS[name].split()
+
+            def spy(*args, _name=name, _real=real, _params=params):
+                call = {"routine": _name}
+                for param, arg in zip(_params, args):
+                    if param in self.FLAGS:
+                        call[param] = ffi.string(arg, 1).decode()
+                    elif param in self.DIMS:
+                        call[param] = arg[0]
+                    elif param in self.ARRAYS:
+                        call[param] = int(ffi.cast("uintptr_t", arg))
+                self.calls.append(call)
+                _real(*args)
+
+            self._saved[name, "callback"] = ffi.callback(
+                f"repro_{name}_t", spy)
+            setattr(table, name, self._saved[name, "callback"])
+        return self.calls
+
+    def __exit__(self, *exc):
+        for name in self.names:
+            setattr(compiled.lib.repro_blas, name, self._saved[name])
+
+
+def _offset(address, array):
+    """Element offset of ``address`` in ``array``'s memory, or None."""
+    offset, rest = divmod(address - array.ctypes.data, array.itemsize)
+    return offset if rest == 0 and 0 <= offset < array.size else None
 
 
 class TestNoCopies:
@@ -218,63 +271,64 @@ class TestNoCopies:
                    for c in spy.calls)
 
     @pytest.mark.parametrize("kind", ["cholesky", "lu"])
-    def test_supernodal_solve_never_copies_the_panel(self, monkeypatch,
-                                                     kind):
+    def test_supernodal_solve_never_copies_the_panel(self, kind):
+        """Two ``dtrsm`` per supernode, each solving a row band of the
+        caller's panel in place against L11 / U11 read where the factor
+        stores them."""
         matrix = (grid_laplacian_3d(6, seed=1) if kind == "cholesky"
                   else circuit_like(300, seed=2))
         solver = SparseSolver(matrix, kind=kind, use_cache=False)
-        spy = _BlasSpy(dense.dtrsm, in_place_arg=1)
-        monkeypatch.setattr(dense, "dtrsm", spy)
-        b = np.random.default_rng(0).standard_normal((matrix.n_rows, 32))
-        if kind == "cholesky":
-            cholesky_solve(solver.factor, b)
-        else:
-            lu_solve(solver.factor, b)
-        assert len(spy.calls) == 2 * len(solver.factor.operands)
-        assert all(c["in_place"] for c in spy.calls)
-        if kind == "cholesky":
-            # L11 is a row band of the stored block: no copy either.
-            assert all(c["contiguous"][0] for c in spy.calls)
+        factor = solver.factor
+        y = np.random.default_rng(0).standard_normal((matrix.n_rows, 32))
+        with _CompiledSpy("dtrsm") as calls:
+            solve_panel(factor, y)
+        assert len(calls) == 2 * len(factor.fronts)
+        assert all(_offset(c["b"], y) is not None and c["ldb"] == 32
+                   for c in calls)
+        assert all(_offset(c["a"], factor.buffer) is not None
+                   for c in calls)
 
-    def test_whole_front_panel_factors_in_place(self, monkeypatch):
+    def test_whole_front_panel_factors_in_place(self):
         """On every supernode no wider than ``block_size`` each LAPACK /
-        BLAS call gets Fortran-contiguous operands and works in the
-        memory of that supernode's P / R / C — except ``dgetrf``, which
-        factors a ``k x k`` copy (kept only if it needed no pivoting)."""
-        log = []
-        for name, arg in (("dpotrf", 0), ("dtrsm", 1), ("dsyrk", 1),
-                          ("dgemm", 2), ("dgetrf", 0)):
-            spy = _BlasSpy(getattr(dense, name), arg, log)
-            monkeypatch.setattr(dense, name, spy)
-        for kernel in ("cholesky_front", "lu_front"):
-            def front(*args, _real=getattr(schedule, kernel)):
-                log.append({"front": [a for a in args
-                                      if isinstance(a, np.ndarray)]})
-                return _real(*args)
-
-            monkeypatch.setattr(schedule, kernel, front)
+        BLAS call works in the memory of that supernode's P | R, whole
+        rows at a time (leading dimension ``k`` or ``m``), or in its
+        update block — except ``dgetrf``, which factors a ``k x k`` copy
+        (kept only if it needed no pivoting)."""
         block = 48
         for kind, matrix in (("cholesky", grid_laplacian_3d(6, seed=1)),
                              ("lu", circuit_like(300, seed=2))):
-            log.clear()
-            SparseSolver(matrix, kind=kind, block_size=block,
-                         use_cache=False)
-            checked, with_update = 0, 0
-            for call in log:
-                if "front" in call:
-                    arrays = call["front"]
-                    k = arrays[0].shape[1]
-                    with_update += k <= block and arrays[-1].size > 0
+            with _CompiledSpy("dpotrf", "dtrsm", "dsyrk", "dgemm",
+                              "dgetrf") as calls:
+                solver = SparseSolver(matrix, kind=kind, block_size=block,
+                                      use_cache=False)
+            buffer = solver.factor.buffer
+            layout = solver.factor.ctx.layout
+            checked, with_update, copies = 0, 0, 0
+            for call in calls:
+                offsets = {key: _offset(call[key], buffer)
+                           for key in "abc" if key in call}
+                inside = [off for off in offsets.values() if off is not None]
+                if call["routine"] == "dgetrf":
+                    assert not inside and call["lda"] == call["n"]
+                    copies += 1
                     continue
+                sn = {int(np.searchsorted(layout[:, 2], off, "right")) - 1
+                      for off in inside}
+                assert len(sn) == 1, call
+                k, m, lo, _, hi, _, _ = layout[sn.pop()]
+                assert all(lo <= off < hi for off in inside)
                 if k > block:
                     continue
                 checked += 1
-                assert call["in_place"] and all(call["contiguous"])
-                if not any(np.shares_memory(call["target"], a)
-                           for a in arrays):
-                    assert kind == "lu" and call["target"].shape == (k, k)
-            # At least the rank-k update of every narrow front with one.
-            assert with_update and checked > with_update, kind
+                assert all(call[f"ld{key}"] in (k, m) for key in offsets)
+                outside = [key for key, off in offsets.items() if off is None]
+                if outside:
+                    # The rank-k update into the front's own C.
+                    assert outside == ["c"] and call["ldc"] == m
+                    with_update += 1
+            n_updates = int((layout[:, 1] > 0).sum())
+            assert with_update == n_updates and checked > with_update, kind
+            assert (copies > 0) == (kind == "lu")
 
 
 def _decoupled_pivot(rng, size, position, value):
@@ -402,17 +456,16 @@ class TestPivotBlockLU:
         pytest.param([[1, 1, 0], [1, 1 + 1e-13, 0], [0, 0, 2]], 1e-8, 1,
                      id="small-reduced-pivot"),
     ])
-    def test_rejected_dgetrf_matches_reference(self, rng, monkeypatch,
-                                               pivots, perturb, bumped):
+    def test_rejected_dgetrf_matches_reference(self, rng, pivots, perturb,
+                                               bumped):
         front = rng.standard_normal((7, 7))
         front[:3, :3] = pivots
-        spy = _BlasSpy(dense.dgetrf, in_place_arg=0)
-        monkeypatch.setattr(dense, "dgetrf", spy)
         got, reference = _split_front(front, 3), _split_front(front, 3)
-        assert lu_front(*got, perturb=perturb) == bumped
-        assert len(spy.calls) == 1
-        assert lu_front(*reference, perturb=perturb, block=1) == bumped
-        assert len(spy.calls) == 1
+        with _CompiledSpy("dgetrf") as calls:
+            assert lu_front(*got, perturb=perturb) == bumped
+            assert len(calls) == 1
+            assert lu_front(*reference, perturb=perturb, block=1) == bumped
+            assert len(calls) == 1
         for a, b in zip(got, reference):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 

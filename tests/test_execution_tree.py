@@ -152,7 +152,7 @@ def test_solutions_agree_with_the_symbolic_tree(monkeypatch, label):
     merged = SparseSolver(matrix, kind=kind, use_cache=False)
     _no_merge(monkeypatch)
     plain = SparseSolver(matrix, kind=kind, use_cache=False)
-    assert len(merged.factor.operands) <= len(plain.factor.operands)
+    assert len(merged.factor.fronts) <= len(plain.factor.fronts)
     bumped = getattr(merged.factor, "perturbed_pivots", 0) \
         + getattr(plain.factor, "perturbed_pivots", 0)
     x, x_ref = merged.solve(b), plain.solve(b)

@@ -18,9 +18,9 @@ import pytest
 
 from repro.numeric import SparseSolver, engine
 from repro.numeric.engine import numeric_context, row_permutation_data_map
-from repro.numeric.schedule import SupernodeJob
 from repro.ordering.pivoting import apply_static_pivoting
 from repro.sparse import circuit_like, grid_laplacian_3d
+from repro.sparse.csc import CSCMatrix
 from repro.verify.generators import build_case, family_names
 
 from .golden_oracles import _arange_csc
@@ -85,38 +85,65 @@ def test_same_bits_whatever_is_grouped(monkeypatch, label, family, seed,
 def test_children_in_other_tasks_share_one_arena(monkeypatch):
     """A grouped parent whose subtree also holds a larger supernode is a
     task of its own; its children then run in other tasks, possibly at
-    once, and whichever asks first allocates the parent's arena.  Eight
-    threads asking for every arena at once must all get the same one (a
-    second allocation would lose a child's update block)."""
+    once, and whichever asks first allocates the parent's arena.  Fifty
+    factorizations on four threads must all be bit-identical to one
+    thread (a second allocation would lose a child's update block)."""
     monkeypatch.setattr(engine, "GROUP_FRONT_MAX", 48)
     matrix, kind = _matrix("circuit2000")
-    solver = SparseSolver(matrix, kind=kind, use_cache=False)
+    solver = SparseSolver(matrix, kind=kind, workers=1, use_cache=False)
     ctx = numeric_context(solver.symbolic, solver._matrix)
     task_of = np.repeat(np.arange(ctx.n_tasks), np.diff(ctx.task_bounds))
     assert any(len(set(task_of[kids])) > 1
                for kids, size in zip(ctx.kids, ctx.arena_len) if size)
-    job = SupernodeJob(ctx, ctx.permuted_data(solver._matrix), 48, 0.0)
-    parents = [p for p, size in enumerate(ctx.arena_len) if size]
-    barrier = threading.Barrier(8)
-    got = [[] for _ in range(8)]
-
-    def ask(t):
-        barrier.wait(timeout=10)
-        got[t] = [job._arena(p) for p in parents]
-
+    reference = solver.factor.buffer.copy()
+    solver.workers = 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=ask, args=(t,)) for t in range(8)]
+        for _ in range(50):
+            solver.refactorize(matrix)
+            assert np.array_equal(solver.factor.buffer, reference)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["cholesky", "lu"])
+def test_two_jobs_share_one_context_on_two_threads(kind):
+    """Two solvers on one cached analysis (so one numeric context) and
+    different values refactorize on two threads at once, 20 times each;
+    the compiled tasks run without the GIL, so the jobs overlap.  Every
+    factor and solution must equal its serial bits: a job's state is its
+    own, the shared context is only read."""
+    matrix, _ = _matrix(STRADDLING[kind])
+    scaled = CSCMatrix(matrix.n_rows, matrix.n_cols, matrix.indptr,
+                       matrix.indices, matrix.data * 1.5)
+    solvers = [SparseSolver(a, kind=kind) for a in (matrix, scaled)]
+    assert solvers[0].symbolic is solvers[1].symbolic
+    b = np.random.default_rng(2).standard_normal((matrix.n_rows, 4))
+    serial = [(s.factor.buffer.copy(), s.solve(b)) for s in solvers]
+    mismatches = []
+
+    def run(index, values):
+        solver = solvers[index]
+        for _ in range(20):
+            solver.refactorize(values)
+            if not (np.array_equal(solver.factor.buffer, serial[index][0])
+                    and np.array_equal(solver.solve(b), serial[index][1])):
+                mismatches.append(index)
+
+    threads = [threading.Thread(target=run, args=(i, a))
+               for i, a in enumerate((matrix, scaled))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=30)
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert all(a is b for arenas in got[1:] for a, b in zip(got[0], arenas))
-    assert all(len(arenas) == len(parents) for arenas in got)
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("kind", ["cholesky", "lu"])

@@ -138,7 +138,7 @@ class _FakeSupernode:
 
 
 class _FakeJob:
-    """Minimal SupernodeJob stand-in recording completion order."""
+    """Minimal FactorTasks stand-in recording completion order."""
 
     def __init__(self, sn_parent, fail_at=None, sleep_s=0.0):
         self.sn_parent = np.asarray(sn_parent, dtype=np.int64)

@@ -14,7 +14,6 @@ import pytest
 import repro.numeric.schedule as schedule_mod
 from repro.cli import main
 from repro.numeric import SparseSolver
-from repro.numeric.dense import cholesky_front as real_cholesky_front
 from repro.obs.metrics import global_registry
 from repro.verify import (
     CaseResult,
@@ -45,6 +44,8 @@ from repro.verify.generators import (
     structurally_singular,
 )
 from repro.verify.shrink import failure_predicate, principal_submatrix
+
+real_compute = schedule_mod.FactorTasks.compute
 
 
 # -- generators ----------------------------------------------------------------
@@ -305,17 +306,22 @@ class TestMutation:
     removed."""
 
     @staticmethod
-    def _buggy_cholesky_front(panel, update, block=None):
-        real_cholesky_front(panel, update, block)
-        # Corrupt the last pivot's diagonal — fires on every front, even
-        # the 1x1 fronts of diagonal matrices and fully amalgamated ones.
-        k = panel.shape[1]
-        panel[k - 1, k - 1] *= 1.0 + 1e-3
+    def _buggy_compute(tasks, t):
+        real_compute(tasks, t)
+        # Corrupt the last pivot's diagonal of every Cholesky front the
+        # task factored — fires on every front, even the 1x1 fronts of
+        # diagonal matrices and fully amalgamated ones.
+        ctx = tasks.ctx
+        if ctx.symbolic.kind != "cholesky":
+            return
+        for k, _, lo, _, _, _, _ in ctx.layout[
+                ctx.task_bounds[t]:ctx.task_bounds[t + 1]]:
+            tasks.buffer[lo + (k - 1) * k + k - 1] *= 1.0 + 1e-3
 
     def test_injected_bug_is_caught_shrunk_and_replayable(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(schedule_mod, "cholesky_front",
-                            self._buggy_cholesky_front)
+        monkeypatch.setattr(schedule_mod.FactorTasks, "compute",
+                            self._buggy_compute)
         config = VerifyConfig(
             seed=0, budget_seconds=120.0, max_cases=4, max_n=18,
             out_dir=str(tmp_path), shrink_seconds=6.0,
@@ -344,6 +350,6 @@ class TestMutation:
         case = build_case("spd_random", seed=1, max_n=14)
         fails = failure_predicate(case, match_axes={"oracle"})
         assert not fails(case.matrix)
-        monkeypatch.setattr(schedule_mod, "cholesky_front",
-                            self._buggy_cholesky_front)
+        monkeypatch.setattr(schedule_mod.FactorTasks, "compute",
+                            self._buggy_compute)
         assert fails(case.matrix)
