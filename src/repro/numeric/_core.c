@@ -1,4 +1,5 @@
-/* The numeric engine's compiled supernode loop.
+/* The compiled core: the numeric engine's supernode loop, and the
+ * approximate minimum degree ordering (repro_amd, the last section).
  *
  * One call runs one scheduler task of a multifrontal factorization
  * (repro_run_task) or one whole supernodal solve (repro_solve), reading
@@ -23,6 +24,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #include "_core.h"
 
@@ -482,4 +484,420 @@ int repro_solve(const repro_ctx *c, const double *buf, double *y,
     }
     free(g);
     return 0;
+}
+
+/* -- approximate minimum degree ------------------------------------------ */
+
+/* The quotient-graph AMD repro.ordering.minimum_degree calls (the
+ * algorithm and its measurements: docs/ORDERING.md, "amd").  Every tie
+ * rule is part of the output, so each has a structure that keeps it:
+ *  - degree buckets are doubly linked lists pushed and popped at the
+ *    head: the pivot is the most recently (re)inserted vertex of least
+ *    degree, and any vertex unlinks in O(1);
+ *  - L_p is A_p, then each absorbed element's list, a vertex kept at its
+ *    first occurrence (stamped with p);
+ *  - supervariables: a variable's signature (E_i, p, A_i) is compared
+ *    word for word through a per-pivot hash table, and the first variable
+ *    with a signature keeps it;
+ *  - members are linked lists headed by their vertex, concatenated in
+ *    place, so they stay in merge order;
+ *  - a variable's E_i then A_i, and an element's L_e, are ranges of one
+ *    pool, compacted when it fills.
+ * All of it is workspace of one call: orderings run concurrently. */
+
+typedef struct {
+    int64_t n;
+    int64_t *pool, used, cap;
+    int64_t *vstart, *vcap, *elen, *alen;  /* variable i: E_i, then A_i */
+    int64_t *estart, *evlen;               /* element e: L_e */
+    int64_t *weight;  /* supervariable size; 0 = dead, < 0 = in L_p */
+} amd_lists;
+
+typedef struct {
+    amd_lists l;
+    int64_t *esize;   /* |L_e| in original variables */
+    int64_t *degree, *w;  /* w[e] = |L_e \ L_p| for the elements p touched */
+    int64_t *bhead, *bnext, *bprev;  /* degree buckets */
+    int64_t *mtail, *mnext, *msize;  /* members of v: v, mnext[v], ... */
+    int64_t *parent;  /* assembly tree: the pivot that absorbed e */
+    int64_t *pivots, npiv;
+    int64_t *lpmark, *emark, *lp, *touched, *hash, *htab, *tmp;
+} amd_ws;
+
+/* Room for k more words at the end of the pool.  When it is full, the
+ * live lists (variables of nonzero weight, elements with a list) move to
+ * a fresh pool, twice their size if they fill more than half of it. */
+static int amd_reserve(amd_lists *l, int64_t k)
+{
+    if (l->used + k <= l->cap)
+        return 0;
+    int64_t live = k;
+    for (int64_t v = 0; v < l->n; v++)
+        live += (l->weight[v] ? l->elen[v] + l->alen[v] : 0) + l->evlen[v];
+    int64_t cap = 2 * live > l->cap ? 2 * live : l->cap;
+    int64_t *pool = malloc((size_t)cap * sizeof(int64_t)), used = 0;
+    if (!pool)
+        return REPRO_NO_MEMORY;
+    for (int64_t v = 0; v < l->n; v++) {
+        if (l->weight[v]) {
+            int64_t len = l->elen[v] + l->alen[v];
+            memcpy(pool + used, l->pool + l->vstart[v],
+                   (size_t)len * sizeof(int64_t));
+            l->vstart[v] = used;
+            l->vcap[v] = len;
+            used += len;
+        }
+        if (l->evlen[v]) {
+            memcpy(pool + used, l->pool + l->estart[v],
+                   (size_t)l->evlen[v] * sizeof(int64_t));
+            l->estart[v] = used;
+            used += l->evlen[v];
+        }
+    }
+    free(l->pool);
+    l->pool = pool;
+    l->used = used;
+    l->cap = cap;
+    return 0;
+}
+
+static void bucket_push(amd_ws *a, int64_t d, int64_t v)
+{
+    a->bprev[v] = -1;
+    a->bnext[v] = a->bhead[d];
+    if (a->bhead[d] >= 0)
+        a->bprev[a->bhead[d]] = v;
+    a->bhead[d] = v;
+}
+
+static void bucket_unlink(amd_ws *a, int64_t d, int64_t v)
+{
+    if (a->bprev[v] >= 0)
+        a->bnext[a->bprev[v]] = a->bnext[v];
+    else
+        a->bhead[d] = a->bnext[v];
+    if (a->bnext[v] >= 0)
+        a->bprev[a->bnext[v]] = a->bprev[v];
+}
+
+/* members[to] += members[from] */
+static void merge_members(amd_ws *a, int64_t to, int64_t from)
+{
+    a->mnext[a->mtail[to]] = from;
+    a->mtail[to] = a->mtail[from];
+    a->msize[to] += a->msize[from];
+}
+
+/* Eliminate until nothing remains or the dense tail starts (the minimum
+ * degree above half of what remains, with more than 32 left). */
+static int amd_eliminate(amd_ws *a)
+{
+    amd_lists *l = &a->l;
+    int64_t n = l->n, *weight = l->weight, *tmp = a->tmp;
+    int64_t remaining = n, mindeg = 0;
+    while (remaining) {
+        while (mindeg <= n && a->bhead[mindeg] < 0)
+            mindeg++;
+        if (mindeg > n)
+            return REPRO_BAD_ORDER;
+        if (remaining > 32 && 2 * mindeg > remaining)
+            break;
+        int64_t p = a->bhead[mindeg];
+        bucket_unlink(a, mindeg, p);
+        a->pivots[a->npiv++] = p;
+        remaining -= weight[p];
+        weight[p] = 0;
+
+        /* L_p: the live variables of A_p and of each L_e, e in E_p, in
+         * order of first occurrence; E_p is absorbed into p. */
+        int64_t nlp = 0;
+        const int64_t *Ep = l->pool + l->vstart[p], *Ap = Ep + l->elen[p];
+        for (int64_t q = -1; q < l->elen[p]; q++) {
+            const int64_t *vars = q < 0 ? Ap : l->pool + l->estart[Ep[q]];
+            int64_t len = q < 0 ? l->alen[p] : l->evlen[Ep[q]];
+            for (int64_t r = 0; r < len; r++) {
+                int64_t i = vars[r];
+                if (weight[i] > 0 && a->lpmark[i] != p) {
+                    a->lpmark[i] = p;
+                    a->lp[nlp++] = i;
+                }
+            }
+        }
+        for (int64_t q = 0; q < l->elen[p]; q++) {
+            l->evlen[Ep[q]] = 0;
+            a->esize[Ep[q]] = 0;
+            a->parent[Ep[q]] = p;
+        }
+
+        /* Counting pass: w[e] = |L_e| less what lies in L_p; an element
+         * L_p covers is absorbed too. */
+        int64_t ntouched = 0, pivot_size = 0;
+        for (int64_t k = 0; k < nlp; k++) {
+            int64_t i = a->lp[k], wi = weight[i];
+            const int64_t *Ei = l->pool + l->vstart[i];
+            weight[i] = -wi;
+            pivot_size += wi;
+            bucket_unlink(a, a->degree[i], i);
+            for (int64_t q = 0; q < l->elen[i]; q++) {
+                int64_t e = Ei[q];
+                if (a->emark[e] != p) {
+                    a->emark[e] = p;
+                    a->w[e] = a->esize[e];
+                    a->touched[ntouched++] = e;
+                }
+                a->w[e] -= wi;
+            }
+        }
+        for (int64_t k = 0; k < ntouched; k++)
+            if (!a->w[a->touched[k]]) {
+                l->evlen[a->touched[k]] = 0;
+                a->parent[a->touched[k]] = p;
+            }
+
+        /* Degree update, absorption, mass elimination, supervariables.
+         * A survivor's new list (E_i, p, A_i) is built in tmp, which is
+         * also its signature. */
+        int64_t H = 2, nsurv = 0;
+        while (H < 2 * nlp)
+            H *= 2;
+        for (int64_t h = 0; h < H; h++)
+            a->htab[h] = -1;
+        for (int64_t k = 0; k < nlp; k++) {
+            int64_t i = a->lp[k], ne = 0, na = 0;
+            const int64_t *Ei = l->pool + l->vstart[i], *Ai = Ei + l->elen[i];
+            for (int64_t q = 0; q < l->elen[i]; q++)
+                if (a->w[Ei[q]] > 0)
+                    tmp[ne++] = Ei[q];
+            int64_t *nbrs = tmp + ne + 1;
+            for (int64_t q = 0; q < l->alen[i]; q++)
+                if (weight[Ai[q]] > 0)
+                    nbrs[na++] = Ai[q];
+            if (!ne && !na) {
+                merge_members(a, p, i);
+                remaining += weight[i];
+                pivot_size += weight[i];
+                weight[i] = 0;
+                continue;
+            }
+            tmp[ne] = p;
+            int64_t len = ne + 1 + na, twin = -1;
+            uint64_t hash = 14695981039346656037u;
+            for (int64_t q = 0; q < len; q++)
+                hash = (hash ^ (uint64_t)tmp[q]) * 1099511628211u;
+            int64_t slot = (int64_t)(hash & (uint64_t)(H - 1));
+            for (; a->htab[slot] >= 0; slot = (slot + 1) & (H - 1)) {
+                int64_t t = a->htab[slot];
+                if (a->hash[t] == (int64_t)hash && l->elen[t] == ne + 1
+                    && l->alen[t] == na
+                    && !memcmp(l->pool + l->vstart[t], tmp,
+                               (size_t)len * sizeof(int64_t))) {
+                    twin = t;
+                    break;
+                }
+            }
+            if (twin >= 0) {
+                merge_members(a, twin, i);
+                weight[twin] += weight[i];
+                weight[i] = 0;
+                continue;
+            }
+            a->htab[slot] = i;
+            a->hash[i] = (int64_t)hash;
+            int64_t d = 0;
+            for (int64_t q = 0; q < ne; q++)
+                d += a->w[tmp[q]];
+            for (int64_t q = 0; q < na; q++)
+                d += weight[nbrs[q]];
+            if (d < a->degree[i])
+                a->degree[i] = d;
+            if (len > l->vcap[i]) {
+                if (amd_reserve(l, len))
+                    return REPRO_NO_MEMORY;
+                l->vstart[i] = l->used;
+                l->vcap[i] = len;
+                l->used += len;
+            }
+            memcpy(l->pool + l->vstart[i], tmp, (size_t)len * sizeof(int64_t));
+            l->elen[i] = ne + 1;
+            l->alen[i] = na;
+            a->lp[nsurv++] = i;
+        }
+
+        /* p becomes the element L_p = its survivors. */
+        if (amd_reserve(l, nsurv))
+            return REPRO_NO_MEMORY;
+        memcpy(l->pool + l->used, a->lp, (size_t)nsurv * sizeof(int64_t));
+        l->estart[p] = l->used;
+        l->evlen[p] = nsurv;
+        l->used += nsurv;
+        a->esize[p] = pivot_size;
+        for (int64_t k = 0; k < nsurv; k++) {
+            int64_t i = a->lp[k], wi = weight[i] = -weight[i];
+            int64_t d = a->degree[i] + pivot_size - wi;
+            if (d > remaining - wi)
+                d = remaining - wi;
+            if (d < 0 || d > n)
+                return REPRO_BAD_ORDER;
+            a->degree[i] = d;
+            bucket_push(a, d, i);
+            if (d < mindeg)
+                mindeg = d;
+        }
+    }
+    return 0;
+}
+
+/* A sort record: (a, b, c) ascending, then the index k. */
+typedef struct {
+    int64_t a, b, c, k;
+} amd_key;
+
+static int amd_key_cmp(const void *x, const void *y)
+{
+    const amd_key *s = x, *t = y;
+    if (s->a != t->a)
+        return s->a < t->a ? -1 : 1;
+    if (s->b != t->b)
+        return s->b < t->b ? -1 : 1;
+    if (s->c != t->c)
+        return s->c < t->c ? -1 : 1;
+    return (s->k > t->k) - (s->k < t->k);
+}
+
+/* Append the members of v to perm; returns the new count (which may pass
+ * n: only the first n are stored). */
+static int64_t emit_members(const amd_ws *a, int64_t v, int64_t *perm,
+                            int64_t count)
+{
+    int64_t n = a->l.n;
+    for (; v >= 0 && count <= n; v = a->mnext[v], count++)
+        if (count < n)
+            perm[count] = v;
+    return count;
+}
+
+/* The pivots in a postorder of their assembly tree -- roots ascending,
+ * siblings by (subtree size <= foldable, -size if so, else size), then
+ * index -- and after them the dense tail by (degree, index).  Returns
+ * how many vertices that orders. */
+static int64_t amd_emit(amd_ws *a, int64_t foldable, int64_t *perm,
+                        amd_key *keys, int64_t *tree)
+{
+    int64_t n = a->l.n, np = a->npiv, *rank = a->lpmark, count = 0;
+    int64_t *cols = tree + n, *first = cols + n, *stack = first + n;
+    for (int64_t v = 0; v < n; v++)
+        rank[v] = -1;
+    for (int64_t k = 0; k < np; k++)
+        rank[a->pivots[k]] = k;
+    for (int64_t k = 0; k < np; k++) {
+        int64_t up = a->parent[a->pivots[k]];
+        tree[k] = up >= 0 ? rank[up] : -1;
+        cols[k] = a->msize[a->pivots[k]];
+    }
+    for (int64_t k = 0; k < np; k++)
+        if (tree[k] >= 0)
+            cols[tree[k]] += cols[k];
+    int64_t nk = 0;
+    for (int64_t k = 0; k < np; k++)
+        if (tree[k] >= 0) {
+            int64_t small = cols[k] <= foldable;
+            keys[nk++] = (amd_key){tree[k], small, small ? -cols[k] : cols[k],
+                                   k};
+        }
+    qsort(keys, (size_t)nk, sizeof(amd_key), amd_key_cmp);
+    /* first[v]: v's next child, keys[first[v]] while its .a is v. */
+    for (int64_t u = 0, j = 0; u < np; u++) {
+        first[u] = j;
+        while (j < nk && keys[j].a == u)
+            j++;
+    }
+    for (int64_t root = 0; root < np; root++) {
+        if (tree[root] >= 0)
+            continue;
+        int64_t top = 0;
+        stack[top++] = root;
+        while (top) {
+            int64_t v = stack[top - 1];
+            if (first[v] < nk && keys[first[v]].a == v)
+                stack[top++] = keys[first[v]++].k;
+            else {
+                top--;
+                count = emit_members(a, a->pivots[v], perm, count);
+            }
+        }
+    }
+    int64_t nt = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (a->l.weight[v] > 0)
+            keys[nt++] = (amd_key){a->degree[v], 0, 0, v};
+    qsort(keys, (size_t)nt, sizeof(amd_key), amd_key_cmp);
+    for (int64_t j = 0; j < nt; j++)
+        count = emit_members(a, keys[j].k, perm, count);
+    return count;
+}
+
+int repro_amd(int64_t n, const int64_t *indptr, const int64_t *indices,
+              int64_t foldable, int64_t *perm, repro_status *st)
+{
+    *st = (repro_status){0, -1, 0, 0.0};
+    int64_t H = 2;
+    while (H < 2 * n)
+        H *= 2;
+    /* 23 arrays of n + 1, tmp (2n + 2) and htab (H); after the
+     * elimination, amd_emit's tree, cols, first and stack (4n) reuse
+     * the first of them. */
+    size_t words = 25 * (size_t)(n + 1) + (size_t)H;
+    int64_t *ws = malloc(words * sizeof(int64_t));
+    amd_key *keys = malloc((size_t)(n + 1) * sizeof(amd_key));
+    amd_ws a = {.l = {.n = n, .cap = indptr[n] + n + 1}};
+    a.l.pool = malloc((size_t)a.l.cap * sizeof(int64_t));
+    if (!ws || !keys || !a.l.pool) {
+        free(ws);
+        free(keys);
+        free(a.l.pool);
+        st->code = REPRO_NO_MEMORY;
+        return REPRO_NO_MEMORY;
+    }
+    int64_t *at = ws;
+    int64_t **arrays[] = {
+        &a.l.vstart, &a.l.vcap, &a.l.elen, &a.l.alen, &a.l.estart,
+        &a.l.evlen, &a.l.weight, &a.esize, &a.degree, &a.w, &a.bhead,
+        &a.bnext, &a.bprev, &a.mtail, &a.mnext, &a.msize, &a.parent,
+        &a.pivots, &a.lpmark, &a.emark, &a.lp, &a.touched, &a.hash};
+    for (size_t j = 0; j < sizeof(arrays) / sizeof(arrays[0]); j++, at += n + 1)
+        *arrays[j] = at;
+    a.tmp = at;
+    a.htab = at + 2 * (n + 1);
+
+    memcpy(a.l.pool, indices, (size_t)indptr[n] * sizeof(int64_t));
+    a.l.used = indptr[n];
+    a.bhead[n] = -1;
+    for (int64_t v = 0; v < n; v++) {
+        a.l.vstart[v] = indptr[v];
+        a.l.vcap[v] = a.l.alen[v] = a.degree[v] = indptr[v + 1] - indptr[v];
+        a.l.elen[v] = a.l.estart[v] = a.l.evlen[v] = a.esize[v] = a.w[v] = 0;
+        a.l.weight[v] = a.msize[v] = 1;
+        a.mtail[v] = v;
+        a.bhead[v] = a.mnext[v] = a.parent[v] = -1;
+        a.lpmark[v] = a.emark[v] = -1;
+    }
+    int rc = 0;
+    for (int64_t v = 0; v < n && !rc; v++) {
+        if (a.degree[v] > n)
+            rc = REPRO_BAD_ORDER;
+        else
+            bucket_push(&a, a.degree[v], v);
+    }
+    if (!rc)
+        rc = amd_eliminate(&a);
+    free(a.l.pool);
+    if (!rc) {
+        st->pos = amd_emit(&a, foldable, perm, keys, ws);
+        if (st->pos != n)
+            rc = REPRO_BAD_ORDER;
+    }
+    free(keys);
+    free(ws);
+    st->code = rc;
+    return rc;
 }

@@ -34,6 +34,7 @@ extern repro_blas_t repro_blas;
 #define REPRO_NON_FINITE 2
 #define REPRO_ZERO_PIVOT 3
 #define REPRO_NO_MEMORY 4
+#define REPRO_BAD_ORDER 5  /* the ordering placed pos vertices, not n */
 
 typedef struct {
     int64_t code;   /* 0, or one of the REPRO_* codes */
@@ -79,3 +80,11 @@ void repro_job_free(repro_job *job);
 int repro_run_task(repro_job *job, int64_t t, repro_status *st);
 int repro_solve(const repro_ctx *c, const double *buf, double *y,
                 int64_t nrhs, int lu);
+
+/* The approximate minimum degree permutation (new -> old) of the graph
+ * indptr/indices (each vertex's neighbours, no self-loops, none twice),
+ * into perm (n entries); subtrees of at most foldable columns go last
+ * among their siblings.  Returns 0, REPRO_NO_MEMORY or REPRO_BAD_ORDER
+ * (also in st->code; st->pos is how many vertices were placed). */
+int repro_amd(int64_t n, const int64_t *indptr, const int64_t *indices,
+              int64_t foldable, int64_t *perm, repro_status *st);

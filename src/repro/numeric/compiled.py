@@ -1,13 +1,14 @@
-"""The compiled supernode loop: build, load and call ``_core.c``.
+"""The compiled core: build, load and call ``_core.c``.
 
 The numeric engine's per-supernode work — extend-add, the dense front
-kernels, the supernodal solve — is one C unit (``_core.c`` and its
-interface ``_core.h``, shipped as package data) called through cffi in
-API mode.  It calls the LAPACK/BLAS
+kernels, the supernodal solve — and the minimum degree ordering are one
+C unit (``_core.c`` and its interface ``_core.h``, shipped as package
+data) called through cffi in API mode.  It calls the LAPACK/BLAS
 routines that ``scipy.linalg.cython_blas`` / ``cython_lapack`` export (the
 same OpenBLAS the ``scipy.linalg`` wrappers call), whose addresses it is
 given once, at import.  cffi releases the GIL for every call, so the
-scheduler's worker threads run tasks at the same time.
+scheduler's worker threads run tasks at the same time, and threads
+order at the same time.
 
 The module is built when this module is imported — no timed region pays
 for it — into a per-user cache (``~/.cache/repro``, or the temporary
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.linalg.cython_blas as _cython_blas
 import scipy.linalg.cython_lapack as _cython_lapack
 
-__all__ = ["Context", "Job", "build", "front", "solve"]
+__all__ = ["Context", "Job", "build", "front", "minimum_degree", "solve"]
 
 SOURCE_PATH = Path(__file__).with_name("_core.c")
 
@@ -68,11 +69,15 @@ def default_cache_dir() -> Path:
 
 
 def build(cache_dir: str | os.PathLike | None = None,
-          source: str | None = None):
+          source: str | None = None,
+          compile_args: list[str] | None = None):
     """Load the compiled unit for ``source`` (default: ``_core.c``) from
     ``cache_dir`` (default: :func:`default_cache_dir`), compiling it into
-    the cache first if no build of this exact source is there.  Returns
-    the cffi extension module (``.ffi``, ``.lib``).
+    the cache first if no build of this exact source is there.
+    ``compile_args`` (default :data:`COMPILE_ARGS`) are passed to the
+    compiler and the linker; they are part of the cache key, so builds
+    with different flags never collide.  Returns the cffi extension
+    module (``.ffi``, ``.lib``).
 
     Raises:
         ImportError: the module could not be built (no C compiler, or no
@@ -80,19 +85,21 @@ def build(cache_dir: str | os.PathLike | None = None,
     """
     if source is None:
         source = SOURCE_PATH.read_text()
-    key = "\0".join((CDEF, source, " ".join(COMPILE_ARGS), cffi.__version__))
+    args = COMPILE_ARGS if compile_args is None else list(compile_args)
+    key = "\0".join((CDEF, source, " ".join(args), cffi.__version__))
     name = "_repro_core_" + hashlib.sha256(key.encode()).hexdigest()[:16]
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     target = cache / (name + sysconfig.get_config_var("EXT_SUFFIX"))
     if not target.exists():
-        _compile(name, source, cache, target)
+        _compile(name, source, cache, target, args)
     spec = importlib.util.spec_from_file_location(name, target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _compile(name: str, source: str, cache: Path, target: Path) -> None:
+def _compile(name: str, source: str, cache: Path, target: Path,
+             args: list[str]) -> None:
     """Compile in a private directory, then publish atomically."""
     cache.mkdir(parents=True, exist_ok=True)
     work = tempfile.mkdtemp(prefix=name + ".", dir=cache)
@@ -101,7 +108,7 @@ def _compile(name: str, source: str, cache: Path, target: Path) -> None:
         ffi.cdef(CDEF)
         ffi.set_source(name, "#include <stdint.h>\n" + source,
                        include_dirs=[str(SOURCE_PATH.parent)],
-                       extra_compile_args=COMPILE_ARGS)
+                       extra_compile_args=args, extra_link_args=args)
         built = ffi.compile(tmpdir=work)
         os.replace(built, target)
     except Exception as exc:  # noqa: BLE001 - one error for every cause
@@ -124,12 +131,20 @@ def _capsule_pointer(capsule) -> int:
     return get_pointer(capsule, get_name(capsule))
 
 
-_module = build()
-ffi, lib = _module.ffi, _module.lib
-for _routine, _owner in ROUTINES.items():
-    setattr(lib.repro_blas, _routine,
-            ffi.cast(f"repro_{_routine}_t",
-                     _capsule_pointer(_owner.__pyx_capi__[_routine])))
+def _bind(module) -> None:
+    """Make ``module`` (a :func:`build` result) the unit every function
+    here calls, and hand it the BLAS/LAPACK addresses.  Done once, at
+    import; ``scripts/sanitized.py`` calls it again, before any call,
+    to run on a sanitizer build."""
+    global ffi, lib
+    ffi, lib = module.ffi, module.lib
+    for routine, owner in ROUTINES.items():
+        setattr(lib.repro_blas, routine,
+                ffi.cast(f"repro_{routine}_t",
+                         _capsule_pointer(owner.__pyx_capi__[routine])))
+
+
+_bind(build())
 
 
 # -- calling it ---------------------------------------------------------------
@@ -247,3 +262,26 @@ def solve(c_ctx: Context, buffer: np.ndarray, y: np.ndarray,
                        _doubles(y), y.shape[1], lu):
         raise MemoryError("the numeric core could not allocate the solve "
                           "workspace")
+
+
+def minimum_degree(indptr: np.ndarray, indices: np.ndarray,
+                   foldable: int) -> np.ndarray:
+    """The approximate-minimum-degree permutation (new -> old) of the
+    graph ``indptr``/``indices`` (see ``repro_amd`` in ``_core.c``)."""
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    n = len(indptr) - 1
+    if (n < 0 or indptr[0] != 0 or indptr[-1] != len(indices)
+            or np.any(indptr[1:] < indptr[:-1])
+            or (len(indices) and not 0 <= indices.min() <= indices.max() < n)):
+        raise ValueError("indptr/indices are not the adjacency lists of "
+                         "len(indptr) - 1 vertices")
+    perm = np.empty(n, dtype=np.int64)
+    status = ffi.new("repro_status *")
+    lib.repro_amd(n, _int64s(indptr), _int64s(indices), foldable,
+                  ffi.from_buffer("int64_t[]", perm), status)
+    if status.code == lib.REPRO_NO_MEMORY:
+        raise MemoryError("minimum degree could not allocate its workspace")
+    if status.code == lib.REPRO_BAD_ORDER:
+        raise AssertionError(f"minimum degree ordered {status.pos} of {n}")
+    return perm

@@ -32,13 +32,12 @@ from repro.ordering.registry import (
     register_ordering,
     unregister_ordering,
 )
-from repro.ordering.api import fill_reducing_ordering
+from repro.ordering.api import fill_reducing_ordering, validate_permutation
 from repro.ordering.quality import (
     OrderingScore,
     compare_orderings,
     export_quality_gauges,
     score_ordering,
-    validate_permutation,
 )
 
 __all__ = [

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.ordering.api import validate_permutation
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.etree import elimination_tree, etree_heights
 from repro.symbolic.structure import (
@@ -84,21 +85,6 @@ class OrderingScore:
         if self.cycles is not None:
             out[f"{QUALITY_PREFIX}.cycles"] = float(self.cycles)
         return out
-
-
-def validate_permutation(perm: np.ndarray, n: int) -> np.ndarray:
-    """Check ``perm`` is a bijection of ``range(n)``; return it as int64."""
-    perm = np.asarray(perm)
-    if perm.shape != (n,):
-        raise ValueError(
-            f"permutation has shape {perm.shape}, expected ({n},)")
-    if not np.issubdtype(perm.dtype, np.integer):
-        raise ValueError(f"permutation dtype {perm.dtype} is not integral")
-    seen = np.zeros(n, dtype=bool)
-    seen[perm] = True  # raises IndexError on out-of-range entries
-    if not seen.all():
-        raise ValueError("permutation is not a bijection of range(n)")
-    return perm.astype(np.int64, copy=False)
 
 
 def score_from_counts(

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.obs import span
-from repro.ordering.api import fill_reducing_ordering
+from repro.ordering.api import fill_reducing_ordering, validate_permutation
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.assembly import AssemblyTree, build_assembly_tree
 from repro.symbolic.etree import elimination_tree, postorder
@@ -106,7 +106,8 @@ def symbolic_factorize(
         kind: "cholesky" or "lu".
         ordering: fill-reducing ordering method (see
             :func:`repro.ordering.fill_reducing_ordering`).
-        perm: optional explicit permutation overriding ``ordering``.
+        perm: optional explicit permutation overriding ``ordering``; a
+            ValueError if it is not a permutation of ``range(n)``.
         relax_small / relax_ratio / force_small: amalgamation knobs (see
             :func:`repro.symbolic.supernodes.find_supernodes`).
     """
@@ -117,7 +118,8 @@ def symbolic_factorize(
 
     if perm is None:
         perm = fill_reducing_ordering(matrix, ordering)
-    perm = np.asarray(perm, dtype=np.int64)
+    else:
+        perm = validate_permutation(perm, matrix.n_rows)
     # The analysis reads only the pattern of A (Cholesky) or A + A^T
     # (LU); symmetrizing commutes with permuting, so it is done once.
     base = matrix if kind == "cholesky" else matrix.pattern_symmetrized()

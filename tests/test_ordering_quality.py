@@ -18,11 +18,14 @@ from repro.ordering import (
     compare_orderings,
     export_quality_gauges,
     fill_reducing_ordering,
+    register_ordering,
     score_ordering,
+    unregister_ordering,
     validate_permutation,
 )
+from repro.numeric import SparseSolver
 from repro.ordering.quality import QUALITY_PREFIX
-from repro.sparse import grid_laplacian_2d, random_spd
+from repro.sparse import grid_laplacian_2d, grid_laplacian_3d, random_spd
 from repro.symbolic.analyze import symbolic_factorize
 from repro.verify.generators import build_case
 
@@ -84,6 +87,37 @@ def test_validate_permutation_rejects_garbage():
     matrix = GOLDEN["grid7"]()
     with pytest.raises(ValueError):
         score_ordering(matrix, np.zeros(matrix.n_rows, dtype=np.int64))
+
+
+def test_out_of_range_entries_are_value_errors():
+    # -1 used to pass: it indexed the last slot of the "seen" mask.
+    for bad in ([0, 1, 2, 4], [0, 1, 2, -1], [3, 1, 2, -1]):
+        with pytest.raises(ValueError, match="outside range"):
+            validate_permutation(np.array(bad), 4)
+
+
+@pytest.mark.parametrize("last", [0, -1], ids=["repeat", "minus_one"])
+def test_explicit_perm_must_be_a_permutation(last):
+    """It used to give a nonsense analysis (factor_nnz 227 or 198)."""
+    matrix = grid_laplacian_3d(3, 3, 3)
+    perm = np.arange(matrix.n_rows)
+    perm[-1] = last
+    with pytest.raises(ValueError, match="permutation"):
+        symbolic_factorize(matrix, perm=perm)
+
+
+def test_plugin_returning_a_non_permutation_is_named():
+    """It used to reach SparseSolver and fail there with "matrix pattern
+    does not match the symbolic analysis"."""
+    register_ordering("all_zeros")(
+        lambda m: np.zeros(m.n_rows, dtype=np.int64))
+    try:
+        with pytest.raises(ValueError, match="ordering 'all_zeros' returned "
+                                             "an invalid permutation"):
+            SparseSolver(GOLDEN["grid7"](), ordering="all_zeros",
+                         use_cache=False)
+    finally:
+        unregister_ordering("all_zeros")
 
 
 def test_gauges_land_in_global_registry():
