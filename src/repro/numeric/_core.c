@@ -1,5 +1,6 @@
-/* The compiled core: the numeric engine's supernode loop, and the
- * approximate minimum degree ordering (repro_amd, the last section).
+/* The compiled core: the numeric engine's supernode loop, the
+ * approximate minimum degree ordering (repro_amd), and the symbolic
+ * analysis's walks and static pivoting (the last section).
  *
  * One call runs one scheduler task of a multifrontal factorization
  * (repro_run_task) or one whole supernodal solve (repro_solve), reading
@@ -900,4 +901,436 @@ int repro_amd(int64_t n, const int64_t *indptr, const int64_t *indices,
     free(ws);
     st->code = rc;
     return rc;
+}
+
+/* -- the symbolic analysis and static pivoting --------------------------- */
+
+/* The walks repro.symbolic and repro.ordering.pivoting call, each the
+ * algorithm its Python wrapper documents with the same tie rules, so
+ * every array equals the frozen Python one (tests/golden_oracles.py):
+ * etree paths compressed to the current column, children ascending,
+ * merge candidates in list order, a column's rows by stable descending
+ * magnitude, augmenting rows ascending.  Workspace is per call. */
+
+void repro_free(void *p)
+{
+    free(p);
+}
+
+int repro_etree(int64_t n, const int64_t *indptr, const int64_t *indices,
+                int64_t *parent)
+{
+    int64_t *ancestor = malloc((size_t)(n + 1) * sizeof(int64_t));
+    if (!ancestor)
+        return REPRO_NO_MEMORY;
+    for (int64_t j = 0; j < n; j++)
+        parent[j] = ancestor[j] = -1;
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++) {
+            int64_t i = indices[p];
+            if (i >= j)
+                break;  /* rows ascending: the rest is the lower triangle */
+            for (;;) {  /* i up to its subtree's root, compressing */
+                int64_t next = ancestor[i];
+                ancestor[i] = j;
+                if (next == -1) {
+                    parent[i] = j;
+                    break;
+                }
+                if (next == j)
+                    break;
+                i = next;
+            }
+        }
+    free(ancestor);
+    return 0;
+}
+
+void repro_etree_heights(int64_t n, const int64_t *parent, int64_t *heights)
+{
+    for (int64_t j = 0; j < n; j++)
+        heights[j] = 0;
+    for (int64_t j = 0; j < n; j++)  /* children before parents */
+        if (parent[j] != -1 && heights[parent[j]] <= heights[j])
+            heights[parent[j]] = heights[j] + 1;
+}
+
+int repro_postorder(int64_t n, const int64_t *parent, int64_t *post)
+{
+    /* kids[kptr[v]:kptr[v + 1]]: v's children, ascending; next[v] the
+     * next one to visit. */
+    int64_t *kptr = calloc((size_t)(4 * n + 2), sizeof(int64_t));
+    if (!kptr)
+        return REPRO_NO_MEMORY;
+    int64_t *kids = kptr + n + 1, *next = kids + n, *stack = next + n;
+    int64_t count = 0;
+    for (int64_t j = 0; j < n; j++)
+        if (parent[j] >= 0)
+            kptr[parent[j] + 1]++;
+    for (int64_t v = 0; v < n; v++)
+        next[v] = kptr[v + 1] += kptr[v];
+    for (int64_t j = n - 1; j >= 0; j--)
+        if (parent[j] >= 0)
+            kids[--next[parent[j]]] = j;
+    for (int64_t root = 0; root < n; root++) {
+        if (parent[root] >= 0)
+            continue;
+        int64_t top = 0;
+        stack[top++] = root;
+        while (top) {
+            int64_t v = stack[top - 1];
+            if (next[v] < kptr[v + 1])
+                stack[top++] = kids[next[v]++];
+            else
+                post[count++] = stack[--top];
+        }
+    }
+    free(kptr);
+    return count == n ? 0 : REPRO_BAD_ORDER;
+}
+
+int repro_column_counts(int64_t n, const int64_t *indptr,
+                        const int64_t *indices, const int64_t *parent,
+                        const int64_t *post, int64_t *counts)
+{
+    int64_t *first = malloc((size_t)(4 * n + 1) * sizeof(int64_t));
+    if (!first)
+        return REPRO_NO_MEMORY;
+    int64_t *max_first = first + n, *prev_leaf = max_first + n;
+    int64_t *ancestor = prev_leaf + n, *delta = counts;
+    /* first[j]: postorder rank of j's first descendant (unranked at its
+     * own turn = a leaf, which owns its diagonal). */
+    for (int64_t j = 0; j < n; j++) {
+        first[j] = max_first[j] = prev_leaf[j] = -1;
+        delta[j] = 0;
+        ancestor[j] = j;
+    }
+    for (int64_t rank = 0; rank < n; rank++) {
+        int64_t j = post ? post[rank] : rank;
+        if (first[j] < 0)
+            delta[j] = 1;
+        for (; j != -1 && first[j] < 0; j = parent[j])
+            first[j] = rank;
+    }
+    for (int64_t rank = 0; rank < n; rank++) {
+        int64_t j = post ? post[rank] : rank, up = parent[j];
+        if (up != -1)
+            delta[up]--;  /* j's own row is not a row of its parent */
+        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++) {
+            int64_t i = indices[p];
+            if (i <= j || first[j] <= max_first[i])
+                continue;  /* not lower, or j is no leaf of row i's subtree */
+            max_first[i] = first[j];
+            delta[j]++;
+            int64_t q = prev_leaf[i];
+            prev_leaf[i] = j;
+            if (q >= 0) {  /* the two leaves' least common ancestor */
+                while (q != ancestor[q])
+                    q = ancestor[q] = ancestor[ancestor[q]];
+                delta[q]--;
+            }
+        }
+        if (up != -1)
+            ancestor[j] = up;
+    }
+    for (int64_t rank = 0; rank < n; rank++) {
+        int64_t j = post ? post[rank] : rank;
+        if (parent[j] != -1)
+            delta[parent[j]] += delta[j];
+    }
+    free(first);
+    return 0;
+}
+
+static int64_t front_entries(int64_t size)
+{
+    return size * (size + 1) / 2;
+}
+
+int repro_merge(int64_t nsn, const int64_t *first, const int64_t *last,
+                const int64_t *size, const int64_t *sn_parent,
+                double relax_small, double relax_ratio, double force_small,
+                int64_t *keep, int64_t *keep_first, int64_t *nkeep)
+{
+    int64_t *lo = malloc((size_t)(4 * nsn + 1) * sizeof(int64_t));
+    if (!lo)
+        return REPRO_NO_MEMORY;
+    int64_t *sz = lo + nsn, *merged = sz + nsn, *cand = merged + nsn;
+    const int64_t *hi = last;
+    int64_t ncand = 0;
+    for (int64_t k = 0; k < nsn; k++) {
+        lo[k] = first[k];
+        sz[k] = size[k];
+        merged[k] = k;
+        if (sn_parent[k] >= 0)
+            cand[ncand++] = k;
+    }
+    for (int changed = 1; changed;) {
+        changed = 0;
+        for (int64_t c = 0; c < ncand; c++) {
+            int64_t k = cand[c], root = sn_parent[k];
+            while (merged[root] != root)  /* find, halving the path */
+                root = merged[root] = merged[merged[root]];
+            if (hi[k] + 1 != lo[root])
+                continue;
+            int64_t width = hi[k] - lo[k] + 1, front = width + sz[root];
+            int forced = (double)front <= force_small;
+            if (!forced && (double)width > relax_small)
+                continue;
+            int64_t exact = front_entries(sz[k]) + front_entries(sz[root]);
+            int64_t relaxed = front_entries(front);
+            /* Python's true division of exact integers (below 2^53). */
+            if (!forced && relaxed > 0
+                && (double)(relaxed - exact) / (double)relaxed > relax_ratio)
+                continue;
+            merged[k] = root;
+            lo[root] = lo[k];
+            sz[root] = front;
+            changed = 1;
+        }
+        int64_t kept = 0;
+        for (int64_t c = 0; c < ncand; c++)
+            if (merged[cand[c]] == cand[c])
+                cand[kept++] = cand[c];
+        ncand = kept;
+    }
+    *nkeep = 0;
+    for (int64_t k = 0; k < nsn; k++)
+        if (merged[k] == k) {
+            keep[*nkeep] = k;
+            keep_first[(*nkeep)++] = lo[k];
+        }
+    free(lo);
+    return 0;
+}
+
+static int int64_cmp(const void *x, const void *y)
+{
+    int64_t a = *(const int64_t *)x, b = *(const int64_t *)y;
+    return (a > b) - (a < b);
+}
+
+int repro_sn_rows(int64_t n, const int64_t *indptr, const int64_t *indices,
+                  int64_t nsn, const int64_t *first, const int64_t *last,
+                  const int64_t *sn_parent, int64_t *row_off,
+                  int64_t **rows_out)
+{
+    /* mark[r] == k: r is in supernode k's union; kids[kptr[k]:...]: the
+     * children of k, which precede it. */
+    int64_t *mark = malloc((size_t)(n + 3 * nsn + 2) * sizeof(int64_t));
+    int64_t cap = indptr[n] + n + 1, used = 0;
+    int64_t *rows = malloc((size_t)cap * sizeof(int64_t));
+    *rows_out = NULL;
+    if (!mark || !rows) {
+        free(mark);
+        free(rows);
+        return REPRO_NO_MEMORY;
+    }
+    int64_t *kptr = mark + n, *kids = kptr + nsn + 1, *next = kids + nsn;
+    for (int64_t r = 0; r < n; r++)
+        mark[r] = -1;
+    for (int64_t k = 0; k <= nsn; k++)
+        kptr[k] = 0;
+    for (int64_t c = 0; c < nsn; c++)
+        if (sn_parent[c] > c)
+            kptr[sn_parent[c] + 1]++;
+    for (int64_t k = 0; k < nsn; k++)
+        next[k] = kptr[k + 1] += kptr[k];
+    for (int64_t c = nsn - 1; c >= 0; c--)
+        if (sn_parent[c] > c)
+            kids[--next[sn_parent[c]]] = c;
+    row_off[0] = 0;
+    for (int64_t k = 0; k < nsn; k++) {
+        int64_t c0 = first[k], c1 = last[k];
+        int64_t need = c1 - c0 + 1 + indptr[c1 + 1] - indptr[c0];
+        for (int64_t q = kptr[k]; q < kptr[k + 1]; q++)
+            need += row_off[kids[q] + 1] - row_off[kids[q]];
+        if (used + need > cap) {
+            int64_t *grown;
+            cap = 2 * cap > used + need ? 2 * cap : used + need;
+            grown = realloc(rows, (size_t)cap * sizeof(int64_t));
+            if (!grown) {
+                free(mark);
+                free(rows);
+                return REPRO_NO_MEMORY;
+            }
+            rows = grown;
+        }
+        for (int64_t c = c0; c <= c1; c++)
+            rows[used++] = c;
+        int64_t tail = used;
+        /* Rows above c1: its columns' (one slice, they are contiguous),
+         * then its children's tails. */
+        for (int64_t p = indptr[c0]; p < indptr[c1 + 1]; p++) {
+            int64_t r = indices[p];
+            if (r > c1 && mark[r] != k) {
+                mark[r] = k;
+                rows[used++] = r;
+            }
+        }
+        for (int64_t q = kptr[k]; q < kptr[k + 1]; q++) {
+            int64_t c = kids[q];
+            int64_t from = row_off[c] + last[c] - first[c] + 1;
+            for (int64_t p = from; p < row_off[c + 1]; p++) {
+                int64_t r = rows[p];
+                if (r > c1 && mark[r] != k) {
+                    mark[r] = k;
+                    rows[used++] = r;
+                }
+            }
+        }
+        qsort(rows + tail, (size_t)(used - tail), sizeof(int64_t), int64_cmp);
+        row_off[k + 1] = used;
+    }
+    free(mark);
+    *rows_out = rows;
+    return 0;
+}
+
+/* a goes before b: larger magnitude first, NaN last. */
+static int mag_before(double a, double b)
+{
+    return !isnan(a) && (isnan(b) || a > b);
+}
+
+/* Stable sort of the entry positions pos[0..len) by mag_before (what
+ * lexsort((-mag, cols)) gives within a column); tmp holds len / 2. */
+static void mag_sort(int64_t *pos, int64_t *tmp, const double *mag,
+                     int64_t len)
+{
+    if (len <= 16) {
+        for (int64_t a = 1; a < len; a++) {
+            int64_t p = pos[a], b = a;
+            for (; b > 0 && mag_before(mag[p], mag[pos[b - 1]]); b--)
+                pos[b] = pos[b - 1];
+            pos[b] = p;
+        }
+        return;
+    }
+    int64_t h = len / 2, i = 0, j = h, out = 0;
+    mag_sort(pos, tmp, mag, h);
+    mag_sort(pos + h, tmp, mag, len - h);
+    memcpy(tmp, pos, (size_t)h * sizeof(int64_t));
+    while (i < h && j < len)
+        pos[out++] = mag_before(mag[pos[j]], mag[tmp[i]]) ? pos[j++]
+                                                         : tmp[i++];
+    while (i < h)
+        pos[out++] = tmp[i++];
+}
+
+int repro_static_pivot(int64_t n, const int64_t *indptr,
+                       const int64_t *indices, const double *mag,
+                       const int64_t *col_order, int64_t *match_col)
+{
+    int64_t nnz = indptr[n];
+    /* by[indptr[j]:indptr[j + 1]]: column j's entry positions by
+     * descending magnitude; then match_row, seen, and the search path
+     * (its columns, their rows, each column's next entry). */
+    int64_t *by = malloc((size_t)(nnz + nnz / 2 + 6 * n + 4)
+                         * sizeof(int64_t));
+    if (!by)
+        return REPRO_NO_MEMORY;
+    int64_t *tmp = by + nnz, *match_row = tmp + nnz / 2 + 1;
+    int64_t *seen = match_row + n, *path_cols = seen + n;
+    int64_t *path_rows = path_cols + n + 1, *cursor = path_rows + n + 1;
+    int rc = 0;
+    for (int64_t j = 0; j < n; j++) {
+        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++)
+            by[p] = p;
+        mag_sort(by + indptr[j], tmp, mag, indptr[j + 1] - indptr[j]);
+        match_col[j] = match_row[j] = seen[j] = -1;
+    }
+
+    /* Greedy: each column takes its largest row not yet taken. */
+    for (int64_t c = 0; c < n; c++) {
+        int64_t j = col_order[c];
+        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++) {
+            int64_t i = indices[by[p]];
+            if (match_row[i] < 0) {
+                match_row[i] = j;
+                match_col[j] = i;
+                break;
+            }
+        }
+    }
+
+    /* Augmentation: a depth-first search per unmatched column, rows
+     * ascending; row path_rows[d] is matched to path_cols[d + 1]. */
+    for (int64_t root = 0; root < n && !rc; root++) {
+        if (match_col[root] >= 0)
+            continue;
+        int64_t depth = 1, nrows = 0;
+        path_cols[0] = root;
+        cursor[0] = indptr[root];
+        while (depth) {
+            int64_t k = cursor[depth - 1], end = indptr[path_cols[depth - 1] + 1];
+            while (k < end && seen[indices[k]] == root)
+                k++;
+            if (k == end) {  /* column exhausted: back up to its parent row */
+                depth--;
+                if (nrows)
+                    nrows--;
+                continue;
+            }
+            int64_t i = indices[k];
+            seen[i] = root;
+            cursor[depth - 1] = k + 1;
+            path_rows[nrows++] = i;
+            if (match_row[i] < 0)
+                break;
+            path_cols[depth] = match_row[i];
+            cursor[depth++] = indptr[match_row[i]];
+        }
+        if (!depth)
+            rc = REPRO_SINGULAR;
+        for (int64_t d = 0; d < depth; d++) {
+            match_row[path_rows[d]] = path_cols[d];
+            match_col[path_cols[d]] = path_rows[d];
+        }
+    }
+    free(by);
+    return rc;
+}
+
+int repro_pattern_graph(int64_t n, const int64_t *indptr,
+                        const int64_t *indices, int64_t *gptr, int64_t *gind)
+{
+    /* The transpose's off-diagonal lists, each ascending (columns are
+     * read in order): trows[tptr[v]:tptr[v + 1]] = {j != v : A[v, j]}. */
+    int64_t *tptr = calloc((size_t)(2 * n + indptr[n] + 1), sizeof(int64_t));
+    if (!tptr)
+        return REPRO_NO_MEMORY;
+    int64_t *next = tptr + n + 1, *trows = next + n, used = 0;
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++)
+            if (indices[p] != j)
+                tptr[indices[p] + 1]++;
+    for (int64_t v = 0; v < n; v++) {
+        tptr[v + 1] += tptr[v];
+        next[v] = tptr[v];
+    }
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t p = indptr[j]; p < indptr[j + 1]; p++)
+            if (indices[p] != j)
+                trows[next[indices[p]]++] = j;
+    /* v's neighbours: column v merged with row v, both ascending. */
+    gptr[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        int64_t a = indptr[v], a_end = indptr[v + 1];
+        int64_t b = tptr[v], b_end = tptr[v + 1];
+        for (;;) {
+            if (a < a_end && indices[a] == v)
+                a++;
+            if (a == a_end && b == b_end)
+                break;
+            int64_t x = a < a_end ? indices[a] : INT64_MAX;
+            int64_t y = b < b_end ? trows[b] : INT64_MAX;
+            gind[used++] = x < y ? x : y;
+            a += x <= y;
+            b += y <= x;
+        }
+        gptr[v + 1] = used;
+    }
+    free(tptr);
+    return 0;
 }

@@ -35,6 +35,7 @@ extern repro_blas_t repro_blas;
 #define REPRO_ZERO_PIVOT 3
 #define REPRO_NO_MEMORY 4
 #define REPRO_BAD_ORDER 5  /* the ordering placed pos vertices, not n */
+#define REPRO_SINGULAR 6   /* no perfect matching of rows and columns */
 
 typedef struct {
     int64_t code;   /* 0, or one of the REPRO_* codes */
@@ -88,3 +89,50 @@ int repro_solve(const repro_ctx *c, const double *buf, double *y,
  * (also in st->code; st->pos is how many vertices were placed). */
 int repro_amd(int64_t n, const int64_t *indptr, const int64_t *indices,
               int64_t foldable, int64_t *perm, repro_status *st);
+
+/* -- the symbolic analysis and static pivoting ---------------------------
+ * Each returns 0 or REPRO_NO_MEMORY unless it says otherwise; the inputs
+ * are checked by their callers in repro/numeric/compiled.py. */
+
+/* Liu's elimination tree of the n x n pattern indptr/indices (column j
+ * read up to its first row >= j) into parent (-1 for roots). */
+int repro_etree(int64_t n, const int64_t *indptr, const int64_t *indices,
+                int64_t *parent);
+/* Each vertex's height above the leaves of the elimination tree parent
+ * (every parent above its child). */
+void repro_etree_heights(int64_t n, const int64_t *parent, int64_t *heights);
+/* A postorder of the forest parent (roots ascending, children
+ * ascending) into post; REPRO_BAD_ORDER if parent is not a forest. */
+int repro_postorder(int64_t n, const int64_t *parent, int64_t *post);
+/* Gilbert-Ng-Peyton column counts of L, visiting the columns in the
+ * postorder post (NULL: 0, 1, ..., n - 1). */
+int repro_column_counts(int64_t n, const int64_t *indptr,
+                        const int64_t *indices, const int64_t *parent,
+                        const int64_t *post, int64_t *counts);
+/* Relaxed amalgamation of the supernode tree first/last/size/sn_parent:
+ * the *nkeep survivors into keep (ascending) with their first columns
+ * into keep_first. */
+int repro_merge(int64_t nsn, const int64_t *first, const int64_t *last,
+                const int64_t *size, const int64_t *sn_parent,
+                double relax_small, double relax_ratio, double force_small,
+                int64_t *keep, int64_t *keep_first, int64_t *nkeep);
+/* The front rows of each supernode of a postordered pattern -- its
+ * columns, then the sorted union above last[k] of its columns' rows and
+ * its children's -- as rows[row_off[k]:row_off[k + 1]] of one array
+ * allocated into *rows (release it with repro_free). */
+int repro_sn_rows(int64_t n, const int64_t *indptr, const int64_t *indices,
+                  int64_t nsn, const int64_t *first, const int64_t *last,
+                  const int64_t *sn_parent, int64_t *row_off,
+                  int64_t **rows);
+void repro_free(void *p);
+/* The static-pivoting row matching (match_col[j] = row of column j):
+ * greedy over the columns in col_order by descending mag, then Kuhn
+ * augmentation; REPRO_SINGULAR if no perfect matching exists. */
+int repro_static_pivot(int64_t n, const int64_t *indptr,
+                       const int64_t *indices, const double *mag,
+                       const int64_t *col_order, int64_t *match_col);
+/* The adjacency of the pattern of A + A^T without its diagonal, each
+ * list ascending, into gptr (n + 1) and gind (at most 2 nnz). */
+int repro_pattern_graph(int64_t n, const int64_t *indptr,
+                        const int64_t *indices, int64_t *gptr,
+                        int64_t *gind);

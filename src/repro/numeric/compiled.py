@@ -1,14 +1,17 @@
 """The compiled core: build, load and call ``_core.c``.
 
 The numeric engine's per-supernode work — extend-add, the dense front
-kernels, the supernodal solve — and the minimum degree ordering are one
-C unit (``_core.c`` and its interface ``_core.h``, shipped as package
-data) called through cffi in API mode.  It calls the LAPACK/BLAS
-routines that ``scipy.linalg.cython_blas`` / ``cython_lapack`` export (the
-same OpenBLAS the ``scipy.linalg`` wrappers call), whose addresses it is
+kernels, the supernodal solve — the minimum degree ordering, the walks
+of the symbolic analysis and static pivoting are one C unit
+(``_core.c`` and its interface ``_core.h``, shipped as package data)
+called through cffi in API mode.  It calls the LAPACK/BLAS routines
+that ``scipy.linalg.cython_blas`` / ``cython_lapack`` export (the same
+OpenBLAS the ``scipy.linalg`` wrappers call), whose addresses it is
 given once, at import.  cffi releases the GIL for every call, so the
 scheduler's worker threads run tasks at the same time, and threads
-order at the same time.
+order and analyse at the same time.  Every wrapper below checks the
+arrays it passes (a ``ValueError`` naming the array) before the C code
+indexes them.
 
 The module is built when this module is imported — no timed region pays
 for it — into a per-user cache (``~/.cache/repro``, or the temporary
@@ -36,7 +39,10 @@ import numpy as np
 import scipy.linalg.cython_blas as _cython_blas
 import scipy.linalg.cython_lapack as _cython_lapack
 
-__all__ = ["Context", "Job", "build", "front", "minimum_degree", "solve"]
+__all__ = ["Context", "Job", "build", "column_counts", "elimination_tree",
+           "etree_heights", "front", "merge_contiguous", "minimum_degree",
+           "pattern_graph", "postorder", "solve", "static_pivoting",
+           "supernode_rows"]
 
 SOURCE_PATH = Path(__file__).with_name("_core.c")
 
@@ -264,24 +270,212 @@ def solve(c_ctx: Context, buffer: np.ndarray, y: np.ndarray,
                           "workspace")
 
 
+def _check_pattern(indptr: np.ndarray, indices: np.ndarray,
+                   what: str = "a square pattern's columns",
+                   ascending: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr``/``indices`` as int64, after checking that they are the
+    lists of ``len(indptr) - 1`` vertices, each entry one of them and
+    (``ascending``) each list strictly increasing."""
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    n = len(indptr) - 1
+    problem = None
+    if (n < 0 or indptr[0] != 0 or indptr[-1] != len(indices)
+            or np.any(indptr[1:] < indptr[:-1])):
+        problem = "indptr does not run monotonically from 0 to len(indices)"
+    elif len(indices) and not 0 <= indices.min() <= indices.max() < n:
+        problem = f"indices has entries outside range({n})"
+    elif ascending and len(indices):
+        unordered = np.zeros(len(indices), dtype=bool)
+        np.less_equal(indices[1:], indices[:-1], out=unordered[1:])
+        unordered[indptr[:-1][indptr[:-1] < len(indices)]] = False
+        if unordered.any():
+            problem = "indices is not strictly increasing in every list"
+    if problem:
+        raise ValueError(f"indptr/indices are not {what}: {problem}")
+    return indptr, indices
+
+
+def _check_forest(parent: np.ndarray, n: int,
+                  ascending: bool = False) -> np.ndarray:
+    """``parent`` as int64 after checking it has n entries, each -1 or a
+    vertex, and (``ascending``) each above its child."""
+    parent = np.ascontiguousarray(parent, dtype=np.int64)
+    if parent.shape != (n,) or (n and not -1 <= parent.min() <= parent.max()
+                                < n):
+        raise ValueError(f"parent is not {n} entries in [-1, {n})")
+    if ascending and np.any((parent >= 0) & (parent <= np.arange(n))):
+        raise ValueError("parent is not an elimination tree (some parent "
+                         "is not above its child)")
+    return parent
+
+
+def _check_status(code: int, what: str) -> None:
+    if code == lib.REPRO_NO_MEMORY:
+        raise MemoryError(f"{what} could not allocate its workspace")
+
+
 def minimum_degree(indptr: np.ndarray, indices: np.ndarray,
                    foldable: int) -> np.ndarray:
     """The approximate-minimum-degree permutation (new -> old) of the
     graph ``indptr``/``indices`` (see ``repro_amd`` in ``_core.c``)."""
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    indptr, indices = _check_pattern(
+        indptr, indices, "the adjacency lists of len(indptr) - 1 vertices")
     n = len(indptr) - 1
-    if (n < 0 or indptr[0] != 0 or indptr[-1] != len(indices)
-            or np.any(indptr[1:] < indptr[:-1])
-            or (len(indices) and not 0 <= indices.min() <= indices.max() < n)):
-        raise ValueError("indptr/indices are not the adjacency lists of "
-                         "len(indptr) - 1 vertices")
     perm = np.empty(n, dtype=np.int64)
     status = ffi.new("repro_status *")
     lib.repro_amd(n, _int64s(indptr), _int64s(indices), foldable,
                   ffi.from_buffer("int64_t[]", perm), status)
-    if status.code == lib.REPRO_NO_MEMORY:
-        raise MemoryError("minimum degree could not allocate its workspace")
+    _check_status(status.code, "minimum degree")
     if status.code == lib.REPRO_BAD_ORDER:
         raise AssertionError(f"minimum degree ordered {status.pos} of {n}")
     return perm
+
+
+def elimination_tree(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Liu's elimination tree of a square pattern (see ``repro_etree``)."""
+    indptr, indices = _check_pattern(indptr, indices)
+    parent = np.empty(len(indptr) - 1, dtype=np.int64)
+    _check_status(lib.repro_etree(len(parent), _int64s(indptr),
+                                  _int64s(indices), _int64s(parent)),
+                  "the elimination tree")
+    return parent
+
+
+def etree_heights(parent: np.ndarray) -> np.ndarray:
+    """Heights above the leaves of an elimination tree (see
+    ``repro_etree_heights``)."""
+    parent = _check_forest(parent, len(parent), ascending=True)
+    heights = np.empty(len(parent), dtype=np.int64)
+    lib.repro_etree_heights(len(parent), _int64s(parent), _int64s(heights))
+    return heights
+
+
+def postorder(parent: np.ndarray) -> np.ndarray:
+    """A postorder of the forest ``parent``, roots and children ascending
+    (see ``repro_postorder``)."""
+    parent = _check_forest(parent, len(parent))
+    post = np.empty(len(parent), dtype=np.int64)
+    code = lib.repro_postorder(len(parent), _int64s(parent), _int64s(post))
+    _check_status(code, "postorder")
+    if code == lib.REPRO_BAD_ORDER:
+        raise ValueError("parent array does not describe a forest")
+    return post
+
+
+def column_counts(indptr: np.ndarray, indices: np.ndarray,
+                  parent: np.ndarray, post: np.ndarray | None) -> np.ndarray:
+    """Gilbert-Ng-Peyton column counts (see ``repro_column_counts``);
+    ``post`` (``None``: the identity) must list every child before its
+    parent."""
+    indptr, indices = _check_pattern(indptr, indices)
+    n = len(indptr) - 1
+    parent = _check_forest(parent, n, ascending=post is None)
+    if post is not None:
+        post = np.ascontiguousarray(post, dtype=np.int64)
+        rank = np.full(n, -1, dtype=np.int64)
+        if post.shape == (n,) and (not n or 0 <= post.min() <= post.max()
+                                   < n):
+            rank[post] = np.arange(n)
+        if np.any(rank < 0) or np.any(
+                (parent >= 0) & (rank[parent] <= rank)):
+            raise ValueError("post is not a postorder of parent")
+    counts = np.empty(n, dtype=np.int64)
+    _check_status(lib.repro_column_counts(
+        n, _int64s(indptr), _int64s(indices), _int64s(parent),
+        ffi.NULL if post is None else _int64s(post), _int64s(counts)),
+        "column counts")
+    return counts
+
+
+def merge_contiguous(first: np.ndarray, last: np.ndarray, size: np.ndarray,
+                     sn_parent: np.ndarray, relax_small: float,
+                     relax_ratio: float, force_small: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Relaxed amalgamation of a supernode tree (see ``repro_merge``):
+    ``(keep, first)`` of the survivors."""
+    first, last, size = (np.ascontiguousarray(a, dtype=np.int64)
+                         for a in (first, last, size))
+    nsn = len(first)
+    sn_parent = _check_forest(sn_parent, nsn)
+    if last.shape != (nsn,) or size.shape != (nsn,) or np.any(last < first):
+        raise ValueError("first/last/size are not one column range and "
+                         "front size per supernode")
+    keep = np.empty(nsn, dtype=np.int64)
+    keep_first = np.empty(nsn, dtype=np.int64)
+    nkeep = ffi.new("int64_t *")
+    _check_status(lib.repro_merge(
+        nsn, _int64s(first), _int64s(last), _int64s(size),
+        _int64s(sn_parent), relax_small, relax_ratio, force_small,
+        _int64s(keep), _int64s(keep_first), nkeep), "amalgamation")
+    return keep[:nkeep[0]].copy(), keep_first[:nkeep[0]].copy()
+
+
+def supernode_rows(indptr: np.ndarray, indices: np.ndarray,
+                   first: np.ndarray, last: np.ndarray,
+                   sn_parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, row_off)``: every supernode's front rows, flat (see
+    ``repro_sn_rows``)."""
+    indptr, indices = _check_pattern(indptr, indices)
+    n = len(indptr) - 1
+    first = np.ascontiguousarray(first, dtype=np.int64)
+    last = np.ascontiguousarray(last, dtype=np.int64)
+    nsn = len(first)
+    sn_parent = _check_forest(sn_parent, nsn)
+    if last.shape != (nsn,) or (nsn and not (
+            0 <= first.min() and last.max() < n and np.all(first <= last))):
+        raise ValueError(f"first/last are not column ranges in range({n})")
+    row_off = np.empty(nsn + 1, dtype=np.int64)
+    out = ffi.new("int64_t **")
+    _check_status(lib.repro_sn_rows(
+        n, _int64s(indptr), _int64s(indices), nsn, _int64s(first),
+        _int64s(last), _int64s(sn_parent), _int64s(row_off), out),
+        "supernode rows")
+    try:
+        rows = np.frombuffer(ffi.buffer(out[0], int(row_off[-1]) * 8),
+                             dtype=np.int64).copy()
+    finally:
+        lib.repro_free(out[0])
+    return rows, row_off
+
+
+def static_pivoting(indptr: np.ndarray, indices: np.ndarray,
+                    data: np.ndarray) -> np.ndarray:
+    """The static-pivoting row matching of a square matrix (see
+    ``repro_static_pivot``): greedy over the columns by decreasing
+    largest magnitude, ``np.argsort(-best)`` (the default sort: its tie
+    order and NaN placement are NumPy's), then augmentation."""
+    indptr, indices = _check_pattern(indptr, indices)
+    n = len(indptr) - 1
+    mag = np.abs(np.ascontiguousarray(data, dtype=np.float64))
+    if mag.shape != indices.shape:
+        raise ValueError("data does not hold one value per entry")
+    lengths = np.diff(indptr)
+    best = np.zeros(n)
+    filled = lengths > 0
+    if filled.any():
+        best[filled] = np.maximum.reduceat(mag, indptr[:-1][filled])
+    match_col = np.empty(n, dtype=np.int64)
+    code = lib.repro_static_pivot(n, _int64s(indptr), _int64s(indices),
+                                  _doubles(mag, writable=False),
+                                  _int64s(np.argsort(-best)),
+                                  _int64s(match_col))
+    _check_status(code, "static pivoting")
+    if code == lib.REPRO_SINGULAR:
+        raise ValueError("matrix is structurally singular")
+    return match_col
+
+
+def pattern_graph(indptr: np.ndarray, indices: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency of a square CSC pattern plus its transpose, diagonal
+    dropped, lists ascending (see ``repro_pattern_graph``); each column's
+    rows must be strictly increasing."""
+    indptr, indices = _check_pattern(indptr, indices, ascending=True)
+    n = len(indptr) - 1
+    gptr = np.empty(n + 1, dtype=np.int64)
+    gind = np.empty(2 * len(indices), dtype=np.int64)
+    _check_status(lib.repro_pattern_graph(n, _int64s(indptr),
+                                          _int64s(indices), _int64s(gptr),
+                                          _int64s(gind)), "pattern_graph")
+    return gptr, gind[:gptr[-1]]

@@ -11,9 +11,12 @@ Knobs:
   many pivots one ``dpotrf``/``dtrsm`` pair (Cholesky) or one ``dgetrf``
   (the per-pivot loop when it would pivot or bump) plus two ``dtrsm``
   (LU) factors at once; a supernode no wider than this is one panel, and
-  its update block takes one rank-``k`` update either way.  ``1`` is the
-  textbook per-pivot algorithm in plain NumPy, with no LAPACK call — the
-  reference path the tests hold the LAPACK-routed kernels against.
+  its update block takes one rank-``k`` update either way.  Every block
+  size runs in the compiled core (``repro/numeric/_core.c``).  ``1`` is
+  the textbook per-pivot algorithm there (square root or bump, column
+  scale, rank-1 update), factoring the pivot columns with no LAPACK
+  call — the reference path the tests hold the LAPACK-routed kernels
+  against.
 * ``workers`` — thread count of the numeric-phase scheduler
   (:mod:`repro.numeric.schedule`): a supernode is dispatched to the pool
   the moment its last assembly-tree child finishes.  NumPy's BLAS

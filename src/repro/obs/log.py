@@ -4,7 +4,9 @@ Every module logs through ``logging.getLogger("repro.<module>")``; this
 helper attaches one stderr handler to the package root logger so the CLI's
 ``-v`` / ``--log-level`` flags (and library users) can turn output on with
 one call.  Calling it again just updates the level (idempotent — no
-duplicate handlers)."""
+duplicate handlers).  The handler looks ``sys.stderr`` up each time it
+writes, so it never keeps a stream that was swapped out and closed (a
+test runner's capture, say)."""
 
 from __future__ import annotations
 
@@ -13,6 +15,22 @@ import sys
 
 _FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 _DATEFMT = "%H:%M:%S"
+
+
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler writing to whatever ``sys.stderr`` is when it
+    emits."""
+
+    def __init__(self) -> None:
+        super().__init__(sys.stderr)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value) -> None:
+        """Ignored: the stream is always the current ``sys.stderr``."""
 
 
 def setup_logging(level: int | str = logging.WARNING) -> logging.Logger:
@@ -28,7 +46,7 @@ def setup_logging(level: int | str = logging.WARNING) -> logging.Logger:
         level = numeric
     logger = logging.getLogger("repro")
     if not logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter(_FORMAT, datefmt=_DATEFMT))
         logger.addHandler(handler)
     logger.setLevel(level)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.coo import compress
 from repro.sparse.csc import CSCMatrix
 
 
@@ -17,16 +16,16 @@ def pattern_graph(matrix: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
     """CSR-style (indptr, indices) adjacency of the symmetrized pattern.
 
     Self-loops (diagonal entries) are removed; each undirected edge appears
-    in both endpoint's neighbor lists, sorted ascending.
+    in both endpoint's neighbor lists, sorted ascending.  Built in O(nnz)
+    in the compiled core (``repro_pattern_graph``): each vertex's list is
+    its column merged with its row, read off the transpose.
     """
-    coo = matrix.to_coo()
-    off = coo.rows != coo.cols
-    rows = np.concatenate([coo.rows[off], coo.cols[off]])
-    cols = np.concatenate([coo.cols[off], coo.rows[off]])
-    # Grouped by vertex (``rows``), neighbours ascending: the CSC
-    # compression with the roles of rows and columns swapped.
-    indptr, indices, _ = compress(matrix.n_cols, matrix.n_rows, cols, rows)
-    return indptr, indices
+    if matrix.n_rows != matrix.n_cols:
+        raise ValueError("pattern_graph requires a square matrix")
+    # Imported here: repro.numeric imports repro.ordering.
+    from repro.numeric import compiled
+
+    return compiled.pattern_graph(matrix.indptr, matrix.indices)
 
 
 def bfs_levels(

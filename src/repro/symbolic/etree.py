@@ -6,7 +6,10 @@ column j of the factor L.  It encodes every data dependence of sparse
 factorization: column j can only be eliminated after all its descendants.
 
 We use Liu's almost-linear-time algorithm with path compression, which needs
-only the pattern of A (not of L).
+only the pattern of A (not of L).  It, :func:`postorder` and
+:func:`etree_heights` run in the compiled core (``repro_etree``,
+``repro_postorder`` and ``repro_etree_heights`` in
+``repro/numeric/_core.c``).
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ NO_PARENT = -1
 def elimination_tree(matrix: CSCMatrix) -> np.ndarray:
     """Compute the elimination tree of a symmetric-pattern matrix.
 
+    Liu's algorithm: for each column j, each entry (i, j) with i < j
+    (column j read down to its first row >= j; rows ascending) walks from
+    i to the root of its current subtree, pointing every vertex on the
+    way at j, and makes j that root's parent.
+
     Args:
         matrix: square matrix; only the lower-triangular pattern is read, so
             callers with unsymmetric matrices should pass the symmetrized
@@ -30,30 +38,12 @@ def elimination_tree(matrix: CSCMatrix) -> np.ndarray:
         parent array of length n; ``parent[j]`` is j's parent column or
         ``NO_PARENT`` (-1) for roots.
     """
-    n = matrix.n_cols
-    if matrix.n_rows != n:
+    if matrix.n_rows != matrix.n_cols:
         raise ValueError("elimination tree requires a square matrix")
-    # Plain lists: several times cheaper to index per entry than arrays.
-    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
-    parent = [NO_PARENT] * n
-    ancestor = [NO_PARENT] * n
-    for j in range(n):
-        # Entries (i, j) with i < j: by symmetry of the pattern, column j
-        # of A read above the diagonal is row j of the lower triangle.
-        for i in indices[indptr[j]:indptr[j + 1]]:
-            if i >= j:
-                break  # row indices are sorted; rest are lower-triangle
-            # Path from i to the root of its current subtree, compressing.
-            while True:
-                next_anc = ancestor[i]
-                ancestor[i] = j
-                if next_anc == NO_PARENT:
-                    parent[i] = j
-                    break
-                if next_anc == j:
-                    break
-                i = next_anc
-    return np.array(parent, dtype=np.int64)
+    # Imported here: repro.numeric imports repro.symbolic.
+    from repro.numeric import compiled
+
+    return compiled.elimination_tree(matrix.indptr, matrix.indices)
 
 
 def etree_children(parent: np.ndarray) -> list[list[int]]:
@@ -65,31 +55,21 @@ def etree_children(parent: np.ndarray) -> list[list[int]]:
     return children
 
 
-def postorder(parent: np.ndarray, child_key=None) -> np.ndarray:
+def postorder(parent: np.ndarray) -> np.ndarray:
     """A postorder of the elimination tree.
 
     Returns an array ``post`` where ``post[k]`` is the k-th vertex in
     postorder.  Every vertex appears after all of its descendants, which is
-    the correctness requirement of Listing 2.  Siblings go in ascending
-    index order, or ascending ``child_key(vertex)`` when given.
+    the correctness requirement of Listing 2.  A depth-first walk from
+    every root in ascending order, siblings in ascending index order.
+
+    Raises:
+        ValueError: if ``parent`` is not a forest (an entry outside
+            ``[-1, n)``, or a cycle).
     """
-    children = etree_children(parent)  # each list ascending already
-    if child_key is not None:
-        children = [sorted(c, key=child_key) for c in children]
-    post: list[int] = []
-    # Iterative DFS over every root in ascending order.
-    for root in np.flatnonzero(np.asarray(parent) == NO_PARENT).tolist():
-        stack = [(root, 0)]
-        while stack:
-            vertex, child_pos = stack.pop()
-            if child_pos < len(children[vertex]):
-                stack.append((vertex, child_pos + 1))
-                stack.append((children[vertex][child_pos], 0))
-            else:
-                post.append(vertex)
-    if len(post) != len(parent):
-        raise ValueError("parent array does not describe a forest")
-    return np.array(post, dtype=np.int64)
+    from repro.numeric import compiled
+
+    return compiled.postorder(parent)
 
 
 def etree_levels(parent: np.ndarray) -> np.ndarray:
@@ -125,22 +105,16 @@ def etree_heights(parent: np.ndarray) -> np.ndarray:
 
     This is the batching key used by GPU implementations: all vertices of
     height h can be factored once heights < h are done.  An elimination
-    tree's parents follow their children, so that is one ascending pass.
+    tree's parents follow their children, so that is one ascending pass
+    (in the compiled core, ``repro_etree_heights``).
 
     Raises:
         ValueError: if some ``parent[j]`` is neither ``NO_PARENT`` nor
-            greater than j.
+            greater than j (and below n).
     """
-    up = np.asarray(parent, dtype=np.int64)
-    if not np.all((up > np.arange(len(up))) | (up == NO_PARENT)):
-        raise ValueError("parent array is not an elimination tree")
-    up = up.tolist()
-    heights = [0] * len(up)
-    for j in range(len(up)):
-        p = up[j]
-        if p != NO_PARENT and heights[p] <= heights[j]:
-            heights[p] = heights[j] + 1
-    return np.array(heights, dtype=np.int64)
+    from repro.numeric import compiled
+
+    return compiled.etree_heights(parent)
 
 
 def etree_level_sets(parent: np.ndarray) -> list[np.ndarray]:

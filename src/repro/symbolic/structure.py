@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.etree import NO_PARENT, etree_children, postorder
+from repro.symbolic.etree import etree_children
 
 
 def column_structures(
@@ -83,48 +83,24 @@ def column_counts(matrix: CSCMatrix, parent: np.ndarray,
     Gilbert-Ng-Peyton: A(i, j), i > j, adds row i to column j only when
     j is a leaf of row i's subtree (a *skeleton* entry); where two such
     leaves' paths meet — their least common ancestor, by union-find over
-    the postorder — the row was counted twice and is taken back.
-    Summing the deltas up the tree gives the counts.  ``post`` is a
-    postorder of ``parent`` when the caller has one (``range(n)`` for a
-    postordered tree); by default it is computed.
+    the postorder with path halving — the row was counted twice and is
+    taken back.  Summing the deltas up the tree gives the counts.
+    ``post`` is a postorder of ``parent`` when the caller has one
+    (``range(n)`` for a postordered tree); by default it is computed.
+    Runs in the compiled core (``repro_column_counts``).
+
+    Raises:
+        ValueError: ``parent`` is not a forest of n vertices, or ``post``
+            does not list every child before its parent.
     """
-    n = matrix.n_cols
-    up = np.asarray(parent).tolist()
-    post = postorder(parent).tolist() if post is None else post
-    # first[j]: postorder rank of j's first descendant (unranked at its
-    # own turn = a leaf, which owns its diagonal).
-    first = [-1] * n
-    delta = [0] * n
-    for rank, j in enumerate(post):
-        if first[j] < 0:
-            delta[j] = 1
-        while j != NO_PARENT and first[j] < 0:
-            first[j] = rank
-            j = up[j]
-    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
-    max_first = [-1] * n
-    prev_leaf = [-1] * n
-    ancestor = list(range(n))
-    for j in post:
-        if up[j] != NO_PARENT:
-            delta[up[j]] -= 1  # j's own row is not a row of its parent
-        first_j = first[j]
-        for i in indices[indptr[j]:indptr[j + 1]]:
-            if i <= j or first_j <= max_first[i]:
-                continue  # not lower, or j is not a leaf of row i's subtree
-            max_first[i] = first_j
-            delta[j] += 1
-            q, prev_leaf[i] = prev_leaf[i], j
-            if q >= 0:
-                while q != ancestor[q]:
-                    ancestor[q] = q = ancestor[ancestor[q]]
-                delta[q] -= 1
-        if up[j] != NO_PARENT:
-            ancestor[j] = up[j]
-    for j in post:
-        if up[j] != NO_PARENT:
-            delta[up[j]] += delta[j]
-    return np.array(delta, dtype=np.int64)
+    from repro.numeric import compiled
+
+    if post is None:
+        post = compiled.postorder(parent)
+    elif isinstance(post, range) and post == range(len(parent)):
+        post = None  # the identity: the tree is postordered
+    return compiled.column_counts(matrix.indptr, matrix.indices, parent,
+                                  post)
 
 
 def factor_nnz(matrix: CSCMatrix, parent: np.ndarray) -> int:

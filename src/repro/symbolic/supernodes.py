@@ -23,6 +23,8 @@ over the surviving candidates per cascade round — and a row array is built
 once per *surviving* supernode: from per-column structures in
 :func:`find_supernodes`, or by one union per supernode in
 :func:`supernodes_from_counts`, which is what ``symbolic_factorize`` runs.
+The merge passes and the unions run in the compiled core
+(``repro_merge`` / ``repro_sn_rows`` in ``repro/numeric/_core.c``).
 
 The merge rule itself is :func:`merge_contiguous`; :func:`coarsen` runs
 it on whole supernodes, for the numeric engine's execution tree
@@ -102,8 +104,8 @@ def find_supernodes(
     counts = np.fromiter(map(len, structs), dtype=np.int64, count=len(parent))
     first, last, sn_parent = amalgamate(
         parent, counts, relax_small, relax_ratio, force_small)
-    return _link(first, last, sn_parent,
-                 [structs[c1][1:] for c1 in last.tolist()])
+    return _link(first, last, sn_parent, *_front_rows(
+        first, last, [structs[c1][1:] for c1 in last.tolist()]))
 
 
 def supernodes_from_counts(
@@ -129,26 +131,12 @@ def supernodes_from_counts(
         parent: its elimination tree, parents after children.
         counts: :func:`repro.symbolic.structure.column_counts` of both.
     """
+    from repro.numeric import compiled
+
     first, last, sn_parent = amalgamate(
         parent, counts, relax_small, relax_ratio, force_small)
-    n = len(parent)
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
-    below = pattern.indices > cols
-    lower = pattern.indices[below]
-    lptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols[below], minlength=n), out=lptr[1:])
-    lptr = lptr.tolist()
-    pending: list[list[np.ndarray]] = [[] for _ in range(len(first))]
-    tails: list[np.ndarray] = []
-    for k, (c0, c1, up) in enumerate(zip(
-            first.tolist(), last.tolist(), sn_parent.tolist())):
-        union = np.unique(np.concatenate(
-            (lower[lptr[c0]:lptr[c1 + 1]], *pending[k])))
-        tail = union[np.searchsorted(union, c1, "right"):]
-        if up >= 0:
-            pending[up].append(tail)
-        tails.append(tail)
-    return _link(first, last, sn_parent, tails)
+    return _link(first, last, sn_parent, *compiled.supernode_rows(
+        pattern.indptr, pattern.indices, first, last, sn_parent))
 
 
 def amalgamate(
@@ -220,44 +208,17 @@ def merge_contiguous(
     (absorbing the last child makes the previous sibling
     column-contiguous), so the passes run to a fixpoint.
 
+    Candidates (supernodes with a parent) are tried in index order, and
+    each pass keeps those not yet merged, in that order; the zero share
+    is a float division of the exact entry counts.
+
     Returns ``(keep, first)``: the surviving supernodes in column order
     (each keeps its last column) and their first columns.
     """
-    lo, hi, size = first.tolist(), last.tolist(), size.tolist()
-    sn_parent = sn_parent.tolist()
-    merged = list(range(len(lo)))
+    from repro.numeric import compiled
 
-    def find(k: int) -> int:
-        while merged[k] != k:
-            merged[k] = k = merged[merged[k]]
-        return k
-
-    candidates = [k for k, p in enumerate(sn_parent) if p >= 0]
-    changed = True
-    while changed:
-        changed = False
-        for k in candidates:
-            root = find(sn_parent[k])
-            if hi[k] + 1 != lo[root]:
-                continue
-            width = hi[k] - lo[k] + 1
-            front = width + size[root]
-            forced = front <= force_small
-            if not forced and width > relax_small:
-                continue
-            exact = _front_entries(size[k]) + _front_entries(size[root])
-            relaxed = _front_entries(front)
-            if (not forced and relaxed > 0
-                    and (relaxed - exact) / relaxed > relax_ratio):
-                continue
-            merged[k] = root
-            lo[root], size[root] = lo[k], front
-            changed = True
-        candidates = [k for k in candidates if merged[k] == k]
-
-    keep = np.array([k for k in range(len(lo)) if merged[k] == k],
-                    dtype=np.int64)
-    return keep, np.array(lo, dtype=np.int64)[keep]
+    return compiled.merge_contiguous(first, last, size, sn_parent,
+                                     relax_small, relax_ratio, force_small)
 
 
 def coarsen(supernodes: list[Supernode], relax_small: int,
@@ -283,25 +244,32 @@ def coarsen(supernodes: list[Supernode], relax_small: int,
     up = parent[keep]
     new_parent = np.where(up >= 0, owner[up], -1)
     tails = [supernodes[k].rows[supernodes[k].n_cols:] for k in keep.tolist()]
-    return _link(new_first, last[keep], new_parent, tails)
+    return _link(new_first, last[keep], new_parent,
+                 *_front_rows(new_first, last[keep], tails))
+
+
+def _front_rows(first: np.ndarray, last: np.ndarray,
+                tails: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, row_off)``: each supernode's columns ++ ``tails[k]``, flat."""
+    fronts = [np.concatenate((np.arange(c0, c1 + 1, dtype=np.int64), tail))
+              for c0, c1, tail in zip(first.tolist(), last.tolist(), tails)]
+    row_off = np.zeros(len(fronts) + 1, dtype=np.int64)
+    np.cumsum([len(f) for f in fronts], out=row_off[1:])
+    return np.concatenate(fronts or [row_off[:0]]), row_off
 
 
 def _link(first: np.ndarray, last: np.ndarray, sn_parent: np.ndarray,
-          tails: list[np.ndarray]) -> list[Supernode]:
-    """Supernodes with rows = own columns ++ ``tails[k]``, and links."""
+          rows: np.ndarray, row_off: np.ndarray) -> list[Supernode]:
+    """Supernodes with rows ``rows[row_off[k]:row_off[k + 1]]`` (own
+    columns first), and links."""
     supernodes = [
         Supernode(index=k, first_col=c0, last_col=c1, parent=p,
-                  rows=np.concatenate((np.arange(c0, c1 + 1, dtype=np.int64),
-                                       tail)))
-        for k, (c0, c1, p, tail) in enumerate(zip(
-            first.tolist(), last.tolist(), sn_parent.tolist(), tails))
+                  rows=rows[start:end])
+        for k, (c0, c1, p, start, end) in enumerate(zip(
+            first.tolist(), last.tolist(), sn_parent.tolist(),
+            row_off[:-1].tolist(), row_off[1:].tolist()))
     ]
     for sn in supernodes:
         if sn.parent >= 0:
             supernodes[sn.parent].children.append(sn.index)
     return supernodes
-
-
-def _front_entries(front_size: int) -> int:
-    """Lower-triangle entry count of a front, the amalgamation cost metric."""
-    return front_size * (front_size + 1) // 2

@@ -1,8 +1,10 @@
 """Tests for the observability layer (repro.obs): metrics registry,
 span tracer, run artifacts, diffing, and the CLI surface on top."""
 
+import io
 import json
 import logging
+import sys
 
 import pytest
 
@@ -381,13 +383,42 @@ class TestLogging:
         assert verbosity_to_level(2) == logging.DEBUG
         assert verbosity_to_level(5) == logging.DEBUG
 
-    def test_setup_logging_idempotent(self):
+    @pytest.fixture
+    def bare_logger(self):
+        """The ``repro`` logger without handlers; whatever a test installs
+        is removed afterwards and the old handlers and level come back."""
+        logger = logging.getLogger("repro")
+        handlers, level = logger.handlers[:], logger.level
+        for handler in handlers:
+            logger.removeHandler(handler)
+        yield logger
+        for handler in logger.handlers[:]:
+            logger.removeHandler(handler)
+        for handler in handlers:
+            logger.addHandler(handler)
+        logger.setLevel(level)
+
+    def test_setup_logging_idempotent(self, bare_logger):
         logger = setup_logging("info")
         n = len(logger.handlers)
         assert setup_logging("debug") is logger
         assert len(logger.handlers) == n
         assert logger.level == logging.DEBUG
         assert logger.name == "repro"
+
+    def test_handler_writes_to_the_current_stderr(self, bare_logger,
+                                                  monkeypatch):
+        """A stream swapped out and closed after ``setup_logging`` ran is
+        not written to: no ``--- Logging error ---``."""
+        first, second = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        setup_logging("warning")
+        logging.getLogger("repro.test").warning("one")
+        monkeypatch.setattr(sys, "stderr", second)
+        first.close()
+        logging.getLogger("repro.test").warning("two")
+        assert "two" in second.getvalue() and "Logging error" not in \
+            second.getvalue()
 
 
 class TestCLI:

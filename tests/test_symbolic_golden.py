@@ -19,7 +19,6 @@ from repro.symbolic import (
     column_structures,
     elimination_tree,
     find_supernodes,
-    postorder,
     symbolic_factorize,
 )
 from repro.symbolic.structure import (
@@ -200,19 +199,3 @@ def test_column_counts_on_an_unpostordered_tree(spd_irregular):
         assert np.array_equal(
             column_counts(permuted, parent),
             [len(s) for s in golden.column_structures(permuted, parent)])
-
-
-def test_postorder_child_key_orders_siblings():
-    """``child_key`` reorders siblings only: still a postorder, subtrees
-    stay contiguous, and ``None`` keeps ascending index order."""
-    #        6
-    #     /  |  \
-    #    2   4   5        2 <- {0, 1};  4 <- {3}
-    parent = np.array([2, 2, 6, 4, 6, 6, -1])
-    assert postorder(parent).tolist() == [0, 1, 2, 3, 4, 5, 6]
-    size = [1, 1, 3, 1, 2, 1, 7]
-    assert postorder(parent, size.__getitem__).tolist() == \
-        [5, 3, 4, 0, 1, 2, 6]
-    assert postorder(parent, lambda v: -size[v]).tolist() == \
-        [0, 1, 2, 3, 4, 5, 6]
-
