@@ -78,7 +78,7 @@ class TileExecutor:
         """Materialize a supernode's initial front from A's entries: the
         pivot columns ``P`` and (LU) the pivot rows ``R`` right of them;
         the update block starts at zero."""
-        k, m, lo, mid, hi, _, _ = self._layout[sn_index]
+        k, m, lo, mid, hi = self._layout[sn_index]
         front = np.zeros((k + m, k + m))
         front[:, :k] = self._initial[lo:mid].reshape(k + m, k)
         if not self.symmetric:

@@ -17,14 +17,6 @@ bit-identical for every worker count), pattern-cached assembly maps
 :class:`~repro.numeric.cache.AnalysisCache`.
 """
 
-from repro.numeric.dense import (
-    dense_cholesky,
-    dense_lu_nopivot,
-    solve_lower_dense,
-    solve_upper_dense,
-    tsolve_lower,
-    tsolve_upper,
-)
 from repro.numeric.cache import AnalysisCache, analysis_cache
 from repro.numeric.cholesky import multifrontal_cholesky
 from repro.numeric.engine import Factor
@@ -40,12 +32,6 @@ from repro.numeric.solver import SparseSolver
 
 __all__ = [
     "ScheduleStats",
-    "dense_cholesky",
-    "dense_lu_nopivot",
-    "solve_lower_dense",
-    "solve_upper_dense",
-    "tsolve_lower",
-    "tsolve_upper",
     "AnalysisCache",
     "analysis_cache",
     "Factor",

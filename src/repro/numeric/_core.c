@@ -38,8 +38,7 @@ struct repro_job {
     int64_t block;
     double perturb;
     int lu;
-    double **arena;      /* per grouped parent: its children's C blocks */
-    double **update;     /* per supernode below a larger parent: its C */
+    double **update;     /* per supernode: its C, until its parent adds it */
 };
 
 static char N_ = 'N', T_ = 'T', U_ = 'U', L_ = 'L', R_ = 'R';
@@ -266,11 +265,8 @@ repro_job *repro_job_new(const repro_ctx *ctx, double *buf,
     repro_job *job = calloc(1, sizeof(repro_job));
     if (!job)
         return NULL;
-    job->arena = calloc(ctx->n_sn ? ctx->n_sn : 1, sizeof(double *));
     job->update = calloc(ctx->n_sn ? ctx->n_sn : 1, sizeof(double *));
-    if (!job->arena || !job->update) {
-        free(job->arena);
-        free(job->update);
+    if (!job->update) {
         free(job);
         return NULL;
     }
@@ -290,69 +286,31 @@ int64_t repro_job_pending(const repro_job *job)
 {
     int64_t n = 0;
     for (int64_t i = 0; i < job->ctx->n_sn; i++)
-        n += (job->arena[i] != NULL) + (job->update[i] != NULL);
+        n += job->update[i] != NULL;
     return n;
 }
 
 void repro_job_free(repro_job *job)
 {
-    for (int64_t i = 0; i < job->ctx->n_sn; i++) {
-        free(job->arena[i]);
+    for (int64_t i = 0; i < job->ctx->n_sn; i++)
         free(job->update[i]);
-    }
-    free(job->arena);
     free(job->update);
     free(job);
-}
-
-/* Grouped parent p's arena, allocated (zeroed) by whichever child gets
- * here first -- children in other tasks may race. */
-static double *get_arena(repro_job *job, int64_t p)
-{
-    double *a = __atomic_load_n(&job->arena[p], __ATOMIC_ACQUIRE);
-    if (a)
-        return a;
-    double *fresh = calloc(job->ctx->arena_len[p], sizeof(double));
-    if (!fresh)
-        return NULL;
-    if (__atomic_compare_exchange_n(&job->arena[p], &a, fresh, 0,
-                                    __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE))
-        return fresh;
-    free(fresh);
-    return a;
 }
 
 /* Add the children's update blocks into supernode i's front.  Children go
  * in ascending order and each entry of a child's block adds into its own
  * position, so every entry receives the same additions in the same order
- * as a sequential np.add.at over the children's blocks.  A grouped parent
- * reads its whole arena through its cached map (positions in [P | R | C];
- * Cholesky's R is scratch nothing reads, so those adds are dropped); a
- * larger parent splits each child's sorted positions at its first update
- * row on the fly.  Consumed blocks are freed. */
+ * as a sequential np.add.at over the children's blocks.  Each child's
+ * sorted positions split at the parent's first update row: entry (a, b)
+ * goes to P when column pos[b] is a pivot, else to R (LU) when row pos[a]
+ * is one, else to C.  Consumed blocks are freed. */
 static void extend_add(repro_job *job, int64_t i, int64_t k, int64_t m,
                        double *P, double *R, double *C)
 {
     const repro_ctx *c = job->ctx;
-    int64_t size = k + m, len_p = size * k, len_pr = len_p + k * m;
-    if (c->arena_len[i]) {
-        const int64_t *map = c->ea + c->ea_off[i];
-        double *arena = job->arena[i];
-        for (int64_t j = 0; j < c->arena_len[i]; j++) {
-            int64_t pos = map[j];
-            if (pos < len_p)
-                P[pos] += arena[j];
-            else if (pos >= len_pr)
-                C[pos - len_pr] += arena[j];
-            else if (job->lu)
-                R[pos - len_p] += arena[j];
-        }
-        free(arena);
-        job->arena[i] = NULL;
-        return;
-    }
     for (int64_t q = c->kid_off[i]; q < c->kid_off[i + 1]; q++) {
-        int64_t kid = c->kids[q], mc = c->layout[7 * kid + 1], s = 0;
+        int64_t kid = c->kids[q], mc = c->layout[5 * kid + 1], s = 0;
         const int64_t *pos = c->cm + c->cm_off[kid];
         double *u = job->update[kid];
         while (s < mc && pos[s] < k)
@@ -379,22 +337,15 @@ int repro_run_task(repro_job *job, int64_t t, repro_status *st)
     const repro_ctx *c = job->ctx;
     st->code = 0;
     for (int64_t i = c->task_bounds[t]; i < c->task_bounds[t + 1]; i++) {
-        const int64_t *l = c->layout + 7 * i;
-        int64_t k = l[0], m = l[1], at = l[5];
+        const int64_t *l = c->layout + 5 * i;
+        int64_t k = l[0], m = l[1];
         double *P = job->buf + l[2], *R = job->buf + l[3], *C = NULL;
         st->sn = i;
         if (m) {
-            if (at >= 0) {
-                double *arena = get_arena(job, l[6]);
-                if (!arena)
-                    return fail(st, REPRO_NO_MEMORY, 0, 0.0);
-                C = arena + at;
-            } else {
-                C = calloc(m * m, sizeof(double));
-                if (!C)
-                    return fail(st, REPRO_NO_MEMORY, 0, 0.0);
-                job->update[i] = C;
-            }
+            C = calloc(m * m, sizeof(double));
+            if (!C)
+                return fail(st, REPRO_NO_MEMORY, 0, 0.0);
+            job->update[i] = C;
         }
         if (c->kid_off[i] < c->kid_off[i + 1])
             extend_add(job, i, k, m, P, R, C);
@@ -429,7 +380,7 @@ int repro_solve(const repro_ctx *c, const double *buf, double *y,
     double *t = g + c->max_m * nrhs;
     /* Forward: L Y = B, supernodes in postorder. */
     for (int64_t i = 0; i < c->n_sn; i++) {
-        const int64_t *l = c->layout + 7 * i;
+        const int64_t *l = c->layout + 5 * i;
         int64_t k = l[0], m = l[1];
         int ik = (int)k, im = (int)m;
         double *P = (double *)buf + l[2], *ys = y + c->first[i] * nrhs;
@@ -453,7 +404,7 @@ int repro_solve(const repro_ctx *c, const double *buf, double *y,
     }
     /* Backward: U X = Y, supernodes in reverse. */
     for (int64_t i = c->n_sn - 1; i >= 0; i--) {
-        const int64_t *l = c->layout + 7 * i;
+        const int64_t *l = c->layout + 5 * i;
         int64_t k = l[0], m = l[1];
         int ik = (int)k, im = (int)m;
         double *P = (double *)buf + l[2], *Rb = (double *)buf + l[3];

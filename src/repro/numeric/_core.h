@@ -47,19 +47,15 @@ typedef struct {
 /* A NumericContext's flat maps (see _core.c). */
 typedef struct {
     int64_t n_sn;
-    const int64_t *layout;     /* n_sn x 7: k, m, P|R start, R start, end,
-                                  C's offset in the parent's arena or -1,
-                                  parent */
+    const int64_t *layout;     /* n_sn x 5: k, m, P|R start, R start, end */
     const int64_t *first;      /* first pivot row */
     const int64_t *row_off;    /* front rows: rows[row_off[i]:row_off[i+1]] */
     const int64_t *rows;
     const int64_t *kid_off;    /* children passing an update block up:  */
     const int64_t *kids;       /* kids[kid_off[i]:kid_off[i+1]], ascending */
-    const int64_t *arena_len;  /* a grouped parent's arena length, else 0 */
-    const int64_t *ea_off;     /* its extend-add map: ea[ea_off[i]:...] */
-    const int64_t *ea;
-    const int64_t *cm_off;     /* a child of a larger parent: its rows'  */
-    const int64_t *cm;         /* positions in the parent's front        */
+    const int64_t *cm_off;     /* a child passing an update block up: */
+    const int64_t *cm;         /* its rows' positions in the parent's
+                                  front, cm[cm_off[i]:cm_off[i] + m] */
     const int64_t *task_bounds;
     const int64_t *dst;        /* A's scatter: buf[dst[j]] = values[src[j]] */
     const int64_t *src;

@@ -226,8 +226,8 @@ class Context:
 
 class Job:
     """One factorization's C state: ``values`` (the permuted matrix data)
-    scattered into ``buffer``, its arenas and update blocks, freed with
-    the job.  :meth:`run_task` releases the GIL while it computes."""
+    scattered into ``buffer``, and its update blocks, each freed when
+    its parent has added it (the rest with the job).  :meth:`run_task` releases the GIL while it computes."""
 
     def __init__(self, c_ctx: Context, buffer: np.ndarray,
                  values: np.ndarray, bumped: np.ndarray, block: int,
@@ -252,7 +252,8 @@ class Job:
             _raise_for(status)
 
     def pending(self) -> int:
-        """Update blocks and arenas not consumed yet."""
+        """Update blocks not consumed yet: 0 after a complete
+        factorization."""
         return lib.repro_job_pending(self._job)
 
 

@@ -4,31 +4,25 @@ metrics.
 This module is the machinery shared by :func:`multifrontal_cholesky` and
 :func:`multifrontal_lu`:
 
-* **Execution supernodes** (:func:`execution_tree`): the engine runs on
-  its own assembly tree, the symbolic one with small supernodes merged
-  into their parents by the relaxed-amalgamation rule of
-  :func:`repro.symbolic.supernodes.amalgamate` under the constants
-  :data:`MERGE_WIDTH` / :data:`MERGE_RATIO` / :data:`MERGE_FRONT`.
-  Fewer, larger fronts mean fewer kernel calls per factorization and
-  per solve; the symbolic analysis (and the simulator reading it) keeps
-  the partition tuned for the paper's hardware.
-
-* **Pattern-cached numeric context** (:class:`NumericContext`): for a fixed
-  symbolic analysis, every index computation of the numeric phase is a
+* **Pattern-cached numeric context** (:class:`NumericContext`): the
+  engine factors the analysis's own supernodes (``symbolic.tree``, the
+  one assembly tree the tile plan and the simulator read too).  For a
+  fixed analysis, every index computation of the numeric phase is a
   pure function of the nonzero pattern — the permutation of A's values,
-  their scatter into every supernode's ``P`` / ``R``, where each supernode
-  sits in the one factor buffer, and (for *grouped* supernodes, fronts of
-  at most :data:`GROUP_FRONT_MAX` rows) where every entry of every
-  child's update block adds into its parent.  They are resolved *once*
-  into flat index maps and cached on the symbolic object, with the
-  compiled core's view of them (:attr:`NumericContext.c`), so a numeric
-  (re)factorization is one scatter of A plus, per grouped supernode, one
-  pass over its map and the dense kernels — the amortized-analysis
-  serving pattern of CKTSO-style circuit simulation.
+  their scatter into every supernode's ``P`` / ``R``, where each
+  supernode sits in the one factor buffer, and where each child's update
+  rows sit in its parent's front (:attr:`AssemblyTree.child_maps`).
+  They are resolved *once* into flat index maps and cached on the
+  symbolic object, with the compiled core's view of them
+  (:attr:`NumericContext.c`), so a numeric (re)factorization is one
+  scatter of A plus, per supernode, one extend-add of its children's
+  update blocks and the dense kernels — the amortized-analysis serving
+  pattern of CKTSO-style circuit simulation.
 
 * **Scheduled parallel traversal**: :func:`run_factor_job`, the one
   driver both factorizations share, hands the job's tasks — whole
-  subtrees of grouped supernodes, or one larger supernode, each one
+  subtrees of *grouped* supernodes (fronts of at most
+  :data:`GROUP_FRONT_MAX` rows), or one larger supernode, each one
   GIL-free call into the compiled core (:mod:`repro.numeric.compiled`) —
   to :func:`repro.numeric.schedule.run_scheduled` (dependence-count
   dispatch on ``workers`` threads, bit-identical for every worker
@@ -63,18 +57,12 @@ from repro.obs.metrics import global_registry
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
-from repro.symbolic.assembly import AssemblyTree, build_assembly_tree
 from repro.symbolic.etree import etree_level_sets
-from repro.symbolic.supernodes import coarsen
 
 __all__ = [
     "Factor",
     "GROUP_FRONT_MAX",
-    "MERGE_FRONT",
-    "MERGE_RATIO",
-    "MERGE_WIDTH",
     "NumericContext",
-    "execution_tree",
     "export_factor_metrics",
     "fronts_to_csc",
     "numeric_context",
@@ -82,24 +70,15 @@ __all__ = [
     "run_factor_job",
 ]
 
-#: Largest front (``k + m`` rows) of a *grouped* supernode.  A grouped
-#: parent's extend-add maps are cached in its :class:`NumericContext`
-#: and its children's update blocks sit side by side in one arena; a
-#: maximal subtree of grouped supernodes is one scheduler task.  Fixed by
-#: the sweep in docs/PERFORMANCE.md ("Grouped small supernodes"), like
-#: ``DEFAULT_BLOCK_SIZE``; it moves no bit of any factor or solution.
+#: Largest front (``k + m`` rows) of a *grouped* supernode: a maximal
+#: subtree of grouped supernodes is one scheduler task, so the many
+#: small fronts near the leaves cost one dispatch per subtree, not one
+#: per supernode.  It sets task granularity only: every supernode's
+#: fronts and extend-add are the same whichever task runs it, so it
+#: moves no bit of any factor or solution.  Fixed by the sweep in
+#: docs/PERFORMANCE.md ("Choosing ``GROUP_FRONT_MAX`` on the compiled
+#: path"), like ``DEFAULT_BLOCK_SIZE``.
 GROUP_FRONT_MAX = 128
-
-#: The execution tree's merge rule (:func:`execution_tree`): a child of at
-#: most ``MERGE_WIDTH`` columns merges when it adds at most a
-#: ``MERGE_RATIO`` share of explicit zeros to the merged front, and any
-#: child merges when the merged front has at most ``MERGE_FRONT`` rows.
-#: Fixed by the sweep in docs/PERFORMANCE.md ("Execution supernodes"),
-#: like ``GROUP_FRONT_MAX``.  Unlike it they move bits: a merged front
-#: sums in another order.
-MERGE_WIDTH = 16
-MERGE_RATIO = 0.3
-MERGE_FRONT = 64
 
 
 def _csc_order(n_rows: int, n_cols: int, rows: np.ndarray,
@@ -139,15 +118,14 @@ class NumericContext:
 
     Built once per (symbolic analysis, matrix pattern) and cached on the
     symbolic object; every subsequent factorization with the same pattern
-    reuses the maps, so the numeric phase does no index arithmetic of its
-    own — except the extend-add offsets of parents larger than
-    :data:`GROUP_FRONT_MAX`, computed on the fly by the compiled core
-    (caching them would cost memory in proportion to the fronts).
+    reuses the maps.  The numeric phase's one index computation of its
+    own is the extend-add: the compiled core splits each child's sorted
+    positions in its parent's front on the fly (caching every entry's
+    destination would cost memory in proportion to the fronts).
 
     Attributes:
-        tree: the assembly tree the maps are built on — the analysis's
-            own by default; :func:`numeric_context` passes its
-            :func:`execution_tree`.
+        tree: the assembly tree the maps are built on, the analysis's
+            own (``symbolic.tree``).
         perm_data: ``permuted.data == matrix.data[perm_data]``.
         pr_off: supernode ``i``'s pivot panel ``P`` then (LU) pivot rows
             ``R``, each C-ordered, are ``buf[pr_off[i]:pr_off[i + 1]]`` of
@@ -155,17 +133,8 @@ class NumericContext:
         dst / src: A's scatter into that buffer,
             ``buf[dst] = permuted_data[src]`` (both the L and — for LU —
             the U part of every front).
-        arena_len / layout: the update blocks ``C`` of a grouped
-            parent's children lie side by side, children ascending, in one
-            arena of ``arena_len[parent]`` values (0: not grouped, or no
-            child passes one up); ``layout[i]`` is supernode ``i``'s
-            ``(k, m, P|R start, R start, end, offset of its C in its
-            parent's arena or -1, parent)``.
-        kids / ea_maps: per supernode, its children that pass an update
-            block up, and — for a grouped parent — its cached extend-add
-            map: for every entry of its arena, where it adds into the
-            parent's front (``None`` otherwise; see
-            :meth:`_extend_add_maps`).
+        layout: ``layout[i]`` is supernode ``i``'s ``(k, m, P|R start,
+            R start, end)``.
         rows: per supernode, its (read-only) front rows, for the stored
             factor.
         task_bounds / task_parent: the scheduler's tasks — task ``t`` is
@@ -180,10 +149,10 @@ class NumericContext:
             ``numeric.levels.*``.
     """
 
-    def __init__(self, symbolic: SymbolicFactorization, matrix: CSCMatrix,
-                 tree: AssemblyTree | None = None) -> None:
+    def __init__(self, symbolic: SymbolicFactorization,
+                 matrix: CSCMatrix) -> None:
         self.symbolic = symbolic
-        self.tree = symbolic.tree if tree is None else tree
+        self.tree = symbolic.tree
         if matrix.n_rows != symbolic.n or matrix.n_cols != symbolic.n:
             raise ValueError(
                 "matrix pattern does not match the symbolic analysis; "
@@ -208,7 +177,6 @@ class NumericContext:
             )
 
         sns = self.tree.supernodes
-        n_sn = len(sns)
         self.sn_parent = np.array([sn.parent for sn in sns], dtype=np.int64)
         self.levels = etree_level_sets(self.sn_parent)
         lu = symbolic.kind == "lu"
@@ -238,44 +206,13 @@ class NumericContext:
         self.dst = flat + self.pr_off[sn_of]
         self.src = slot
 
-        # Grouped parents: their children's C blocks side by side in one
-        # arena per parent, children ascending, and the extend-add maps of
-        # all of them built in one vectorised pass over the concatenation
-        # of those arenas.
-        grouped = self._size <= GROUP_FRONT_MAX
-        m_list = m.tolist()
-        self.kids = [[c for c in sn.children if m_list[c]] for sn in sns]
-        in_arena = np.array([c for p in np.flatnonzero(grouped)
-                             for c in self.kids[p]], dtype=np.int64)
-        blocks = m[in_arena] ** 2
-        c_off = np.cumsum(blocks) - blocks
-        self.arena_len = np.zeros(n_sn, dtype=np.int64)
-        self.ea_maps: list[np.ndarray | None] = [None] * n_sn
-        ea = np.zeros(0, dtype=np.int64)
-        ea_off = np.zeros(n_sn, dtype=np.int64)
-        at = np.full(n_sn, -1, dtype=np.int64)
-        if len(in_arena):
-            ea = self._extend_add_maps(in_arena)
-            # Cut the concatenation where each parent's arena starts; a
-            # child's offset is relative to its parent's arena.
-            par = self.sn_parent[in_arena]
-            first_kid = np.flatnonzero(np.diff(par, prepend=-1))
-            starts = c_off[first_kid]
-            at[in_arena] = c_off - np.repeat(starts, np.diff(
-                np.append(first_kid, len(in_arena))))
-            ea_off[par[first_kid]] = starts
-            for p, a, b in zip(par[first_kid].tolist(), starts.tolist(),
-                               np.append(starts[1:], len(ea)).tolist()):
-                self.arena_len[p] = b - a
-                self.ea_maps[p] = ea[a:b]
-
         lo, hi = self.pr_off[:-1], self.pr_off[1:]
-        self.layout = np.stack((k, m, lo, lo + self._size * k, hi, at,
-                                self.sn_parent), axis=1)
+        self.layout = np.stack((k, m, lo, lo + self._size * k, hi), axis=1)
         self._rows_flat.flags.writeable = False
         self.rows = np.split(self._rows_flat, self._row_off[1:-1])
-        self.task_bounds, self.task_parent = self._tasks(grouped)
-        self.c = self._compiled(grouped, ea, ea_off)
+        self.task_bounds, self.task_parent = self._tasks(
+            self._size <= GROUP_FRONT_MAX)
+        self.c = self._compiled()
 
     # -- construction helpers ------------------------------------------------
 
@@ -338,75 +275,26 @@ class NumericContext:
         root_parent = parent[bounds[1:] - 1]
         return bounds, np.where(root_parent >= 0, task_of[root_parent], -1)
 
-    def _compiled(self, grouped: np.ndarray, ea: np.ndarray,
-                  ea_off: np.ndarray) -> Context:
-        """The compiled loop's view of these maps: the children lists as
-        offsets into one array, and for the children of parents too
-        large to be grouped their rows' positions in the parent's front
-        (:attr:`AssemblyTree.child_maps`), concatenated likewise."""
-        n_sn = len(self._k)
-        counts = np.array([len(kids) for kids in self.kids], dtype=np.int64)
-        kids = np.array([c for kids in self.kids for c in kids],
-                        dtype=np.int64)
-        outer = [c for p in np.flatnonzero(~grouped).tolist()
-                 for c in self.kids[p]]
-        cm_off = np.full(n_sn, -1, dtype=np.int64)
-        cm_off[outer] = np.cumsum(self._m[outer]) - self._m[outer]
+    def _compiled(self) -> Context:
+        """The compiled loop's view of these maps: per supernode, its
+        children that pass an update block up (ascending) as offsets into
+        one array, and every such child's rows' positions in its parent's
+        front (:attr:`AssemblyTree.child_maps`), concatenated in
+        supernode order."""
+        n_sn, m, parent = len(self._k), self._m, self.sn_parent
+        passing = np.flatnonzero(m)
+        kids = passing[np.argsort(parent[passing], kind="stable")]
+        kid_off = np.zeros(n_sn + 1, dtype=np.int64)
+        np.cumsum(np.bincount(parent[passing], minlength=n_sn),
+                  out=kid_off[1:])
         child_maps = self.tree.child_maps
-        cm = (np.concatenate([child_maps[c] for c in outer]) if outer
-              else np.zeros(0, dtype=np.int64))
+        cm = (np.concatenate([child_maps[c] for c in passing.tolist()])
+              if len(passing) else np.zeros(0, dtype=np.int64))
         return Context(
             self.layout, first=self._first, row_off=self._row_off,
-            rows=self._rows_flat,
-            kid_off=np.concatenate(([0], np.cumsum(counts))), kids=kids,
-            arena_len=self.arena_len, ea_off=ea_off, ea=ea, cm_off=cm_off,
-            cm=cm, task_bounds=self.task_bounds, dst=self.dst, src=self.src)
-
-    # -- extend-add maps -----------------------------------------------------
-
-    def _extend_add_maps(self, kids: np.ndarray) -> np.ndarray:
-        """Where every entry of the update blocks ``C`` of ``kids`` —
-        flattened and concatenated in the order of ``kids`` — adds into
-        its parent's front, as a position in the flattened workspace
-        ``[P | R | C]`` (``size x k``, ``k x m``, ``m x m``; for Cholesky
-        ``R`` is scratch that nothing reads).  One vectorised pass over
-        all kids.
-
-        A child's sorted positions ``pos`` in the parent's front split at
-        the parent's first update row: entry ``(a, b)`` goes to ``P`` at
-        ``(pos[a], pos[b])`` when ``pos[b]`` is a pivot column, else to
-        ``R`` at ``(pos[a], pos[b] - k)`` when ``pos[a]`` is a pivot row,
-        else to ``C`` at ``(pos[a] - k, pos[b] - k)`` — the offsets the
-        compiled core (``extend_add`` in ``_core.c``) computes on the fly
-        for parents too large to be grouped.  Since ``pos`` is sorted,
-        each row of a child's ``C`` is two runs (``P``, then ``R`` or
-        ``C``) whose positions are a per-run base plus ``pos``.
-        """
-        child_maps = self.tree.child_maps
-        n_rows = self._m[kids]
-        pos = np.concatenate([child_maps[c] for c in kids.tolist()])
-        # Per row of every C: its kid's first index into ``pos`` (its
-        # columns), its length, and the parent's shape.
-        row_kid = np.repeat(np.arange(len(kids)), n_rows)
-        kid_pos0 = np.cumsum(n_rows) - n_rows
-        pos0, length = kid_pos0[row_kid], n_rows[row_kid]
-        par = self.sn_parent[kids][row_kid]
-        k, m, size = self._k[par], self._m[par], self._size[par]
-        top = pos < k                           # a pivot row of the parent
-        s = np.add.reduceat(top, kid_pos0, dtype=np.int64)[row_kid]
-        right_base = np.where(top, size * k + pos * m,
-                              size * k + k * m + (pos - k) * m) - k
-        # Runs row by row — P run, right run — are concatenation order.
-        n = np.stack((s, length - s), axis=1).reshape(-1)
-        col0 = np.stack((pos0, pos0 + s), axis=1).reshape(-1)
-        base = np.stack((pos * k, right_base), axis=1).reshape(-1)
-        start = np.cumsum(n) - n
-        idx = np.repeat(col0 - start, n)        # in place: two entry-long
-        idx += np.arange(len(idx))              # arrays at a time
-        dst = pos[idx]
-        del idx
-        dst += np.repeat(base, n)
-        return dst
+            rows=self._rows_flat, kid_off=kid_off, kids=kids,
+            cm_off=np.cumsum(m) - m, cm=cm, task_bounds=self.task_bounds,
+            dst=self.dst, src=self.src)
 
     @property
     def n_tasks(self) -> int:
@@ -455,27 +343,12 @@ class NumericContext:
         return matrix.data[self.perm_data]
 
 
-def execution_tree(tree: AssemblyTree) -> AssemblyTree:
-    """The tree the numeric engine factors on: ``tree`` with each
-    column-contiguous child merged into its parent where the merge rule
-    of :func:`repro.symbolic.supernodes.coarsen` accepts it under
-    :data:`MERGE_WIDTH` / :data:`MERGE_RATIO` / :data:`MERGE_FRONT`.
-    Every execution supernode is a contiguous run of whole supernodes of
-    ``tree``; ``tree`` itself comes back when nothing merges."""
-    supernodes = coarsen(tree.supernodes, MERGE_WIDTH, MERGE_RATIO,
-                         MERGE_FRONT)
-    if supernodes is tree.supernodes:
-        return tree
-    return build_assembly_tree(tree.n, supernodes)
-
-
 def numeric_context(symbolic: SymbolicFactorization,
                     matrix: CSCMatrix) -> NumericContext:
-    """Get (or build and cache) the numeric context for a pattern, on
-    the :func:`execution_tree` of the analysis."""
+    """Get (or build and cache) the numeric context for a pattern."""
     ctx = getattr(symbolic, "_numeric_ctx", None)
     if ctx is None or not ctx.matches(matrix):
-        ctx = NumericContext(symbolic, matrix, execution_tree(symbolic.tree))
+        ctx = NumericContext(symbolic, matrix)
         symbolic._numeric_ctx = ctx
     return ctx
 
@@ -534,9 +407,8 @@ class Factor:
 
     Attributes:
         symbolic: the analysis this factor was computed under.
-        ctx: the numeric context it was computed on (its execution tree,
-            :func:`execution_tree`, and where each front sits in
-            ``buffer``).
+        ctx: the numeric context it was computed on (where each front
+            sits in ``buffer``).
         buffer: every supernode's ``P`` | ``R``, the stored factor, read
             by the supernodal solve (:mod:`repro.numeric.supernodal_solve`)
             and viewed per supernode as :attr:`fronts`.
@@ -559,7 +431,7 @@ class Factor:
 
     @cached_property
     def fronts(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per execution supernode ``(rows, panel, right)``, views of
+        """Per supernode of the analysis ``(rows, panel, right)``, views of
         :attr:`buffer`, both C-ordered.  ``panel`` (``len(rows) x
         n_cols``) holds final L values at global row coordinates ``rows``,
         the first ``n_cols`` of which are its columns: for Cholesky on and
@@ -570,7 +442,7 @@ class Factor:
         and is empty for Cholesky."""
         buf = self.buffer
         return [(rows, buf[lo:mid].reshape(-1, k), buf[mid:hi].reshape(k, -1))
-                for rows, (k, _, lo, mid, hi, _, _)
+                for rows, (k, _, lo, mid, hi)
                 in zip(self.ctx.rows, self.ctx.layout.tolist())]
 
     @property
@@ -587,8 +459,9 @@ class Factor:
     def nnz(self) -> int:
         """Stored entries of L (plus U for LU) without building CSC:
         every supernode's lower trapezoid (for LU, twice: U mirrors it),
-        explicit zeros of merged fronts included — for Cholesky at least
-        ``symbolic.factor_nnz``, the structural fill."""
+        explicit zeros of amalgamated fronts included — for Cholesky
+        ``symbolic.factor_nnz``, the structural fill, when the analysis
+        amalgamated nothing, and more otherwise."""
         total = 0
         for rows, panel, _ in self.fronts:
             k = panel.shape[1]

@@ -74,9 +74,8 @@ class SparseSolver:
             construction over one pattern skips ordering and symbolic
             factorization.
 
-    The analysis uses the default supernode amalgamation; the numeric
-    engine then merges small supernodes further for itself (see
-    :func:`repro.numeric.engine.execution_tree`), so the fronts it
+    The analysis uses the default supernode amalgamation, and the numeric
+    engine factors exactly the analysis's supernodes, so the fronts it
     factors are not a solver setting.
     """
 

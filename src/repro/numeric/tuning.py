@@ -18,10 +18,10 @@ Knobs:
   call — the reference path the tests hold the LAPACK-routed kernels
   against.
 * ``workers`` — thread count of the numeric-phase scheduler
-  (:mod:`repro.numeric.schedule`): a supernode is dispatched to the pool
-  the moment its last assembly-tree child finishes.  NumPy's BLAS
-  releases the GIL inside the dense kernels, so independent supernodes
-  overlap there.  ``1`` means fully sequential.  The factor is
+  (:mod:`repro.numeric.schedule`): a task (a subtree of small
+  supernodes, or one larger supernode) is dispatched to the pool the
+  moment its last child task finishes.  The compiled core releases the
+  GIL for every task, so independent tasks overlap.  ``1`` means fully sequential.  The factor is
   bit-identical for every value; whether ``workers > 1`` is faster is
   host-dependent (docs/PERFORMANCE.md "Parallel factorization").
 """

@@ -26,9 +26,9 @@ once per *surviving* supernode: from per-column structures in
 The merge passes and the unions run in the compiled core
 (``repro_merge`` / ``repro_sn_rows`` in ``repro/numeric/_core.c``).
 
-The merge rule itself is :func:`merge_contiguous`; :func:`coarsen` runs
-it on whole supernodes, for the numeric engine's execution tree
-(:func:`repro.numeric.engine.execution_tree`).
+The merge rule itself is :func:`merge_contiguous`.  The numeric engine,
+the tile plan and the simulator all run on the partition this module
+returns: the analysis's tree is the one assembly tree.
 """
 
 from __future__ import annotations
@@ -219,33 +219,6 @@ def merge_contiguous(
 
     return compiled.merge_contiguous(first, last, size, sn_parent,
                                      relax_small, relax_ratio, force_small)
-
-
-def coarsen(supernodes: list[Supernode], relax_small: int,
-            relax_ratio: float, force_small: int) -> list[Supernode]:
-    """Merge whole supernodes of an assembly tree by the rule
-    :func:`amalgamate` applies to fundamental ones
-    (:func:`merge_contiguous`).  Each result is a contiguous run of whole
-    input supernodes; its front is its merged children's columns stacked
-    on the front of the input supernode that owns its last column.
-    Returns ``supernodes`` itself when nothing merges."""
-    if not supernodes:
-        return supernodes
-    first, last, size, parent = np.array(
-        [(sn.first_col, sn.last_col, sn.front_size, sn.parent)
-         for sn in supernodes], dtype=np.int64).T
-    keep, new_first = merge_contiguous(first, last, size, parent,
-                                       relax_small, relax_ratio, force_small)
-    if len(keep) == len(supernodes):
-        return supernodes
-    # Input supernode -> the result it lies in (results are contiguous
-    # runs, so by first column).
-    owner = np.searchsorted(new_first, first, side="right") - 1
-    up = parent[keep]
-    new_parent = np.where(up >= 0, owner[up], -1)
-    tails = [supernodes[k].rows[supernodes[k].n_cols:] for k in keep.tolist()]
-    return _link(new_first, last[keep], new_parent,
-                 *_front_rows(new_first, last[keep], tails))
 
 
 def _front_rows(first: np.ndarray, last: np.ndarray,

@@ -371,8 +371,8 @@ def build_case(family: str, seed: int, max_n: int = 48) -> FuzzCase:
     elif family == "lu_circuit":
         # Sized by itself, not by max_n: a few hundred rows with dense
         # hubs put fronts on both sides of the numeric engine's
-        # GROUP_FRONT_MAX (128), so both extend-add paths and several
-        # scheduler tasks run.
+        # GROUP_FRONT_MAX (128), so grouped subtrees and single-supernode
+        # tasks both run.
         matrix = circuit_like(int(rng.integers(400, 701)), hub_fraction=0.8,
                               aspect=8, seed=int(rng.integers(2**31)))
     elif family == "lu_nonfinite":

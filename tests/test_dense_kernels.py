@@ -1,24 +1,24 @@
 """The LAPACK/BLAS-routed dense kernels against their references.
 
 Every kernel of :mod:`repro.numeric.dense` is held against the
-``block_size=1`` per-pivot path (plain NumPy, no LAPACK call) and against
-``numpy.linalg``; the error contract (which pivot raises, with which
-message) must be the same on both paths; the triangular solves must run
-in the caller's memory; and a solution's bits must not depend on which
-column of a padded panel carried it.
+``block_size=1`` per-pivot path (the compiled core's per-pivot loop, no
+LAPACK call) and against ``numpy.linalg``; the error contract (which
+pivot raises, with which message) must be the same on both paths; the
+supernodal solve and the front kernels must run in the caller's memory;
+and a solution's bits must not depend on which column of a padded panel
+carried it.
 """
 
 import numpy as np
 import pytest
 
 from repro.numeric import SparseSolver
-from repro.numeric import compiled, dense
+from repro.numeric import compiled
 from repro.numeric.dense import (
+    cholesky_front,
     lu_front,
     partial_cholesky,
     partial_lu,
-    solve_lower_dense,
-    solve_upper_dense,
 )
 from repro.numeric.supernodal_solve import solve_panel
 from repro.sparse import circuit_like, grid_laplacian_3d
@@ -129,34 +129,32 @@ class TestTriangularSolves:
     @pytest.mark.parametrize("k", [None, 1, 32])
     @pytest.mark.parametrize("unit", [False, True])
     def test_against_numpy(self, rng, size, k, unit):
-        full = rng.standard_normal((size, size)) / size + 2 * np.eye(size)
+        """The tsolve of a front against ``numpy.linalg.solve``: below a
+        Cholesky front's pivots L21 = A21 L11^-T, so L21^T = L11^-1 B;
+        right of an LU front's, U12 = L11^-1 A12 with L11 unit lower.
+        The strict upper triangle of a Cholesky pivot block is poisoned:
+        nothing may read it."""
         b = rng.standard_normal(size if k is None else (size, k))
-        for lower, solve in ((True, solve_lower_dense),
-                             (False, solve_upper_dense)):
-            exact = np.tril(full) if lower else np.triu(full)
-            if unit:
-                np.fill_diagonal(exact, 1.0)
-            expected = np.linalg.solve(exact, b)
-            # Whatever the solve must not read is poisoned.
-            poisoned = np.where(exact != 0, exact, np.nan)
-            if unit:
-                np.fill_diagonal(poisoned, np.nan)
-            for name, tri, _ in _layouts(poisoned):
-                for operand in (tri, np.asfortranarray(tri)):
-                    x = solve(operand, b, unit=unit)
-                    assert x.shape == b.shape
-                    assert np.allclose(x, expected, rtol=1e-10,
-                                       atol=1e-12), (name, lower)
-
-    def test_strided_right_hand_side_is_solved_in_place(self, rng):
-        tri = np.tril(rng.standard_normal((9, 9))) + 9 * np.eye(9)
-        holder = rng.standard_normal((9, 40))
-        b = holder[:, 3:20].copy()
-        before = holder.copy()
-        dense._solve_lower_inplace(tri, holder[:, 3:20], False)
-        assert np.allclose(tri @ holder[:, 3:20], b, atol=1e-12)
-        assert np.array_equal(holder[:, :3], before[:, :3])
-        assert np.array_equal(holder[:, 20:], before[:, 20:])
+        rhs = b.reshape(size, -1)
+        m = rhs.shape[1]
+        lower = np.tril(rng.standard_normal((size, size)) / size, -1)
+        if unit:
+            lower += np.eye(size)
+            upper = np.triu(rng.standard_normal((size, size)) / size) \
+                + 2 * np.eye(size)
+            panel = np.vstack((lower @ upper, np.zeros((m, size))))
+            right = rhs.copy()
+            lu_front(panel, right, np.zeros((m, m)))
+            got = right
+        else:
+            lower += 2 * np.eye(size)
+            pivots = lower @ lower.T
+            pivots[np.triu_indices(size, 1)] = np.nan
+            panel = np.vstack((pivots, rhs.T))
+            cholesky_front(panel, np.zeros((m, m)))
+            got = panel[size:].T
+        expected = np.linalg.solve(lower, rhs)
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_cholesky_strict_upper_triangle_is_never_read(self):
         matrix = grid_laplacian_3d(7, seed=3)
@@ -175,30 +173,6 @@ class TestTriangularSolves:
             k = block.shape[1]
             block[:k][np.triu_indices(k, 1)] = np.nan
         assert all(np.array_equal(a, b) for a, b in zip(outputs(), before))
-
-
-class _BlasSpy:
-    """Wraps an f2py routine; records, per call, whether each array
-    (positional or keyword) went in Fortran-contiguous (no private copy)
-    and whether the result is the very object passed in (solved in the
-    caller's memory)."""
-
-    def __init__(self, fn, in_place_arg):
-        self.fn, self.in_place_arg = fn, in_place_arg
-        self.calls = []
-
-    def __call__(self, *args, **kwargs):
-        out = self.fn(*args, **kwargs)
-        arrays = [a for a in (*args, *kwargs.values())
-                  if isinstance(a, np.ndarray)]
-        target = arrays[self.in_place_arg]
-        result = out[0] if isinstance(out, tuple) else out
-        self.calls.append({
-            "contiguous": [a.flags.f_contiguous for a in arrays],
-            "in_place": result is target
-            and np.shares_memory(result, target),
-        })
-        return out
 
 
 class _CompiledSpy:
@@ -257,19 +231,6 @@ def _offset(address, array):
 
 
 class TestNoCopies:
-    def test_solves_run_in_the_callers_panel(self, rng, monkeypatch):
-        spy = _BlasSpy(dense.dtrsm, in_place_arg=1)
-        monkeypatch.setattr(dense, "dtrsm", spy)
-        tri = np.tril(rng.standard_normal((33, 33))) + 33 * np.eye(33)
-        x = rng.standard_normal((33, 32))
-        b = x.copy()
-        dense._solve_lower_inplace(tri, x, False)
-        dense._solve_upper_inplace(tri.T, x, False)
-        assert np.allclose(tri @ (tri.T @ x), b, atol=1e-9)
-        assert len(spy.calls) == 2
-        assert all(c["in_place"] and all(c["contiguous"])
-                   for c in spy.calls)
-
     @pytest.mark.parametrize("kind", ["cholesky", "lu"])
     def test_supernodal_solve_never_copies_the_panel(self, kind):
         """Two ``dtrsm`` per supernode, each solving a row band of the
@@ -315,7 +276,7 @@ class TestNoCopies:
                 sn = {int(np.searchsorted(layout[:, 2], off, "right")) - 1
                       for off in inside}
                 assert len(sn) == 1, call
-                k, m, lo, _, hi, _, _ = layout[sn.pop()]
+                k, m, lo, _, hi = layout[sn.pop()]
                 assert all(lo <= off < hi for off in inside)
                 if k > block:
                     continue

@@ -52,11 +52,11 @@ class TestSupernodalSolve:
                            atol=1e-10)
 
     def test_amalgamated_factor_solves(self, rng):
-        """The engine factors on its execution tree, merged further than
-        the symbolic analysis's amalgamation."""
+        """The engine factors the symbolic analysis's amalgamated
+        supernodes, one front each."""
         matrix = grid_laplacian_3d(4, seed=9)
         solver = SparseSolver(matrix)
-        assert len(solver.factor.fronts) < solver.symbolic.n_supernodes
+        assert len(solver.factor.fronts) == solver.symbolic.n_supernodes
         b = rng.standard_normal(matrix.n_rows)
         x = solver.solve(b)
         assert solver.residual_norm(matrix, x, b) < 1e-12

@@ -1,15 +1,15 @@
 """Grouped small supernodes in the numeric engine.
 
-A supernode whose front has at most ``GROUP_FRONT_MAX`` rows is grouped:
-its children's update blocks sit side by side in one arena and its
-extend-add maps are cached in the pattern's ``NumericContext``; a parent
-above the threshold computes its children's offsets on the fly.  Every
-entry receives the same additions in the same order either way, so the
-factors and solutions must be bit-equal with nothing grouped, with
-everything grouped, and at the default — at every worker count, since
-maximal grouped subtrees are also the scheduler's tasks.
+A supernode whose front has at most ``GROUP_FRONT_MAX`` rows is grouped,
+and a maximal subtree of grouped supernodes is one scheduler task.  The
+grouping sets task granularity only: every supernode's extend-add and
+kernels are the same whichever task runs it, so the factors and
+solutions must be bit-equal with nothing grouped, with everything
+grouped, and at the default — at every worker count, and equal to one
+worker's at the default.
 """
 
+import functools
 import sys
 import threading
 
@@ -24,16 +24,19 @@ from repro.sparse.csc import CSCMatrix
 from repro.verify.generators import build_case, family_names
 
 from .golden_oracles import _arange_csc
+from .test_symbolic_golden import LADDER
 
 ALL = 10**9   # a threshold above every front: everything grouped
 
-#: Named matrices beside the fuzz families; the last two have fronts on
-#: both sides of the default threshold.
+#: Named matrices beside the fuzz families: grid10 and circuit2000 have
+#: fronts on both sides of the default threshold; then the ladder's four
+#: solver matrices at reduced size.
 NAMED = {
     "grid8": (lambda: grid_laplacian_3d(8, 8, 8, seed=1), "cholesky"),
     "circuit1000": (lambda: circuit_like(1000, seed=3), "lu"),
     "grid10": (lambda: grid_laplacian_3d(10, 10, 10, seed=1), "cholesky"),
     "circuit2000": (lambda: circuit_like(2000, seed=3), "lu"),
+    **{name: (gen, kind) for name, (kind, gen) in LADDER.items()},
 }
 STRADDLING = {"cholesky": "grid10", "lu": "circuit2000"}
 
@@ -67,44 +70,25 @@ def _outputs(matrix, kind, workers):
     return out + [solver.solve(b1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _serial_outputs(family, seed):
+    """:func:`_outputs` on one worker at the default threshold."""
+    return _outputs(*_matrix(family, seed), 1)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("label, family, seed",
                          CASES + [(name, name, 0) for name in NAMED])
 def test_same_bits_whatever_is_grouped(monkeypatch, label, family, seed,
                                        workers):
     matrix, kind = _matrix(family, seed)
-    reference = _outputs(matrix, kind, workers)
-    for limit in (0, ALL):
+    reference = _serial_outputs(family, seed)
+    for limit in (engine.GROUP_FRONT_MAX, 0, ALL):
         monkeypatch.setattr(engine, "GROUP_FRONT_MAX", limit)
         got = _outputs(matrix, kind, workers)
         assert len(got) == len(reference)
         assert all(np.array_equal(a, b) for a, b in zip(reference, got)), \
             (label, limit)
-
-
-def test_children_in_other_tasks_share_one_arena(monkeypatch):
-    """A grouped parent whose subtree also holds a larger supernode is a
-    task of its own; its children then run in other tasks, possibly at
-    once, and whichever asks first allocates the parent's arena.  Fifty
-    factorizations on four threads must all be bit-identical to one
-    thread (a second allocation would lose a child's update block)."""
-    monkeypatch.setattr(engine, "GROUP_FRONT_MAX", 48)
-    matrix, kind = _matrix("circuit2000")
-    solver = SparseSolver(matrix, kind=kind, workers=1, use_cache=False)
-    ctx = numeric_context(solver.symbolic, solver._matrix)
-    task_of = np.repeat(np.arange(ctx.n_tasks), np.diff(ctx.task_bounds))
-    assert any(len(set(task_of[kids])) > 1
-               for kids, size in zip(ctx.kids, ctx.arena_len) if size)
-    reference = solver.factor.buffer.copy()
-    solver.workers = 4
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(50):
-            solver.refactorize(matrix)
-            assert np.array_equal(solver.factor.buffer, reference)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("kind", ["cholesky", "lu"])
@@ -149,8 +133,8 @@ def test_two_jobs_share_one_context_on_two_threads(kind):
 @pytest.mark.parametrize("kind", ["cholesky", "lu"])
 def test_thresholds_change_the_grouping(monkeypatch, kind):
     """The bit-identity above compares genuinely different runs: the
-    default groups some supernodes, 0 none (no arena, one task per
-    supernode), a huge threshold all of them (one task per tree)."""
+    default groups some supernodes, 0 none (one task per supernode), a
+    huge threshold all of them (one task per tree)."""
     matrix, _ = _matrix(STRADDLING[kind])
     seen = {}
     default = engine.GROUP_FRONT_MAX
@@ -160,15 +144,11 @@ def test_thresholds_change_the_grouping(monkeypatch, kind):
                                            use_cache=False).symbolic,
                               matrix if kind == "cholesky"
                               else apply_static_pivoting(matrix)[0])
-        cached = sum(m is not None for m in ctx.ea_maps)
-        seen[limit] = (ctx.n_tasks, sum(ctx.arena_len), cached)
+        seen[limit] = ctx.n_tasks
     n_sn = len(ctx.layout)
     roots = int((ctx.sn_parent < 0).sum())
-    parents = sum(bool(kids) for kids in ctx.kids)
-    assert seen[0] == (n_sn, 0, 0)
-    assert seen[ALL][0] == roots and seen[ALL][2] == parents
-    tasks, _, cached = seen[default]
-    assert roots < tasks < n_sn and 0 < cached < parents
+    assert seen[0] == n_sn and seen[ALL] == roots
+    assert roots < seen[default] < n_sn
 
 
 @pytest.mark.parametrize("kind", ["cholesky", "lu"])
@@ -201,11 +181,9 @@ def test_tasks_are_maximal_grouped_subtrees(kind):
 
 def test_stored_factor_pins_only_the_factor_buffer():
     """The factor keeps ``P`` | ``R`` of every supernode in one buffer of
-    exactly their total length: the update arenas are not part of it."""
+    exactly their total length: the update blocks are not part of it."""
     for matrix, kind in map(_matrix, STRADDLING.values()):
         solver = SparseSolver(matrix, kind=kind, use_cache=False)
-        assert any(numeric_context(solver.symbolic,
-                                   solver._matrix).arena_len)
         factor = solver.factor
         blocks = [block[1:] for block in factor.fronts]
         total = sum(a.size for block in blocks for a in block)

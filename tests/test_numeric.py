@@ -4,15 +4,12 @@ solves (validated against NumPy oracles)."""
 import numpy as np
 import pytest
 
-from repro.numeric import engine
 from repro.numeric.cholesky import multifrontal_cholesky
 from repro.numeric.dense import (
-    dense_cholesky,
-    dense_lu_nopivot,
+    cholesky_front,
+    lu_front,
     partial_cholesky,
     partial_lu,
-    tsolve_lower,
-    tsolve_upper,
 )
 from repro.numeric.lu import multifrontal_lu
 from repro.numeric.solver import SparseSolver
@@ -22,28 +19,42 @@ from repro.symbolic import symbolic_factorize
 from repro.verify.differential import REJECTION_ERRORS
 from repro.verify.generators import build_case, family_names
 
+from .test_symbolic_golden import LADDER
+
 
 def random_spd_dense(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
 
 
+def cholesky_of(a):
+    """L of a square matrix by the square-front Cholesky kernel."""
+    return np.tril(partial_cholesky(np.array(a, dtype=np.float64),
+                                    len(a)))
+
+
+def lu_of(a, perturb=0.0):
+    """``(L, U)`` of a square matrix by the square-front LU kernel."""
+    f = partial_lu(np.array(a, dtype=np.float64), len(a), perturb=perturb)
+    return np.tril(f, -1) + np.eye(len(a)), np.triu(f)
+
+
 class TestDenseKernels:
     def test_cholesky_matches_numpy(self, rng):
         a = random_spd_dense(rng, 12)
-        assert np.allclose(dense_cholesky(a), np.linalg.cholesky(a))
+        assert np.allclose(cholesky_of(a), np.linalg.cholesky(a))
 
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            dense_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky_of(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_cholesky_rejects_rectangular(self):
         with pytest.raises(ValueError):
-            dense_cholesky(np.ones((2, 3)))
+            partial_cholesky(np.ones((2, 3)), 2)
 
     def test_lu_reconstructs(self, rng):
         a = random_spd_dense(rng, 10) + rng.standard_normal((10, 10))
-        lower, upper = dense_lu_nopivot(a)
+        lower, upper = lu_of(a)
         assert np.allclose(lower @ upper, a)
         assert np.allclose(np.diag(lower), 1.0)
         assert np.allclose(lower, np.tril(lower))
@@ -51,24 +62,32 @@ class TestDenseKernels:
 
     def test_lu_zero_pivot_raises(self):
         with pytest.raises(ValueError):
-            dense_lu_nopivot(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            lu_of(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_lu_perturbation_rescues_small_pivot(self):
         a = np.array([[1e-20, 1.0], [1.0, 1.0]])
-        lower, upper = dense_lu_nopivot(a, perturb=1e-8)
+        lower, upper = lu_of(a, perturb=1e-8)
         assert np.isfinite(lower).all() and np.isfinite(upper).all()
 
     def test_tsolve_lower(self, rng):
+        # The Cholesky front's tsolve: L21 = A21 L11^-T below the pivots.
         l11 = np.tril(rng.standard_normal((6, 6))) + 6 * np.eye(6)
         block = rng.standard_normal((4, 6))
-        x = tsolve_lower(block, l11)
-        assert np.allclose(x @ l11.T, block)
+        panel = np.vstack((l11 @ l11.T, block))
+        cholesky_front(panel, np.zeros((4, 4)))
+        assert np.allclose(np.tril(panel[:6]), l11)
+        assert np.allclose(panel[6:] @ l11.T, block)
 
     def test_tsolve_upper(self, rng):
+        # The LU front's U-panel tsolve: U12 = L11^-1 A12 right of them.
         l11 = np.tril(rng.standard_normal((5, 5)), -1) + np.eye(5)
+        u11 = np.triu(rng.standard_normal((5, 5))) + 5 * np.eye(5)
         block = rng.standard_normal((5, 7))
-        x = tsolve_upper(block, l11)
-        assert np.allclose(l11 @ x, block)
+        panel = np.vstack((l11 @ u11, np.zeros((7, 5))))
+        right = block.copy()
+        lu_front(panel, right, np.zeros((7, 7)))
+        assert np.allclose(np.tril(panel[:5], -1) + np.eye(5), l11)
+        assert np.allclose(l11 @ right, block)
 
     def test_partial_cholesky_schur(self, rng):
         # After k pivots, the trailing block is the Schur complement.
@@ -132,18 +151,18 @@ class TestMultifrontalCholesky:
         assert np.allclose(lt @ lt.T, pt, atol=1e-10)
         assert np.allclose(ll @ ll.T, pl, atol=1e-10)
 
-    def test_nnz_accounting(self, spd_medium, monkeypatch):
+    def test_nnz_accounting(self, spd_medium):
+        # Without amalgamation in the analysis, stored nnz equals
+        # predicted fill: the engine factors the analysis's supernodes.
         sf = symbolic_factorize(spd_medium, relax_small=0, relax_ratio=0.0)
         factor = multifrontal_cholesky(spd_medium, sf)
-        # nnz() counts stored entries, the merged fronts' explicit zeros
-        # included.
+        assert factor.nnz() == factor.to_csc()[0].nnz == sf.factor_nnz
+        # nnz() counts stored entries, the amalgamated fronts' explicit
+        # zeros included.
+        sf = symbolic_factorize(spd_medium, relax_small=16, relax_ratio=0.6,
+                                force_small=64)
+        factor = multifrontal_cholesky(spd_medium, sf)
         assert factor.nnz() == factor.to_csc()[0].nnz > sf.factor_nnz
-        # Without amalgamation in the analysis or the engine, stored nnz
-        # equals predicted fill.
-        monkeypatch.setattr(engine, "MERGE_WIDTH", 0)
-        monkeypatch.setattr(engine, "MERGE_FRONT", 0)
-        sf = symbolic_factorize(spd_medium, relax_small=0, relax_ratio=0.0)
-        assert multifrontal_cholesky(spd_medium, sf).nnz() == sf.factor_nnz
 
     @pytest.mark.parametrize("kind", ["cholesky", "lu"])
     @pytest.mark.parametrize("family", family_names())
@@ -235,3 +254,4 @@ class TestTriangularSolves:
         lower = CSCMatrix.from_dense(np.eye(4))
         with pytest.raises(ValueError):
             solve_lower_csc(lower, np.ones(5))
+

@@ -12,14 +12,7 @@ import pytest
 from repro.numeric import SparseSolver
 from repro.numeric.cache import AnalysisCache, analysis_cache, pattern_digest
 from repro.numeric.cholesky import multifrontal_cholesky
-from repro.numeric.dense import (
-    dense_cholesky,
-    dense_lu_nopivot,
-    partial_cholesky,
-    partial_lu,
-    solve_lower_dense,
-    solve_upper_dense,
-)
+from repro.numeric.dense import cholesky_front, partial_cholesky, partial_lu
 from repro.numeric.engine import numeric_context
 from repro.numeric.lu import multifrontal_lu
 from repro.obs.metrics import global_registry, reset_global_registry
@@ -34,6 +27,12 @@ from .conftest import csc_solve
 def _random_spd_dense(n, rng):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+def _blocked_cholesky(a, block):
+    """L of ``a`` by the square-front Cholesky kernel in panels of
+    ``block`` columns."""
+    return np.tril(partial_cholesky(np.array(a), len(a), block=block))
 
 
 def _reference_cholesky(a):
@@ -55,7 +54,7 @@ class TestBlockedDenseKernels:
     @pytest.mark.parametrize("block", [1, 8, 32, 48, 200])
     def test_dense_cholesky_blocked(self, rng, n, block):
         a = _random_spd_dense(n, rng)
-        lower = dense_cholesky(a, block=block)
+        lower = _blocked_cholesky(a, block)
         assert np.allclose(lower @ lower.T, a, atol=1e-8 * n)
         assert np.allclose(np.triu(lower, 1), 0.0)
 
@@ -63,7 +62,8 @@ class TestBlockedDenseKernels:
     @pytest.mark.parametrize("block", [1, 8, 32, 48, 200])
     def test_dense_lu_blocked(self, rng, n, block):
         a = _random_spd_dense(n, rng)  # diagonally dominant: no pivoting
-        lower, upper = dense_lu_nopivot(a, block=block)
+        f = partial_lu(a.copy(), n, block=block)
+        lower, upper = np.tril(f, -1) + np.eye(n), np.triu(f)
         assert np.allclose(lower @ upper, a, atol=1e-8 * n)
         assert np.allclose(np.diag(lower), 1.0)
 
@@ -71,7 +71,7 @@ class TestBlockedDenseKernels:
         a = _random_spd_dense(64, rng)
         reference = _reference_cholesky(a)
         for block in (1, 7, 16, 64, 128):
-            assert np.allclose(dense_cholesky(a, block=block), reference,
+            assert np.allclose(_blocked_cholesky(a, block), reference,
                                rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n_pivots", [1, 10, 24, 25])
@@ -103,20 +103,18 @@ class TestBlockedDenseKernels:
     def test_non_spd_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError, match="non-SPD"):
-            dense_cholesky(a, block=16)
+            _blocked_cholesky(a, 16)
 
     @pytest.mark.parametrize("k", [1, 3, 17])
     def test_dense_triangular_panels(self, rng, k):
+        # The tsolve of a 50-pivot Cholesky front with k update rows, in
+        # panels: L21^T = L11^-1 B.
         n = 50
         tri = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
         b = rng.standard_normal((n, k))
-        y = solve_lower_dense(tri, b)
-        assert np.allclose(tri @ y, b, atol=1e-10)
-        x = solve_upper_dense(tri.T, b)
-        assert np.allclose(tri.T @ x, b, atol=1e-10)
-        # 1-D round trip keeps the shape.
-        v = rng.standard_normal(n)
-        assert solve_lower_dense(tri, v).shape == (n,)
+        panel = np.vstack((tri @ tri.T, b.T))
+        cholesky_front(panel, np.zeros((k, k)), block=16)
+        assert np.allclose(tri @ panel[n:].T, b, atol=1e-10)
 
 
 class TestLevelSets:

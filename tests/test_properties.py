@@ -4,11 +4,7 @@ invariants."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.numeric.dense import (
-    dense_cholesky,
-    dense_lu_nopivot,
-    tsolve_lower,
-)
+from repro.numeric.dense import cholesky_front, partial_cholesky, partial_lu
 from repro.numeric import SparseSolver
 from repro.ordering import minimum_degree, rcm
 from repro.sparse.coo import COOMatrix
@@ -210,7 +206,7 @@ def test_cholesky_reconstructs(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     a = a @ a.T + n * np.eye(n)
-    lower = dense_cholesky(a)
+    lower = np.tril(partial_cholesky(a.copy(), n))
     assert np.allclose(lower @ lower.T, a, atol=1e-9)
 
 
@@ -219,7 +215,8 @@ def test_cholesky_reconstructs(n, seed):
 def test_lu_reconstructs(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + n * np.eye(n)
-    lower, upper = dense_lu_nopivot(a)
+    f = partial_lu(a.copy(), n)
+    lower, upper = np.tril(f, -1) + np.eye(n), np.triu(f)
     assert np.allclose(lower @ upper, a, atol=1e-9)
 
 
@@ -229,8 +226,11 @@ def test_tsolve_solves(rows, cols, seed):
     rng = np.random.default_rng(seed)
     lower = np.tril(rng.standard_normal((cols, cols))) + cols * np.eye(cols)
     block = rng.standard_normal((rows, cols))
-    x = tsolve_lower(block, lower)
-    assert np.allclose(x @ lower.T, block, atol=1e-9)
+    # The tsolve of a Cholesky front: L21 = A21 L11^-T below its pivots.
+    panel = np.vstack((lower @ lower.T, block))
+    cholesky_front(panel, np.zeros((rows, rows)))
+    assert np.allclose(panel[cols:] @ np.tril(panel[:cols]).T, block,
+                       atol=1e-9)
 
 
 # -- CSQ properties ----------------------------------------------------------------

@@ -11,6 +11,8 @@ from repro.sparse import (
 )
 from repro.sparse.csc import CSCMatrix
 
+from .test_symbolic_golden import LADDER
+
 
 class TestCholeskySolver:
     @pytest.mark.parametrize("ordering", ["amd", "nd", "rcm"])
@@ -202,3 +204,20 @@ class TestFailureModes:
         b = rng.standard_normal(3)
         result = solver.solve_refined(m, b, tolerance=1e-10)
         assert result.residual_norm < 1e-8
+
+
+@pytest.mark.parametrize("label", sorted(LADDER))
+def test_rhs_pad_column_position_identity(label):
+    """A right-hand side's bits do not depend on where it sits in a
+    padded panel."""
+    kind, gen = LADDER[label]
+    matrix = gen()
+    solver = SparseSolver(matrix, kind=kind, rhs_pad=32, use_cache=False)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(matrix.n_rows)
+    alone = solver.solve(b)
+    for j in (0, 1, 7, 31):
+        panel = rng.standard_normal((matrix.n_rows, 32))
+        panel[:, j] = b
+        assert np.array_equal(solver.solve(panel)[:, j], alone)
+        assert np.array_equal(solver.solve(panel[:, :j + 1])[:, j], alone)

@@ -314,7 +314,7 @@ class TestMutation:
         ctx = tasks.ctx
         if ctx.symbolic.kind != "cholesky":
             return
-        for k, _, lo, _, _, _, _ in ctx.layout[
+        for k, _, lo, _, _ in ctx.layout[
                 ctx.task_bounds[t]:ctx.task_bounds[t + 1]]:
             tasks.buffer[lo + (k - 1) * k + k - 1] *= 1.0 + 1e-3
 
