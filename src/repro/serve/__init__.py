@@ -4,8 +4,8 @@ The serving layer turns :class:`~repro.numeric.solver.SparseSolver` into
 a warm, shared resource: per-pattern workers keep factorizations
 resident, concurrent same-pattern solve requests coalesce into blocked
 multi-RHS panels (bit-identically, via batch-invariant ``rhs_pad``
-solves), and distinct patterns factor and solve concurrently against the
-sharded analysis cache.  See docs/SERVING.md.
+solves), and distinct patterns factor and solve concurrently, sharing
+the process-global analysis cache.  See docs/SERVING.md.
 """
 
 from repro.serve.client import InProcessClient, SocketClient

@@ -70,8 +70,8 @@ Operations
 ``stats``
     Full operational snapshot: cumulative counters, coalescing stats,
     latency percentiles, the rolling-window SLO view, per-worker queue
-    depth/occupancy, slow-request exemplars, and analysis-cache shard
-    stats.  Read-only — polling never mutates server gauges.  Options::
+    depth/occupancy, slow-request exemplars, and analysis-cache
+    counters.  Read-only — polling never mutates server gauges.  Options::
 
         {"op": "stats", "id": 4,
          "window_s": 30,            # optional: rolling-window width

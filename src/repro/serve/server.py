@@ -3,10 +3,9 @@
 ``SolveServer`` is the threaded core: a table of per-pattern workers,
 each owning one warm :class:`~repro.numeric.solver.SparseSolver`.
 Requests against *distinct* patterns factor and solve concurrently
-(distinct worker threads, distinct analysis-cache shards); requests
-against the *same* pattern share one warm
-:class:`~repro.numeric.engine.NumericContext` and are serialized by
-their worker — which is what lets it coalesce them.
+(distinct worker threads); requests against the *same* pattern share
+one warm :class:`~repro.numeric.engine.NumericContext` and are
+serialized by their worker — which is what lets it coalesce them.
 
 Coalescing: when a worker dequeues a solve request it drains the
 *contiguous* run of solve requests already queued behind it (never past
@@ -637,8 +636,7 @@ class SolveServer:
                                for h in worker_health.values()),
             "workers": worker_health,
             "analysis_cache": {"size": len(cache),
-                               "capacity": cache.capacity,
-                               "shards": len(cache.shard_stats())},
+                               "capacity": cache.capacity},
         }
 
     def stats(self, export: bool = False,
@@ -695,7 +693,6 @@ class SolveServer:
                         for pattern, w in workers.items()},
             "exemplars": self.exemplars.snapshot(),
             "analysis_cache": analysis_cache().stats(),
-            "analysis_cache_shards": analysis_cache().shard_stats(),
         }
         if export:
             self.latency.export()

@@ -5,7 +5,8 @@ invocation in the user-facing docs and the CI workflow must name a
 subcommand and flags that :func:`repro.cli.build_parser` defines.
 Markdown is checked inside code only (fenced blocks and inline spans:
 "a repro" is also a noun); shell lines continued with ``\\`` are joined.
-Every backticked dotted ``repro.…`` name in the docs must import.
+Every backticked dotted ``repro.…`` name in the docs must import, also
+when it is written as a call (``repro.….f(x)``).
 """
 
 import importlib
@@ -24,7 +25,7 @@ INVOCATION = re.compile(r"(?:python3? -m repro(?:\.cli)?"
                         r"|(?<![\w/.-])(?<!from )repro) +([a-z][\w-]*)(.*)")
 NAME_FILES = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "PAPER.md",
               *sorted((ROOT / "docs").glob("*.md"))]
-DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
 FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
 
 
@@ -91,10 +92,12 @@ def test_doc_names_resolve():
 
 
 @pytest.mark.parametrize("name", ["repro.numeric.no_such_module",
-                                  "repro.numeric.engine.NoSuchName"])
+                                  "repro.numeric.engine.NoSuchName",
+                                  "repro.numeric.engine.no_such_call(tree)"])
 def test_resolve_rejects_a_missing_name(name):
+    (found,) = DOC_NAME.findall(f"see `{name}` here")
     with pytest.raises((ImportError, AttributeError)):
-        resolve(name)
+        resolve(found)
 
 
 @pytest.mark.parametrize("text, n_problems", [

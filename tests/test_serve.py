@@ -1,15 +1,16 @@
 """Tests for the serving layer (repro.serve) and its foundations:
-batch-invariant padded solves, the sharded analysis cache under
-concurrency, protocol round trips, coalescing bit-identity, the
-refactorize barrier, the socket front end, and the CLI commands."""
+batch-invariant padded solves, the analysis cache under concurrency,
+protocol round trips, coalescing bit-identity, the refactorize barrier,
+the socket front end, and the CLI commands."""
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.numeric.cache import AnalysisCache, analysis_cache
+from repro.numeric.cache import AnalysisCache
 from repro.numeric.solver import SparseSolver
 from repro.obs.metrics import global_registry
 from repro.serve import (
@@ -79,12 +80,12 @@ class TestRhsPad:
             SparseSolver(matrix, rhs_pad=0)
 
 
-# -- sharded analysis cache under concurrency -----------------------------
+# -- analysis cache under concurrency -------------------------------------
 
 
-class TestShardedCacheConcurrency:
+class TestAnalysisCacheConcurrency:
     def test_concurrent_hammering_integrity(self):
-        cache = AnalysisCache(capacity=8, shards=4)
+        cache = AnalysisCache(capacity=8)
         matrices = [random_spd(12 + i, density=0.3, seed=i)
                     for i in range(6)]
         n_threads, per_thread = 8, 30
@@ -108,10 +109,17 @@ class TestShardedCacheConcurrency:
 
         threads = [threading.Thread(target=worker, args=(t,))
                    for t in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # Switch threads often so a lost counter update would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         # Counter accuracy: every operation is exactly one hit or miss.
         assert cache.hits + cache.misses == n_threads * per_thread
@@ -119,15 +127,15 @@ class TestShardedCacheConcurrency:
         stats = cache.stats()
         assert stats["hits"] == cache.hits
         assert stats["misses"] == cache.misses
-        assert sum(s["size"] for s in cache.shard_stats()) == len(cache)
+        assert stats["size"] == len(cache)
 
     def test_hot_entries_share_one_object(self):
         # With capacity >= working set, every warm hit must return the
         # same analysis object per pattern (the whole point of the
-        # cache).  Pre-warm sequentially: racing *cold* misses on one
-        # key may each analyze (documented last-writer-wins), so only
-        # the hit path guarantees object identity.
-        cache = AnalysisCache(capacity=16, shards=4)
+        # cache).  Pre-warm sequentially so every call here is a hit;
+        # racing cold misses are covered by
+        # test_racing_misses_share_first_analysis.
+        cache = AnalysisCache(capacity=16)
         matrices = [random_spd(15 + i, density=0.3, seed=100 + i)
                     for i in range(4)]
         warm = [cache.get_or_analyze(m, kind="cholesky", ordering="amd")
@@ -150,8 +158,8 @@ class TestShardedCacheConcurrency:
             assert all(results[t][i] is warm[i] for t in range(4))
 
     def test_single_thread_lru_semantics_preserved(self):
-        # The sharded cache keeps exact global LRU order sequentially.
-        cache = AnalysisCache(capacity=2, shards=4)
+        # The cache keeps exact LRU order.
+        cache = AnalysisCache(capacity=2)
         a, b, c = (random_spd(10 + i, density=0.4, seed=200 + i)
                    for i in range(3))
         sa = cache.get_or_analyze(a, kind="cholesky", ordering="amd")
@@ -165,22 +173,38 @@ class TestShardedCacheConcurrency:
         cache.get_or_analyze(b, kind="cholesky", ordering="amd")
         assert cache.misses == before + 1                  # b was evicted
 
-    def test_shard_distribution_and_index_stability(self):
-        cache = AnalysisCache(capacity=64, shards=8)
-        for i in range(20):
-            cache.get_or_analyze(random_spd(10 + i, density=0.4,
-                                            seed=300 + i),
-                                 kind="cholesky", ordering="amd")
-        assert len(cache) == 20
-        # Stable assignment: re-deriving the shard index for every key
-        # finds the entry in that shard.
-        for shard_index, shard in enumerate(cache._shards):
-            for key in shard.entries:
-                assert cache.shard_index(key) == shard_index
+    def test_racing_misses_share_first_analysis(self, monkeypatch):
+        # Two callers miss on one key at once: both analyze, the first
+        # insert wins, and both get that one object back.
+        from repro.numeric import cache as cache_mod
 
-    def test_process_global_cache_is_sharded(self):
-        assert analysis_cache().n_shards >= 1
-        assert analysis_cache().capacity >= 1
+        real = cache_mod.symbolic_factorize
+        barrier = threading.Barrier(2)
+
+        def analyze_after_both_missed(*args, **kwargs):
+            barrier.wait(timeout=10.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "symbolic_factorize",
+                            analyze_after_both_missed)
+        cache = AnalysisCache(capacity=4)
+        matrix = random_spd(14, density=0.3, seed=400)
+        results = [None, None]
+
+        def worker(tid):
+            results[tid] = cache.get_or_analyze(matrix, kind="cholesky",
+                                                ordering="amd")
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert results[0] is not None and results[0] is results[1]
+        assert len(cache) == 1
+        assert cache.misses == 2 and cache.hits == 0
 
 
 # -- protocol -------------------------------------------------------------
@@ -566,21 +590,6 @@ def test_serve_config_range_checks_each_field(field, value):
         ServeConfig(**{field: value})
 
 
-# -- environment knobs ----------------------------------------------------
-
-
-class TestCacheEnvKnobs:
-    def test_env_overrides(self, monkeypatch):
-        from repro.numeric import cache as cache_mod
-
-        monkeypatch.setenv(cache_mod.ENV_CAPACITY, "5")
-        monkeypatch.setenv(cache_mod.ENV_SHARDS, "3")
-        assert cache_mod._capacity_from_env() == 5
-        assert cache_mod._shards_from_env() == 3
-        monkeypatch.setenv(cache_mod.ENV_CAPACITY, "junk")
-        assert cache_mod._capacity_from_env() == cache_mod.DEFAULT_CAPACITY
-
-
 # -- live observability (ISSUE 10) ----------------------------------------
 
 
@@ -637,6 +646,14 @@ class TestLiveObservability:
                         "patterns", "inflight", "queue_depth",
                         "workers", "analysis_cache"):
                 assert key in health, key
+            assert set(health["analysis_cache"]) == {"size", "capacity"}
+            # A factor op consults the analysis cache, which exports its
+            # totals only: no per-shard gauges.
+            InProcessClient(srv).factor(grid_laplacian_2d(5, seed=6))
+            assert "numeric.analysis_cache.size" in \
+                global_registry().snapshot()
+            assert not [name for name in global_registry().snapshot()
+                        if name.startswith("numeric.analysis_cache.shard.")]
             deadline = time.time() + 5.0
             while (srv.health()["heartbeats"] < 2
                    and time.time() < deadline):

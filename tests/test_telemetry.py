@@ -401,21 +401,8 @@ class TestAnalysisCacheBounds:
         assert snap["numeric.analysis_cache.evictions"] == 1
         assert snap["numeric.analysis_cache.size"] == 2
         assert snap["numeric.analysis_cache.capacity"] == 2
-
-    def test_set_capacity_shrinks_lru_first(self):
-        cache = AnalysisCache(capacity=4)
-        mats = self._matrices(4)
-        analyses = [cache.get_or_analyze(m, "cholesky", "amd")
-                    for m in mats]
-        cache.set_capacity(1)
-        assert len(cache) == 1
-        assert cache.stats()["evictions"] == 3
-        # The survivor is the most recently used analysis.
-        assert cache.get_or_analyze(
-            mats[-1], "cholesky", "amd") is analyses[-1]
-        assert cache.stats()["hits"] == 1
-        with pytest.raises(ValueError):
-            cache.set_capacity(0)
+        with pytest.raises(ValueError, match="capacity"):
+            AnalysisCache(capacity=0)
 
     def test_capacity_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ANALYSIS_CACHE_CAP", raising=False)
